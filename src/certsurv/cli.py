@@ -19,7 +19,6 @@ import json
 import os
 import sys
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -30,9 +29,9 @@ from .metrics import (DEFAULT_EPS_GRID, AggregationError, MetricRecord,
                       friedman_test, read_metrics_csv,
                       relative_percent_change, emit_report)
 from .network import TrainingDivergenceError
-from .survival import (km_estimator, population_curve, survival_quantiles,
+from .survival import (km_estimator, population_curve,
+                       population_curve_from_hazards, survival_quantiles,
                        default_time_grid)
-from .metrics import worst_case_population_curve
 from .training import (CheckpointError, TrainConfig, load_checkpoint,
                        save_checkpoint, train)
 
@@ -186,24 +185,10 @@ def _parse_eps_grid(raw: str | None):
         grid = [float(v) for v in raw.split(",") if v.strip() != ""]
     except ValueError as exc:
         raise CliError(f"bad --eps-grid: {exc}", EXIT_CONFIG) from exc
-    if not grid or any(e < 0 for e in grid):
-        raise CliError("--eps-grid must list nonnegative radii", EXIT_CONFIG)
+    if not grid or not all(np.isfinite(e) and e >= 0 for e in grid):
+        raise CliError("--eps-grid must list finite nonnegative radii",
+                       EXIT_CONFIG)
     return grid
-
-
-def _sweep_one_eps(payload):
-    """One (attack, eps) cell; top-level so worker pools can pickle it."""
-    (ckpt_path, dataset_path, attack, eps, seed) = payload
-    net, codec, config = load_checkpoint(ckpt_path)
-    raw = load_csv(dataset_path)
-    split = stratified_split(raw, seed=config.seed,
-                             normalize_onehot=config.normalize_onehot)
-    ckm = censoring_km(split.train)
-    name = os.path.splitext(os.path.basename(dataset_path))[0]
-    recs = attack_sweep(net, split.test, attack, [eps], config, ckm,
-                        dataset_name=name, method_name=config.method,
-                        seed=seed)
-    return recs[0]
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
@@ -233,16 +218,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                 f"but the checkpoint expects {codec.dim}", EXIT_DATA)
     test = split.test
     ckm = censoring_km(split.train)
-    if args.jobs > 1:
-        payloads = [(args.model, args.dataset, args.attack, eps, config.seed)
-                    for eps in eps_grid]
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            records = list(pool.map(_sweep_one_eps, payloads))
-        records.sort(key=lambda r: r.eps)
-    else:
-        records = attack_sweep(net, test, args.attack, sorted(eps_grid),
-                               config, ckm, dataset_name=name,
-                               method_name=config.method, seed=config.seed)
     curve_grid = default_time_grid(test.t)
     lo, hi = survival_quantiles(net, test.X, curve_grid)
     curve_payload = {
@@ -252,12 +227,17 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         "quantile_lo05": (curve_grid, lo),
         "quantile_hi95": (curve_grid, hi),
     }
-    if args.attack == "worstcase":
-        for eps in eps_grid:
-            curve_payload[f"population_worstcase_eps{eps:g}"] = (
-                curve_grid,
-                worst_case_population_curve(net, test.X, eps, curve_grid),
-            )
+
+    def worst_case_curve(eps, hazards):
+        # the sweep's certified hazards give the worst-case population curve
+        curve_payload[f"population_worstcase_eps{eps:g}"] = (
+            curve_grid, population_curve_from_hazards(hazards, curve_grid))
+
+    # --jobs is accepted and ignored: the cells run in this process
+    records = attack_sweep(
+        net, test, args.attack, sorted(eps_grid), config, ckm,
+        dataset_name=name, method_name=config.method, seed=config.seed,
+        on_hazards=worst_case_curve if args.attack == "worstcase" else None)
     summary = {
         "dataset": name,
         "method": config.method,
@@ -424,7 +404,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="comma-separated radii (default: the 12-point grid)")
     p_eval.add_argument("--out", help="output directory")
     p_eval.add_argument("--jobs", type=int, default=1,
-                        help="parallel workers for sweep cells")
+                        help="ignored; kept for compatibility (cells run "
+                             "sequentially in one process)")
     p_eval.set_defaults(func=cmd_evaluate)
 
     p_rep = sub.add_parser("report", help="aggregate metrics.csv files")

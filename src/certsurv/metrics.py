@@ -59,6 +59,41 @@ def concordance_index(risks, times, events) -> float:
     return float((concordant.sum() + 0.5 * tied.sum()) / n_pairs)
 
 
+def _brier_scores(surv, times, events, censor_km: StepCurve, grid):
+    """IPCW Brier score at every horizon of the grid, in one array pass.
+
+    surv is (records x horizons).  Returns (scores per horizon, excluded
+    count over all horizons): a record whose censoring weight hits an
+    estimated zero is excluded from the sum but kept in the denominator.
+    Terms are added over records in index order (cumsum, not the pairwise
+    np.sum), so each score is the sequential sum of its terms.
+    """
+    surv = np.asarray(surv, dtype=float)
+    times = np.asarray(times, dtype=float)
+    events = np.asarray(events, dtype=int)
+    n = len(times)
+    if n == 0:
+        raise UndefinedMetricError("empty sample")
+    if surv.shape != (n, len(grid)):
+        raise ValueError(f"survival matrix has shape {surv.shape}, "
+                         f"expected {(n, len(grid))}")
+    g_at_t = censor_km.at_left(times)[:, None]
+    g_at_tau = censor_km(grid)[None, :]
+    t = times[:, None]
+    event_before = (events == 1)[:, None] & (t <= grid[None, :])
+    still_at_risk = t > grid[None, :]
+    # censored at or before tau is in neither mask and contributes zero
+    zero_t = event_before & (g_at_t <= 0.0)
+    zero_tau = still_at_risk & (g_at_tau <= 0.0)
+    # entries outside the masks may divide by a zero weight; they are dropped
+    with np.errstate(all="ignore"):
+        term = np.where(event_before & ~zero_t, surv ** 2 / g_at_t, 0.0)
+        term += np.where(still_at_risk & ~zero_tau,
+                         (1.0 - surv) ** 2 / g_at_tau, 0.0)
+    scores = np.cumsum(term, axis=0)[-1] / n
+    return scores, int(zero_t.sum() + zero_tau.sum())
+
+
 def brier_ipcw(surv_at_tau, times, events, censor_km: StepCurve, tau: float):
     """IPCW Brier score at one horizon.
 
@@ -66,26 +101,9 @@ def brier_ipcw(surv_at_tau, times, events, censor_km: StepCurve, tau: float):
     estimated zero are excluded from the sum but kept in the denominator.
     """
     s = np.asarray(surv_at_tau, dtype=float)
-    times = np.asarray(times, dtype=float)
-    events = np.asarray(events, dtype=int)
-    n = len(times)
-    g_at_t = censor_km.at_left(times)
-    g_at_tau = float(censor_km(tau))
-    total = 0.0
-    excluded = 0
-    for i in range(n):
-        if events[i] == 1 and times[i] <= tau:
-            if g_at_t[i] <= 0.0:
-                excluded += 1
-                continue
-            total += s[i] ** 2 / g_at_t[i]
-        elif times[i] > tau:
-            if g_at_tau <= 0.0:
-                excluded += 1
-                continue
-            total += (1.0 - s[i]) ** 2 / g_at_tau
-        # censored at or before tau contributes zero
-    return total / n, excluded
+    scores, excluded = _brier_scores(s[:, None], times, events, censor_km,
+                                     np.array([float(tau)]))
+    return float(scores[0]), excluded
 
 
 def integrated_brier(surv_over_grid, times, events, censor_km: StepCurve,
@@ -96,12 +114,8 @@ def integrated_brier(surv_over_grid, times, events, censor_km: StepCurve,
         raise ValueError("grid must contain at least two points")
     if np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be strictly increasing")
-    surv = np.asarray(surv_over_grid, dtype=float)
-    scores = np.empty(grid.size)
-    excluded = 0
-    for j, tau in enumerate(grid):
-        scores[j], exc = brier_ipcw(surv[:, j], times, events, censor_km, tau)
-        excluded += exc
+    scores, excluded = _brier_scores(surv_over_grid, times, events, censor_km,
+                                     grid)
     value = float(np.trapezoid(scores, grid) / (grid[-1] - grid[0]))
     return value, excluded
 
@@ -182,17 +196,18 @@ def censoring_km(train: SurvivalDataset) -> StepCurve:
 def _metrics_from_hazards(hazards, test: SurvivalDataset,
                           censor_km: StepCurve, grid) -> tuple:
     hazards = np.asarray(hazards, dtype=float)
+    # overflowed (+inf) or undefined (NaN) hazards flag every metric
+    nonfinite = not bool(np.isfinite(hazards).all())
     surv = np.exp(-np.outer(hazards, grid))
     try:
         ci = concordance_index(hazards, test.t, test.e)
-        ci_flag = bool(np.isinf(hazards).any())
+        ci_flag = nonfinite
     except UndefinedMetricError:
         ci, ci_flag = float("nan"), True
     ibs, excluded = integrated_brier(surv, test.t, test.e, censor_km, grid)
-    ibs_flag = bool(not np.isfinite(ibs) or excluded > 0
-                    or np.isinf(hazards).any())
+    ibs_flag = bool(not np.isfinite(ibs) or excluded > 0 or nonfinite)
     negll = negll_metric(hazards, test.t, test.e)
-    negll_flag = bool(not np.isfinite(negll) or np.isinf(hazards).any())
+    negll_flag = bool(not np.isfinite(negll) or nonfinite)
     return ci, ibs, negll, ci_flag, ibs_flag, negll_flag
 
 
@@ -215,13 +230,21 @@ def attack_hazards(net: Network, test: SurvivalDataset, attack: str,
 def attack_sweep(net: Network, test: SurvivalDataset, attack: str, eps_grid,
                  config: TrainConfig, censor_km: StepCurve,
                  dataset_name: str = "", method_name: str = "",
-                 seed: int = 0, grid=None) -> list[MetricRecord]:
-    """Concordance / integrated Brier / negative log likelihood per radius."""
+                 seed: int = 0, grid=None,
+                 on_hazards=None) -> list[MetricRecord]:
+    """Concordance / integrated Brier / negative log likelihood per radius.
+
+    on_hazards, if given, is called as on_hazards(eps, hazards) for every
+    radius, so callers can reuse the attacked hazards without recomputing
+    them.
+    """
     if grid is None:
         grid = evaluation_grid(test.t)
     records = []
     for eps in eps_grid:
         hazards = attack_hazards(net, test, attack, float(eps), config)
+        if on_hazards is not None:
+            on_hazards(float(eps), hazards)
         ci, ibs, negll, cf, bf, nf = _metrics_from_hazards(
             hazards, test, censor_km, grid
         )

@@ -73,6 +73,13 @@ class TrainConfig:
             raise ValueError(f"patience must be >= 1, got {self.patience}")
         if self.warmup_epochs < 0:
             raise ValueError(f"warmup_epochs must be >= 0, got {self.warmup_epochs}")
+        if self.max_epochs < 1:
+            raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if not self.learning_rate > 0:
+            raise ValueError(f"learning_rate must be positive, "
+                             f"got {self.learning_rate}")
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -297,7 +304,9 @@ def load_checkpoint(path):
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("schema_version") != CHECKPOINT_SCHEMA:
+    if not isinstance(doc, dict):
+        raise CheckpointError(f"checkpoint {path} is not a JSON object")
+    if doc.get("schema_version") != CHECKPOINT_SCHEMA:
         raise CheckpointError(
             f"unsupported checkpoint schema {doc.get('schema_version')!r}"
         )

@@ -33,6 +33,16 @@ def trained_dir(tmp_path_factory, toy_csv):
     return out
 
 
+def run_child(args, cwd):
+    """`python -m certsurv.cli` in a child process; returns the exit code."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "certsurv.cli", *[str(a) for a in args]],
+        capture_output=True, text=True, cwd=cwd, env=cli_env(),
+    )
+    assert "Traceback" not in proc.stderr, proc.stderr
+    return proc.returncode
+
+
 def file_digest(path):
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
@@ -99,6 +109,15 @@ class TestTrainCommand:
                         "--config", cfg, "--out", tmp_path / "o"])
         assert code == 2
 
+    @pytest.mark.parametrize("flag,value", [("--batch-size", "0"),
+                                            ("--max-epochs", "0"),
+                                            ("--learning-rate", "-0.001")])
+    def test_bad_training_value_exits_2(self, toy_csv, tmp_path, flag, value):
+        code = run_child(["train", "--dataset", toy_csv, "--method",
+                          "baseline", "--out", tmp_path / "o", flag, value],
+                         cwd=tmp_path)
+        assert code == 2
+
     def test_config_file_and_flag_precedence(self, toy_csv, tmp_path):
         cfg = tmp_path / "cfg.ini"
         cfg.write_text("[train]\nmax_epochs = 9\nbatch_size = 16\n"
@@ -146,6 +165,16 @@ class TestEvaluateCommand:
                         "--eps-grid", "0,abc", "--out", tmp_path / "e3"])
         assert code == 2
 
+    @pytest.mark.parametrize("grid", ["nan", "inf", "0,0.5,nan", "0,-inf"])
+    def test_nonfinite_grid_exits_2(self, trained_dir, toy_csv, tmp_path,
+                                    grid):
+        code = run_cli(["evaluate", "--model",
+                        os.path.join(trained_dir, "checkpoint.ckpt.json"),
+                        "--dataset", toy_csv, "--attack", "worstcase",
+                        "--eps-grid", grid, "--out", tmp_path / "e"])
+        assert code == 2
+        assert not (tmp_path / "e" / "metrics.csv").exists()
+
     def test_checkpoint_dataset_mismatch_exits_3(self, trained_dir, tmp_path):
         other = planted_linear_csv(str(tmp_path / "other.csv"), n=40, seed=1)
         # different numeric column names break the codec contract
@@ -163,6 +192,14 @@ class TestEvaluateCommand:
         ck.write_text("{")
         code = run_cli(["evaluate", "--model", ck, "--dataset", toy_csv,
                         "--attack", "fgsm", "--out", tmp_path / "e5"])
+        assert code == 3
+
+    def test_non_object_checkpoint_exits_3(self, toy_csv, tmp_path):
+        ck = tmp_path / "list.ckpt.json"
+        ck.write_text("[1, 2, 3]")
+        code = run_child(["evaluate", "--model", ck, "--dataset", toy_csv,
+                          "--attack", "fgsm", "--out", tmp_path / "e"],
+                         cwd=tmp_path)
         assert code == 3
 
     def test_emits_curves(self, trained_dir, toy_csv, tmp_path):

@@ -1,19 +1,24 @@
 import os
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import chi2
 
 from certsurv.data import SurvivalDataset
 from certsurv.metrics import (AggregationError, DEFAULT_EPS_GRID,
                               MetricRecord, UndefinedMetricError,
+                              _metrics_from_hazards,
                               attack_sweep, average_ranks, brier_ipcw,
                               censoring_km, concordance_index, friedman_test,
                               integrated_brier, negll_metric,
                               read_metrics_csv, relative_percent_change,
                               worst_case_population_curve, write_metrics_csv)
 from certsurv.network import forward_batch
-from certsurv.survival import StepCurve, km_estimator
+from certsurv.survival import (StepCurve, km_estimator,
+                               population_curve_from_hazards)
 from certsurv.training import TrainConfig
 
 from conftest import random_net
@@ -161,6 +166,101 @@ class TestIntegratedBrier:
             prev = val
 
 
+def _reference_brier(s, times, events, censor_km, tau):
+    """Per-record loop of the IPCW Brier score at one horizon (oracle)."""
+    g_at_t = censor_km.at_left(times)
+    g_at_tau = float(censor_km(tau))
+    total = 0.0
+    excluded = 0
+    for i in range(len(times)):
+        if events[i] == 1 and times[i] <= tau:
+            if g_at_t[i] <= 0.0:
+                excluded += 1
+                continue
+            total += s[i] ** 2 / g_at_t[i]
+        elif times[i] > tau:
+            if g_at_tau <= 0.0:
+                excluded += 1
+                continue
+            total += (1.0 - s[i]) ** 2 / g_at_tau
+    return total / len(times), excluded
+
+
+def _reference_integrated(surv, times, events, censor_km, grid):
+    scores = np.empty(len(grid))
+    excluded = 0
+    for j, tau in enumerate(grid):
+        scores[j], exc = _reference_brier(surv[:, j], times, events,
+                                          censor_km, tau)
+        excluded += exc
+    return float(np.trapezoid(scores, grid) / (grid[-1] - grid[0])), excluded
+
+
+def _close(a, b):
+    return a == b or math.isclose(a, b, rel_tol=1e-12, abs_tol=0.0)
+
+
+@st.composite
+def brier_cases(draw, min_horizons=1):
+    """Random samples whose times may sit on a horizon, whose censoring
+    curve may drop to 0 (excluding records), and that may be all censored."""
+    n = draw(st.integers(1, 25))
+    h = draw(st.integers(min_horizons, 8))
+    grid = np.array(sorted(draw(st.sets(
+        st.floats(0.1, 10.0, allow_nan=False), min_size=h, max_size=h))))
+    time_value = st.one_of(st.sampled_from(list(grid)),
+                           st.floats(0.05, 12.0, allow_nan=False))
+    times = np.array(draw(st.lists(time_value, min_size=n, max_size=n)))
+    events = np.array(draw(st.one_of(
+        st.just([0] * n),
+        st.lists(st.integers(0, 1), min_size=n, max_size=n))))
+    k = draw(st.integers(1, 5))
+    bps = np.array(sorted(draw(st.sets(
+        st.one_of(st.sampled_from(list(grid) + list(times)),
+                  st.floats(0.05, 12.0, allow_nan=False)),
+        min_size=k, max_size=k))))
+    drops = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.01, 1.0)),
+                          min_size=k, max_size=k))
+    values = np.cumprod(drops)
+    if draw(st.booleans()):
+        values[-1] = 0.0
+    censor_km = StepCurve(bps, values)
+    surv = np.array(draw(st.lists(
+        st.lists(st.floats(0.0, 1.0), min_size=h, max_size=h),
+        min_size=n, max_size=n)))
+    return surv, times, events, censor_km, grid
+
+
+class TestBrierOracle:
+    """The array pass agrees with the per-record, per-horizon loop."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(brier_cases(min_horizons=2))
+    def test_integrated_matches_loop(self, case):
+        surv, times, events, censor_km, grid = case
+        val, excl = integrated_brier(surv, times, events, censor_km, grid)
+        ref, ref_excl = _reference_integrated(surv, times, events, censor_km,
+                                              grid)
+        assert excl == ref_excl
+        assert _close(val, ref)
+
+    @settings(max_examples=200, deadline=None)
+    @given(brier_cases())
+    def test_single_horizon_matches_loop(self, case):
+        surv, times, events, censor_km, grid = case
+        for j, tau in enumerate(grid):
+            score, excl = brier_ipcw(surv[:, j], times, events, censor_km, tau)
+            ref, ref_excl = _reference_brier(surv[:, j], times, events,
+                                             censor_km, tau)
+            assert excl == ref_excl
+            assert _close(score, ref)
+
+    def test_shape_mismatch_raises(self):
+        with pytest.raises(ValueError):
+            integrated_brier(np.zeros((2, 3)), [1.0, 2.0, 3.0], [1, 1, 1],
+                             NO_CENSOR, [0.5, 1.5, 2.5])
+
+
 class TestNegll:
     def test_unit_hazard_single_event(self):
         assert negll_metric([1.0], [1.0], [1]) == pytest.approx(1.0)
@@ -221,6 +321,32 @@ class TestAttackSweep:
             cur = worst_case_population_curve(net, test.X, eps, grid)
             assert np.all(cur <= prev + 1e-12)
             prev = cur
+
+    def test_hazard_hook_gives_worst_case_curve(self):
+        rng = np.random.default_rng(6)
+        net = random_net(rng, [2, 5, 1])
+        test = _dataset(rng)
+        grid = np.linspace(0.1, 4.0, 25)
+        seen = {}
+        attack_sweep(net, test, "worstcase", [0.0, 0.5, 1.0], TrainConfig(),
+                     NO_CENSOR, "d", "m",
+                     on_hazards=lambda eps, h: seen.setdefault(eps, h))
+        assert sorted(seen) == [0.0, 0.5, 1.0]
+        for eps, hazards in seen.items():
+            np.testing.assert_array_equal(
+                population_curve_from_hazards(hazards, grid),
+                worst_case_population_curve(net, test.X, eps, grid))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_hazard_flags_every_metric(self, bad):
+        rng = np.random.default_rng(7)
+        test = _dataset(rng)
+        hazards = rng.uniform(0.1, 2.0, size=len(test.t))
+        hazards[3] = bad
+        grid = np.linspace(0.1, 4.0, 10)
+        _, _, _, ci_flag, ibs_flag, negll_flag = _metrics_from_hazards(
+            hazards, test, NO_CENSOR, grid)
+        assert ci_flag and ibs_flag and negll_flag
 
     def test_default_grid_matches_report_columns(self):
         assert len(DEFAULT_EPS_GRID) == 12

@@ -66,7 +66,11 @@ class TestTrainConfig:
             TrainConfig(method="dropout")
 
     @pytest.mark.parametrize("field,value", [("kappa", 1.5), ("eps_max", -0.1),
-                                             ("ramp_epochs", 0), ("patience", 0)])
+                                             ("ramp_epochs", 0), ("patience", 0),
+                                             ("max_epochs", 0), ("batch_size", 0),
+                                             ("learning_rate", 0.0),
+                                             ("learning_rate", -1e-3),
+                                             ("learning_rate", float("nan"))])
     def test_invalid_fields(self, field, value):
         with pytest.raises(ValueError):
             TrainConfig(**{field: value})
@@ -177,4 +181,11 @@ class TestCheckpoint:
         path = tmp_path / "old.ckpt.json"
         path.write_text(json.dumps({"schema_version": 99}))
         with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("doc", [[1, 2], "text", 3, None])
+    def test_non_object_document(self, tmp_path, doc):
+        path = tmp_path / "list.ckpt.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError, match="not a JSON object"):
             load_checkpoint(path)
