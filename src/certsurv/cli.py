@@ -18,16 +18,15 @@ import datetime
 import json
 import os
 import sys
-import tempfile
 
 import numpy as np
 
 from . import __version__
-from .data import CodecError, FormatError, RowError, load_csv, stratified_split
-from .metrics import (DEFAULT_EPS_GRID, AggregationError, MetricRecord,
-                      attack_sweep, average_ranks, censoring_km,
-                      friedman_test, read_metrics_csv,
-                      relative_percent_change, emit_report)
+from .data import (CodecError, FormatError, RowError, atomic_open, load_csv,
+                   stratified_split, write_csv)
+from .metrics import (DEFAULT_EPS_GRID, AggregationError, attack_sweep,
+                      censoring_km, emit_report, read_metrics_csv,
+                      report_tables)
 from .network import TrainingDivergenceError
 from .survival import (km_estimator, population_curve,
                        population_curve_from_hazards, survival_quantiles,
@@ -53,20 +52,6 @@ def _out_root() -> str:
     return os.environ.get(OUT_ROOT_ENV, "runs")
 
 
-def _atomic_write_json(path: str, doc: dict) -> None:
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
-                               suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _write_manifest(out_dir: str, command: str, args: argparse.Namespace,
                     config: TrainConfig | None, datasets: list[str]) -> None:
     os.makedirs(out_dir, exist_ok=True)
@@ -81,7 +66,9 @@ def _write_manifest(out_dir: str, command: str, args: argparse.Namespace,
         "tool_version": __version__,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
-    _atomic_write_json(os.path.join(out_dir, "manifest.json"), doc)
+    with atomic_open(os.path.join(out_dir, "manifest.json")) as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True)
+        fh.write("\n")
 
 
 _BOOL_FIELDS = {"fgsm_sign_mode", "normalize_onehot"}
@@ -163,15 +150,11 @@ def cmd_train(args: argparse.Namespace) -> int:
                             extra={"dataset": name, "diverged": True})
         print(f"error: training diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    ckpt_tmp = os.path.join(out_dir, "checkpoint.ckpt.json.tmp")
     ckpt_path = os.path.join(out_dir, "checkpoint.ckpt.json")
-    save_checkpoint(net, split.codec, config, ckpt_tmp,
+    save_checkpoint(net, split.codec, config, ckpt_path,
                     extra={"dataset": name, "best_epoch": report.best_epoch,
                            "stopped_epoch": report.stopped_epoch})
-    os.replace(ckpt_tmp, ckpt_path)
-    report_tmp = os.path.join(out_dir, "train_report.csv.tmp")
-    report.to_csv(report_tmp)
-    os.replace(report_tmp, os.path.join(out_dir, "train_report.csv"))
+    report.to_csv(os.path.join(out_dir, "train_report.csv"))
     print(f"trained {config.method} on {name}: best epoch "
           f"{report.best_epoch}, stopped at {report.stopped_epoch}, "
           f"checkpoint {ckpt_path}")
@@ -250,7 +233,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                               for r in records),
         "tool_version": __version__,
     }
-    emit_report(records, None, out_dir, curves=curve_payload, summary=summary)
+    emit_report(records, out_dir, curves=curve_payload, summary=summary)
     print(f"evaluated {config.method} on {name} under {args.attack}: "
           f"{len(records)} cells -> {out_dir}/metrics.csv")
     return EXIT_OK
@@ -261,98 +244,21 @@ def cmd_report(args: argparse.Namespace) -> int:
     if not os.path.isdir(args.inputs):
         raise CliError(f"data error: {args.inputs} is not a directory",
                        EXIT_DATA)
-    records: list[MetricRecord] = []
+    records = []
     for root, _, files in sorted(os.walk(args.inputs)):
-        for fname in sorted(files):
-            if fname == "metrics.csv":
-                records.extend(read_metrics_csv(os.path.join(root, fname)))
+        if "metrics.csv" in files:
+            records.extend(read_metrics_csv(os.path.join(root, "metrics.csv")))
     if not records:
         raise CliError(f"data error: no metrics.csv found under {args.inputs}",
                        EXIT_DATA)
-    methods_by_dataset = {}
-    for r in records:
-        methods_by_dataset.setdefault((r.dataset, r.attack), set()).add(r.method)
-    all_methods = sorted({m for s in methods_by_dataset.values() for m in s})
-    for key, methods in sorted(methods_by_dataset.items()):
-        missing = set(all_methods) - methods
-        if missing:
-            raise CliError(
-                f"data error: dataset/attack {key} lacks methods {sorted(missing)}",
-                EXIT_DATA,
-            )
+    try:
+        tables = report_tables(records)
+    except AggregationError as exc:
+        raise CliError(f"data error: {exc}", EXIT_DATA) from exc
     _write_manifest(out_dir, "report", args, None, [args.inputs])
-    by_attack: dict[str, list[MetricRecord]] = {}
-    for r in records:
-        by_attack.setdefault(r.attack, []).append(r)
-
-    import csv as _csv
-    rank_rows, pc_rows, fr_rows = [], [], []
-    for attack, recs in sorted(by_attack.items()):
-        try:
-            table = average_ranks(recs)
-        except AggregationError as exc:
-            raise CliError(f"data error: {exc}", EXIT_DATA) from exc
-        for eps in table.eps_values:
-            for metric in table.metrics:
-                cell = table.mean_ranks[(eps, metric)]
-                rank_rows.append([attack, repr(float(eps)), metric,
-                                  *[repr(float(cell[m])) for m in all_methods]])
-        if "baseline" in all_methods:
-            base = [r for r in recs if r.method == "baseline"]
-            for method in all_methods:
-                if method == "baseline":
-                    continue
-                mrecs = [r for r in recs if r.method == method]
-                changes, flagged = relative_percent_change(base, mrecs)
-                for (eps, metric), val in sorted(changes.items()):
-                    pc_rows.append([attack, method, repr(float(eps)), metric,
-                                    repr(float(val)), flagged])
-        # Friedman per metric: blocks are (dataset, eps) cells.
-        datasets = sorted({r.dataset for r in recs})
-        eps_values = sorted({r.eps for r in recs})
-        cell = {(r.dataset, r.eps, r.method): r for r in recs}
-        for metric in ("ci", "ibs", "negll"):
-            direction = {"ci": -1, "ibs": 1, "negll": 1}[metric]
-            rows = []
-            for ds in datasets:
-                for eps in eps_values:
-                    vals = [direction * getattr(cell[(ds, eps, m)], metric)
-                            for m in all_methods]
-                    if all(np.isfinite(v) for v in vals):
-                        rows.append(vals)
-                    else:
-                        big = np.nanmax([v for v in vals if np.isfinite(v)]
-                                        or [0.0]) + 1.0
-                        rows.append([v if np.isfinite(v) else big
-                                     for v in vals])
-            if len(all_methods) < 2 or len(rows) < 2:
-                # test undefined with one treatment or one block
-                fr_rows.append([attack, metric, "", "", len(rows),
-                                len(all_methods)])
-                continue
-            stat, p = friedman_test(np.asarray(rows))
-            fr_rows.append([attack, metric, repr(stat), repr(p), len(rows),
-                            len(all_methods)])
-
-    def _write(fname, header, rows):
-        path = os.path.join(out_dir, fname)
-        with open(path + ".tmp", "w", newline="", encoding="utf-8") as fh:
-            w = _csv.writer(fh)
-            w.writerow(header)
-            w.writerows(rows)
-        os.replace(path + ".tmp", path)
-        return path
-
-    wrote = [
-        _write("ranks.csv", ["attack", "eps", "metric", *all_methods],
-               rank_rows),
-        _write("percent_change.csv",
-               ["attack", "method", "eps", "metric",
-                "pct_change_vs_baseline", "flagged_cells"], pc_rows),
-        _write("friedman.csv",
-               ["attack", "metric", "statistic", "p_value", "n_blocks",
-                "n_methods"], fr_rows),
-    ]
+    wrote = [os.path.join(out_dir, fname) for fname in tables]
+    for path, (header, rows) in zip(wrote, tables.values()):
+        write_csv(path, header, rows)
     print(f"report over {len(records)} records -> {', '.join(wrote)}")
     return EXIT_OK
 

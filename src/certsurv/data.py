@@ -1,17 +1,20 @@
-"""CSV ingestion, feature encoding, and stratified splitting.
+"""CSV ingestion, feature encoding, stratified splitting, and atomic writes.
 
 Input files are headered, comma-separated, UTF-8, with a positive `time`
 column, a 0/1 `event` column, numeric features prefixed `num_`, and
 categorical features prefixed `fac_`.  Other columns are ignored with a
 warning.  Encoding is one binary column per observed categorical level
 (missing values get their own level) plus standardized numeric columns
-whose statistics come from the training rows only.
+whose statistics come from the training rows only.  Output files are
+written through `atomic_open`, so a failed write never leaves a partial file.
 """
 
 from __future__ import annotations
 
 import csv
 import logging
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +39,30 @@ class RowError(ValueError):
 
 class CodecError(ValueError):
     """Feature encoding cannot be fitted or applied."""
+
+
+@contextmanager
+def atomic_open(path):
+    """Text handle on `path + ".tmp"`, renamed over path when the block ends;
+    if the block raises, the temp file is removed and path is untouched.
+    No newline translation, so csv rows end in CRLF on every platform."""
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, "w", newline="", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
+def write_csv(path, header, rows) -> None:
+    """Header plus rows through csv.writer, written atomically."""
+    with atomic_open(path) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 @dataclass

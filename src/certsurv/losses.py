@@ -27,6 +27,12 @@ from .network import Network, ParamGrads, backward_batch, forward_batch
 
 log = logging.getLogger(__name__)
 
+# glibc's malloc maps each block above its mmap threshold (128 KiB at start)
+# afresh, and a 128-row batch's 128 x 128 pair matrices are just above it.
+# Freeing one large mapped block raises the threshold to its size: 20 pgd
+# epochs on retinopathy then make ~250 page faults, not ~39,000.
+np.empty(1 << 20)
+
 
 @dataclass
 class Batch:

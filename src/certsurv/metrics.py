@@ -1,4 +1,4 @@
-"""Survival metrics, adversarial evaluation sweeps, and rank aggregation.
+"""Survival metrics, adversarial evaluation sweeps, and the report tables.
 
 Concordance is Harrell's C over comparable pairs (earlier time had an
 event), with half credit for risk ties.  The Brier score uses the
@@ -13,14 +13,14 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import math
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import chi2
 
 from .bounds import worst_case_log_hazard_batch
-from .data import SurvivalDataset
+from .data import SurvivalDataset, atomic_open, write_csv
 from .losses import Batch, fgsm_perturb
 from .network import Network, forward_batch
 from .survival import StepCurve, km_estimator, population_curve_from_hazards
@@ -160,11 +160,7 @@ class MetricRecord:
 
 
 def write_metrics_csv(path, records) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(MetricRecord.CSV_FIELDS)
-        for rec in records:
-            writer.writerow(rec.csv_row())
+    write_csv(path, MetricRecord.CSV_FIELDS, [r.csv_row() for r in records])
 
 
 def read_metrics_csv(path) -> list[MetricRecord]:
@@ -263,15 +259,12 @@ class RankTable:
     metrics: list[str]
     mean_ranks: dict = field(default_factory=dict)  # (eps, metric) -> {method: rank}
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["eps", "metric", *self.methods])
-            for eps in self.eps_values:
-                for metric in self.metrics:
-                    cell = self.mean_ranks[(eps, metric)]
-                    writer.writerow([repr(float(eps)), metric,
-                                     *[repr(float(cell[m])) for m in self.methods]])
+
+def _oriented(metric: str, values) -> np.ndarray:
+    """Metric values signed so that smaller is better; undefined (NaN)
+    cells become +inf, so they and overflowed cells tie at the worst rank."""
+    oriented = METRIC_DIRECTIONS[metric] * np.asarray(values, dtype=float)
+    return np.where(np.isnan(oriented), np.inf, oriented)
 
 
 def _rank_with_ties(values: np.ndarray) -> np.ndarray:
@@ -306,7 +299,6 @@ def average_ranks(records: list[MetricRecord],
     table = RankTable(methods, eps_values, list(metrics))
     for eps in eps_values:
         for metric in metrics:
-            direction = METRIC_DIRECTIONS[metric]
             acc = {m: 0.0 for m in methods}
             for ds in datasets:
                 vals = []
@@ -317,10 +309,7 @@ def average_ranks(records: list[MetricRecord],
                             f"missing cell dataset={ds} eps={eps} method={m}"
                         )
                     vals.append(getattr(rec, metric))
-                oriented = direction * np.asarray(vals)
-                # overflowed cells tie at the worst rank
-                oriented = np.where(np.isnan(oriented), np.inf, oriented)
-                ranks = _rank_with_ties(oriented)
+                ranks = _rank_with_ties(_oriented(metric, vals))
                 for m, rk in zip(methods, ranks):
                     acc[m] += rk
             table.mean_ranks[(eps, metric)] = {
@@ -359,6 +348,29 @@ def relative_percent_change(baseline_records, method_records,
     return out, flagged
 
 
+def chi2_sf(x: float, df: int) -> float:
+    """Upper tail P(X > x) of a chi-square law with integer df, in closed
+    form (Abramowitz & Stegun 26.4.4 and 26.4.5): a finite Poisson sum for
+    even df, the normal tail plus a finite series for odd df."""
+    if df < 1:
+        raise ValueError(f"df must be a positive integer, got {df}")
+    if x <= 0.0:
+        return 1.0
+    half = 0.5 * x
+    if df % 2 == 0:
+        term = total = 1.0
+        for k in range(1, df // 2):
+            term *= half / k
+            total += term
+        return math.exp(-half) * total
+    term, total = math.sqrt(x), 0.0
+    for r in range(1, (df + 1) // 2):
+        total += term
+        term *= x / (2 * r + 1)
+    return (math.erfc(math.sqrt(half))
+            + math.sqrt(2.0 / math.pi) * math.exp(-half) * total)
+
+
 def friedman_test(matrix) -> tuple[float, float]:
     """Friedman chi-square with tie correction over a blocks x treatments
     matrix of values (smaller rank = smaller value)."""
@@ -378,38 +390,88 @@ def friedman_test(matrix) -> tuple[float, float]:
     if correction <= 0.0:
         return 0.0, 1.0  # every block fully tied
     stat /= correction
-    return float(stat), float(chi2.sf(stat, k - 1))
+    return stat, chi2_sf(stat, k - 1)
 
 
-def emit_report(records, ranks: RankTable | None, out_dir,
-                curves: dict | None = None, summary: dict | None = None):
-    """Write metrics.csv, ranks.csv, curve CSVs, and summary.json."""
+def report_tables(records: list[MetricRecord]) -> dict:
+    """The tables of `certsurv report`, as {file name: (header, rows)}:
+    per attack, mean ranks per (eps, metric), mean percent change from
+    `baseline`, and a Friedman test per metric over (dataset, eps) blocks.
+    Every (dataset, attack) pair must hold every method (AggregationError)."""
+    by_attack: dict[str, list[MetricRecord]] = {}
+    present: dict[tuple, set] = {}
+    for r in records:
+        by_attack.setdefault(r.attack, []).append(r)
+        present.setdefault((r.dataset, r.attack), set()).add(r.method)
+    methods = sorted(set().union(*present.values()))
+    for key, have in sorted(present.items()):
+        if missing := set(methods) - have:
+            raise AggregationError(
+                f"dataset/attack {key} lacks methods {sorted(missing)}")
+    rank_rows, pc_rows, fr_rows = [], [], []
+    for attack, recs in sorted(by_attack.items()):
+        table = average_ranks(recs)
+        for eps in table.eps_values:
+            for metric in table.metrics:
+                cell = table.mean_ranks[(eps, metric)]
+                rank_rows.append([attack, repr(float(eps)), metric,
+                                  *[repr(float(cell[m])) for m in methods]])
+        if "baseline" in methods:
+            base = [r for r in recs if r.method == "baseline"]
+            for method in methods:
+                if method == "baseline":
+                    continue
+                changes, flagged = relative_percent_change(
+                    base, [r for r in recs if r.method == method])
+                for (eps, metric), val in sorted(changes.items()):
+                    pc_rows.append([attack, method, repr(float(eps)), metric,
+                                    repr(float(val)), flagged])
+        # average_ranks has checked that every (dataset, eps, method) exists
+        cell = {(r.dataset, r.eps, r.method): r for r in recs}
+        blocks = sorted({(r.dataset, r.eps) for r in recs})
+        for metric in METRIC_DIRECTIONS:
+            if len(methods) < 2 or len(blocks) < 2:
+                # test undefined with one treatment or one block
+                fr_rows.append([attack, metric, "", "", len(blocks),
+                                len(methods)])
+                continue
+            stat, p = friedman_test(_oriented(metric, [
+                [getattr(cell[(ds, eps, m)], metric) for m in methods]
+                for ds, eps in blocks]))
+            fr_rows.append([attack, metric, repr(stat), repr(p), len(blocks),
+                            len(methods)])
+    return {
+        "ranks.csv": (["attack", "eps", "metric", *methods], rank_rows),
+        "percent_change.csv": (["attack", "method", "eps", "metric",
+                                "pct_change_vs_baseline", "flagged_cells"],
+                               pc_rows),
+        "friedman.csv": (["attack", "metric", "statistic", "p_value",
+                          "n_blocks", "n_methods"], fr_rows),
+    }
+
+
+def emit_report(records, out_dir, curves: dict | None = None,
+                summary: dict | None = None):
+    """Write metrics.csv, the curve CSVs, and summary.json, each atomically."""
     if not records:
         raise ValueError("nothing to report")
     os.makedirs(out_dir, exist_ok=True)
-    paths = {}
-    mpath = os.path.join(out_dir, "metrics.csv")
-    write_metrics_csv(mpath, records)
-    paths["metrics"] = mpath
-    if ranks is not None:
-        rpath = os.path.join(out_dir, "ranks.csv")
-        ranks.to_csv(rpath)
-        paths["ranks"] = rpath
+    paths = {"metrics": os.path.join(out_dir, "metrics.csv")}
+    write_metrics_csv(paths["metrics"], records)
     if curves:
         cdir = os.path.join(out_dir, "curves")
         os.makedirs(cdir, exist_ok=True)
         for name, (grid, values) in curves.items():
             cpath = os.path.join(cdir, f"{name}.csv")
-            arr = np.column_stack([grid, values])
-            np.savetxt(cpath, arr, delimiter=",", header="time,survival",
-                       comments="")
+            with atomic_open(cpath) as fh:
+                np.savetxt(fh, np.column_stack([grid, values]), delimiter=",",
+                           header="time,survival", comments="")
             paths[f"curve:{name}"] = cpath
     if summary is not None:
-        spath = os.path.join(out_dir, "summary.json")
-        with open(spath, "w", encoding="utf-8") as fh:
+        paths["summary"] = os.path.join(out_dir, "summary.json")
+        with atomic_open(paths["summary"]) as fh:
             json.dump(summary, fh, indent=1, sort_keys=True)
             fh.write("\n")
-        paths["summary"] = spath
     return paths
 
 

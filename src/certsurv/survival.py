@@ -164,9 +164,3 @@ def default_time_grid(times, n_points: int = 100) -> np.ndarray:
     tmax = float(np.max(times))
     return np.linspace(0.0, tmax, n_points)
 
-
-def curve_to_csv(path, grid, values) -> None:
-    """Two-column (time, survival) CSV for external plotting."""
-    arr = np.column_stack([np.asarray(grid, float), np.asarray(values, float)])
-    header = "time,survival"
-    np.savetxt(path, arr, delimiter=",", header=header, comments="")

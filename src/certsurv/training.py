@@ -9,14 +9,14 @@ always comes from a full-radius epoch.
 
 from __future__ import annotations
 
-import csv
 import json
 import logging
-from dataclasses import dataclass, field, asdict
+import math
+from dataclasses import asdict, astuple, dataclass, field, fields
 
 import numpy as np
 
-from .data import FeatureCodec, SplitDataset
+from .data import FeatureCodec, SplitDataset, atomic_open, write_csv
 from .losses import (Batch, LossBreakdown, combined_loss,
                      combined_loss_components_grads, fgsm_perturb,
                      noise_perturb, pgd_perturb, sawar_loss_grads)
@@ -27,6 +27,19 @@ log = logging.getLogger(__name__)
 
 METHODS = ("baseline", "noise", "fgsm", "pgd", "sawar")
 CHECKPOINT_SCHEMA = 1
+# (fields, predicate, rule) for TrainConfig; NaN fails every predicate
+_CONFIG_RULES = (
+    ("kappa", lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]"),
+    ("eps_max warmup_epochs", lambda v: v >= 0, "must be nonnegative"),
+    ("ramp_epochs max_epochs batch_size patience pgd_steps", lambda v: v >= 1,
+     "must be >= 1"),
+    ("learning_rate sigma adam_eps", lambda v: v > 0, "must be positive"),
+    ("adam_beta1 adam_beta2", lambda v: 0.0 <= v < 1.0, "must lie in [0, 1)"),
+    ("leaky_slope", lambda v: 0.0 < v < 1.0, "must lie in (0, 1)"),
+    ("hidden_dims", lambda v: all(h >= 1 for h in v), "must be widths >= 1"),
+    ("w", lambda v: v is None or 0.0 <= v < math.inf,
+     "must be None or a finite nonnegative weight"),
+)
 
 
 class CheckpointError(ValueError):
@@ -63,23 +76,11 @@ class TrainConfig:
         if self.val_monitor not in ("objective", "clean"):
             raise ValueError(f"val_monitor must be 'objective' or 'clean', "
                              f"got {self.val_monitor!r}")
-        if not (0.0 <= self.kappa <= 1.0):
-            raise ValueError(f"kappa must lie in [0, 1], got {self.kappa}")
-        if self.eps_max < 0:
-            raise ValueError(f"eps_max must be nonnegative, got {self.eps_max}")
-        if self.ramp_epochs < 1:
-            raise ValueError(f"ramp_epochs must be >= 1, got {self.ramp_epochs}")
-        if self.patience < 1:
-            raise ValueError(f"patience must be >= 1, got {self.patience}")
-        if self.warmup_epochs < 0:
-            raise ValueError(f"warmup_epochs must be >= 0, got {self.warmup_epochs}")
-        if self.max_epochs < 1:
-            raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not self.learning_rate > 0:
-            raise ValueError(f"learning_rate must be positive, "
-                             f"got {self.learning_rate}")
+        for names, ok, rule in _CONFIG_RULES:
+            for name in names.split():
+                value = getattr(self, name)
+                if not ok(value):
+                    raise ValueError(f"{name} {rule}, got {value!r}")
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -114,19 +115,9 @@ class TrainReport:
     wall_time_s: float = 0.0
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["epoch", "eps", "train_neg_ll", "train_rank",
-                             "train_clean", "train_certified", "train_total",
-                             "val_loss"])
-            for r in self.rows:
-                writer.writerow([r.epoch, repr(float(r.eps)),
-                                 repr(float(r.train_neg_ll)),
-                                 repr(float(r.train_rank)),
-                                 repr(float(r.train_clean)),
-                                 repr(float(r.train_certified)),
-                                 repr(float(r.train_total)),
-                                 repr(float(r.val_loss))])
+        rows = [[r.epoch, *[repr(float(v)) for v in astuple(r)[1:]]]
+                for r in self.rows]
+        write_csv(path, [f.name for f in fields(EpochRow)], rows)
 
 
 def eps_schedule(config: TrainConfig, epoch: int) -> float:
@@ -292,7 +283,7 @@ def save_checkpoint(net: Network, codec: FeatureCodec, config: TrainConfig,
     }
     if extra:
         doc["extra"] = extra
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
 
@@ -322,4 +313,12 @@ def load_checkpoint(path):
         config = TrainConfig.from_dict(doc["config"])
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"malformed checkpoint {path}: {exc}") from exc
+    dims = net.layer_dims
+    shapes = [(o, i) for i, o in zip(dims[:-1], dims[1:])]
+    if ([w.shape for w in net.weights] != shapes
+            or [b.shape for b in net.biases] != [(o,) for o, _ in shapes]):
+        raise CheckpointError(f"checkpoint {path}: parameter shapes do not "
+                              f"match layer_dims {dims}")
+    if not all(np.isfinite(p).all() for p in (*net.weights, *net.biases)):
+        raise CheckpointError(f"checkpoint {path} has non-finite parameters")
     return net, codec, config

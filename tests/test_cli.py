@@ -111,10 +111,24 @@ class TestTrainCommand:
 
     @pytest.mark.parametrize("flag,value", [("--batch-size", "0"),
                                             ("--max-epochs", "0"),
-                                            ("--learning-rate", "-0.001")])
+                                            ("--learning-rate", "-0.001"),
+                                            ("--pgd-steps", "0")])
     def test_bad_training_value_exits_2(self, toy_csv, tmp_path, flag, value):
         code = run_child(["train", "--dataset", toy_csv, "--method",
                           "baseline", "--out", tmp_path / "o", flag, value],
+                         cwd=tmp_path)
+        assert code == 2
+
+    @pytest.mark.parametrize("line", ["sigma = 0", "hidden_dims = 0",
+                                      "hidden_dims = 8, 0", "leaky_slope = 2",
+                                      "leaky_slope = 0", "adam_beta1 = 1",
+                                      "adam_beta2 = -0.5", "adam_eps = 0",
+                                      "w = -1", "w = nan"])
+    def test_bad_config_file_value_exits_2(self, toy_csv, tmp_path, line):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(f"[train]\n{line}\n")
+        code = run_child(["train", "--dataset", toy_csv, "--method",
+                          "baseline", "--config", cfg, "--out", tmp_path / "o"],
                          cwd=tmp_path)
         assert code == 2
 
@@ -202,6 +216,35 @@ class TestEvaluateCommand:
                          cwd=tmp_path)
         assert code == 3
 
+    def _evaluate_edited_checkpoint(self, trained_dir, toy_csv, tmp_path,
+                                    edit):
+        """Exit code of a child `evaluate` on the trained checkpoint after
+        edit(doc); no metrics.csv may appear."""
+        with open(os.path.join(trained_dir, "checkpoint.ckpt.json")) as fh:
+            doc = json.load(fh)
+        edit(doc)
+        ck = tmp_path / "edited.ckpt.json"
+        ck.write_text(json.dumps(doc))
+        code = run_child(["evaluate", "--model", ck, "--dataset", toy_csv,
+                          "--attack", "fgsm", "--out", tmp_path / "e"],
+                         cwd=tmp_path)
+        assert not os.path.exists(tmp_path / "e" / "metrics.csv")
+        return code
+
+    def test_checkpoint_weight_shape_mismatch_exits_3(self, trained_dir,
+                                                      toy_csv, tmp_path):
+        def drop_row(doc):
+            doc["weights"][1].pop()
+        assert self._evaluate_edited_checkpoint(trained_dir, toy_csv,
+                                                tmp_path, drop_row) == 3
+
+    def test_checkpoint_nan_weight_exits_3(self, trained_dir, toy_csv,
+                                           tmp_path):
+        def set_nan(doc):
+            doc["weights"][0][0][0] = float("nan")
+        assert self._evaluate_edited_checkpoint(trained_dir, toy_csv,
+                                                tmp_path, set_nan) == 3
+
     def test_emits_curves(self, trained_dir, toy_csv, tmp_path):
         out = tmp_path / "e6"
         code = run_cli(["evaluate", "--model",
@@ -284,6 +327,19 @@ class TestReportCommand:
         assert run_cli(["report", "--inputs", root, "--out", out]) == 0
         body = (out / "ranks.csv").read_text().splitlines()[1:]
         assert all(line.rsplit(",", 1)[1] == "1.0" for line in body)
+
+    def test_report_runs_without_scipy(self, metrics_tree, tmp_path):
+        blocked = ("import sys; sys.modules['scipy'] = None; "
+                   "from certsurv.cli import main; sys.exit(main(sys.argv[1:]))")
+        out = tmp_path / "rep"
+        proc = subprocess.run(
+            [sys.executable, "-c", blocked, "report", "--inputs",
+             str(metrics_tree), "--out", str(out)],
+            capture_output=True, text=True, cwd=tmp_path, env=cli_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        rows = (out / "friedman.csv").read_text().splitlines()[1:]
+        assert rows and all(line.split(",")[3] for line in rows)
 
     def test_empty_dir_exits_3(self, tmp_path):
         (tmp_path / "empty").mkdir()

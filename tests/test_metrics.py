@@ -1,3 +1,4 @@
+import json
 import os
 
 import math
@@ -5,16 +6,16 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.stats import chi2
 
 from certsurv.data import SurvivalDataset
 from certsurv.metrics import (AggregationError, DEFAULT_EPS_GRID,
-                              MetricRecord, UndefinedMetricError,
-                              _metrics_from_hazards,
+                              METRIC_DIRECTIONS, MetricRecord,
+                              UndefinedMetricError, _metrics_from_hazards,
                               attack_sweep, average_ranks, brier_ipcw,
-                              censoring_km, concordance_index, friedman_test,
-                              integrated_brier, negll_metric,
-                              read_metrics_csv, relative_percent_change,
+                              censoring_km, chi2_sf, concordance_index,
+                              emit_report, friedman_test, integrated_brier,
+                              negll_metric, read_metrics_csv,
+                              relative_percent_change, report_tables,
                               worst_case_population_curve, write_metrics_csv)
 from certsurv.network import forward_batch
 from certsurv.survival import (StepCurve, km_estimator,
@@ -447,6 +448,7 @@ class TestFriedman:
         assert p == 1.0
 
     def test_closed_form_on_strict_ordering(self):
+        chi2 = pytest.importorskip("scipy.stats").chi2
         # one treatment strictly best in all n blocks of k=3
         n, k = 6, 3
         m = np.tile([1.0, 2.0, 3.0], (n, 1))
@@ -481,19 +483,76 @@ class TestFriedman:
             friedman_test(np.ones((5, 1)))
 
 
+class TestChi2Tail:
+    def test_matches_scipy(self):
+        chi2 = pytest.importorskip("scipy.stats").chi2
+        xs = np.concatenate([np.linspace(0.0, 300.0, 1201),
+                             np.geomspace(1e-9, 300.0, 200)])
+        for df in range(1, 13):
+            assert chi2_sf(0.0, df) == 1.0
+            ref = chi2.sf(xs, df)
+            got = np.array([chi2_sf(float(x), df) for x in xs])
+            check = ref >= 1e-300
+            assert check.sum() > 1000
+            rel = np.abs(got[check] - ref[check]) / ref[check]
+            assert rel.max() <= 1e-12, (df, xs[check][np.argmax(rel)])
+
+    def test_negative_x_and_bad_df(self):
+        assert chi2_sf(-1.0, 3) == 1.0
+        with pytest.raises(ValueError):
+            chi2_sf(1.0, 0)
+
+
+class TestReportTables:
+    METHODS = ("baseline", "fgsm", "sawar")
+
+    def _records(self):
+        rng = np.random.default_rng(11)
+        recs = {}
+        for ds in ("a", "b", "c"):
+            for eps in (0.0, 0.5):
+                for m in self.METHODS:
+                    ci, ibs = rng.uniform(0.1, 0.9, size=2)
+                    recs[(ds, eps, m)] = MetricRecord(
+                        ds, m, "worstcase", eps, ci, ibs,
+                        rng.uniform(1.0, 100.0))
+        nan, inf = float("nan"), float("inf")
+        recs[("a", 0.0, "fgsm")].ci = nan
+        recs[("a", 0.5, "sawar")].ibs = nan
+        recs[("b", 0.0, "baseline")].negll = nan     # NaN and +inf in one
+        recs[("b", 0.0, "sawar")].negll = inf        # block tie at the worst
+        recs[("c", 0.5, "fgsm")].negll = inf
+        return recs
+
+    def test_nonfinite_cells_rank_as_a_large_worst_value(self):
+        recs = self._records()
+        header, rows = report_tables(list(recs.values()))["friedman.csv"]
+        assert header[:4] == ["attack", "metric", "statistic", "p_value"]
+        blocks = sorted({(ds, eps) for ds, eps, _ in recs})
+        for row in rows:
+            metric = row[1]
+            oriented = METRIC_DIRECTIONS[metric] * np.array(
+                [[getattr(recs[(ds, eps, m)], metric) for m in self.METHODS]
+                 for ds, eps in blocks])
+            assert not np.isfinite(oriented).all()
+            oriented[~np.isfinite(oriented)] = 1e300
+            stat, p = friedman_test(oriented)
+            assert float(row[2]) == stat
+            assert float(row[3]) == p
+            assert row[4:] == [len(blocks), len(self.METHODS)]
+
+
 class TestEmitReport:
     def test_no_curves_dir_when_disabled(self, tmp_path):
-        from certsurv.metrics import emit_report
         recs = [MetricRecord("d", "m", "fgsm", 0.0, 0.7, 0.2, 5.0)]
-        paths = emit_report(recs, None, tmp_path / "out")
+        paths = emit_report(recs, tmp_path / "out")
         assert os.path.exists(paths["metrics"])
         assert not os.path.exists(tmp_path / "out" / "curves")
 
     def test_summary_and_curves_written(self, tmp_path):
-        from certsurv.metrics import emit_report
         recs = [MetricRecord("d", "m", "fgsm", 0.0, 0.7, 0.2, 5.0)]
         grid = np.linspace(0, 1, 5)
-        paths = emit_report(recs, None, tmp_path / "out2",
+        paths = emit_report(recs, tmp_path / "out2",
                             curves={"km": (grid, np.exp(-grid))},
                             summary={"seed": 0})
         assert os.path.exists(paths["curve:km"])
@@ -501,6 +560,36 @@ class TestEmitReport:
             body = fh.read().splitlines()
         assert body[0] == "time,survival"
         assert os.path.exists(paths["summary"])
+
+    def test_failed_summary_write_keeps_the_old_file(self, tmp_path,
+                                                     monkeypatch):
+        recs = [MetricRecord("d", "m", "fgsm", 0.0, 0.7, 0.2, 5.0)]
+        out = tmp_path / "out3"
+        emit_report(recs, out, summary={"seed": 0})
+        before = (out / "summary.json").read_bytes()
+
+        def broken_dump(doc, fh, **kw):
+            fh.write('{"seed": ')
+            raise OSError("disk full")
+        monkeypatch.setattr(json, "dump", broken_dump)
+        with pytest.raises(OSError, match="disk full"):
+            emit_report(recs, out, summary={"seed": 1})
+        assert (out / "summary.json").read_bytes() == before
+        assert not list(out.rglob("*.tmp"))
+
+    def test_failed_curve_write_leaves_no_file(self, tmp_path, monkeypatch):
+        recs = [MetricRecord("d", "m", "fgsm", 0.0, 0.7, 0.2, 5.0)]
+        out = tmp_path / "out4"
+
+        def broken_savetxt(fh, arr, **kw):
+            fh.write("time,survival\n0.0,")
+            raise OSError("disk full")
+        monkeypatch.setattr(np, "savetxt", broken_savetxt)
+        grid = np.linspace(0, 1, 5)
+        with pytest.raises(OSError, match="disk full"):
+            emit_report(recs, out, curves={"km": (grid, np.exp(-grid))})
+        assert os.listdir(out / "curves") == []
+        assert not list(out.rglob("*.tmp"))
 
 
 class TestCensoringKm:

@@ -5,7 +5,7 @@ import pytest
 
 from certsurv.data import load_csv, stratified_split
 from certsurv.metrics import concordance_index
-from certsurv.network import forward
+from certsurv.network import forward, init_network
 from certsurv.training import (CheckpointError, TrainConfig, eps_schedule,
                                load_checkpoint, save_checkpoint, train)
 
@@ -70,7 +70,18 @@ class TestTrainConfig:
                                              ("max_epochs", 0), ("batch_size", 0),
                                              ("learning_rate", 0.0),
                                              ("learning_rate", -1e-3),
-                                             ("learning_rate", float("nan"))])
+                                             ("learning_rate", float("nan")),
+                                             ("pgd_steps", 0), ("sigma", 0.0),
+                                             ("sigma", float("nan")),
+                                             ("hidden_dims", (0,)),
+                                             ("hidden_dims", (8, -1)),
+                                             ("leaky_slope", 0.0),
+                                             ("leaky_slope", 2.0),
+                                             ("adam_beta1", 1.0),
+                                             ("adam_beta2", -0.1),
+                                             ("adam_eps", 0.0),
+                                             ("w", -0.5), ("w", float("inf")),
+                                             ("w", float("nan"))])
     def test_invalid_fields(self, field, value):
         with pytest.raises(ValueError):
             TrainConfig(**{field: value})
@@ -188,4 +199,35 @@ class TestCheckpoint:
         path = tmp_path / "list.ckpt.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(CheckpointError, match="not a JSON object"):
+            load_checkpoint(path)
+
+    def _saved_doc(self, tmp_path):
+        path = tmp_path / "m.ckpt.json"
+        save_checkpoint(init_network([3, 4, 1], seed=0), None,
+                        TrainConfig(hidden_dims=(4,)), path)
+        return path, json.loads(path.read_text())
+
+    @pytest.mark.parametrize("edit", [
+        lambda d: d["weights"][1].pop(),          # one row too few
+        lambda d: [row.pop() for row in d["weights"][0]],   # one column
+        lambda d: d["biases"][0].append(0.0),     # one bias too many
+        lambda d: d["biases"].pop(),              # a layer without biases
+    ], ids=["short_rows", "short_columns", "long_bias", "missing_bias"])
+    def test_shape_mismatch_raises(self, tmp_path, edit):
+        path, doc = self._saved_doc(tmp_path)
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("param", ["weights", "biases"])
+    def test_non_finite_parameter_raises(self, tmp_path, param, value):
+        path, doc = self._saved_doc(tmp_path)
+        flat = doc[param][0]
+        if param == "weights":
+            flat = flat[0]
+        flat[0] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError, match="non-finite"):
             load_checkpoint(path)
