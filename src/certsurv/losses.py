@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bounds import crown_ibp_batch_tape, crown_ibp_batch_vjp
-from .network import Network, ParamGrads, backward_batch, forward_batch
+from .network import (Network, ParamGrads, backward_batch, forward_batch,
+                      input_grads_batch)
 
 log = logging.getLogger(__name__)
 
@@ -97,19 +98,8 @@ def rank_loss(net: Network, batch: Batch, sigma: float = 1.0) -> float:
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     G, _ = forward_batch(net, batch.X)
-    return _rank_from_scores(G, batch, sigma)
-
-
-def _rank_from_scores(G: np.ndarray, batch: Batch, sigma: float) -> float:
     A = _comparable_pairs(batch)
-    if not A.any():
-        return 0.0
-    with np.errstate(over="ignore"):
-        lam = np.exp(G)
-        S = np.exp(-np.outer(batch.t, lam))  # S[i, j] = S(t_i | x_j)
-    F = 1.0 - S
-    own = np.diag(F)
-    eta = np.exp(-(own[:, None] - F) / sigma)
+    _, eta, _ = _pair_loss(G, batch.t, batch.e, A, 0.0, sigma)
     return float(eta[A].sum())
 
 
@@ -117,35 +107,48 @@ def combined_loss(net: Network, batch: Batch, w: float | None = None,
                   sigma: float = 1.0) -> float:
     """Negative log likelihood plus w times the ranking penalty."""
     G, _ = forward_batch(net, batch.X)
+    A = _comparable_pairs(batch)
+    w_val = _resolve_w(w, batch)
+    neg_ll, eta, _ = _pair_loss(G, batch.t, batch.e, A, w_val, sigma)
+    return neg_ll + w_val * float(eta[A].sum())
+
+
+def _pair_loss(G: np.ndarray, t: np.ndarray, e: np.ndarray, A: np.ndarray,
+               w_val: float, sigma: float):
+    """Clean-loss pieces from the scores G: (neg_ll, eta, dG).
+
+    eta[i, j] is the ranking term of comparable pair (i, j) (A[i, j]) and 0
+    elsewhere; dG is the gradient of neg_ll + w_val * eta.sum() with respect
+    to G.  The training engine sums eta whole and the loss functions sum
+    eta[A]; the two orders round differently, and each caller keeps its own.
+    """
     with np.errstate(over="ignore"):
         lam = np.exp(G)
-    ll = float(np.sum(batch.e * G - lam * batch.t))
-    return -ll + _resolve_w(w, batch) * _rank_from_scores(G, batch, sigma)
+        tl = np.outer(t, lam)
+        S = np.exp(-tl)  # S[i, j] = S(t_i | x_j)
+    F = 1.0 - S
+    own = np.diag(F)
+    eta = np.where(A, np.exp(-(own[:, None] - F) / sigma), 0.0)
+    neg_ll = -float(np.sum(e * G - lam * t))
+    # dF(t_i|x_j)/dG_j = t_i * lam_j * S[i, j]
+    with np.errstate(invalid="ignore", over="ignore"):
+        D = tl * S
+        dG = -e + lam * t
+        dG = dG + (w_val / sigma) * ((eta * D).sum(axis=0)
+                                     - np.diag(D) * eta.sum(axis=1))
+    return neg_ll, eta, dG
 
 
 def _clean_engine(net: Network, batch: Batch, w_val: float, sigma: float,
                   need_grads: bool):
     """One forward pass worth of clean-loss pieces (and optionally grads)."""
-    t, e = batch.t, batch.e
     G, caches = forward_batch(net, batch.X)
-    with np.errstate(over="ignore"):
-        lam = np.exp(G)
-        S = np.exp(-np.outer(t, lam))
-    F = 1.0 - S
-    A = _comparable_pairs(batch)
-    own = np.diag(F)
-    eta = np.where(A, np.exp(-(own[:, None] - F) / sigma), 0.0)
-    neg_ll = -float(np.sum(e * G - lam * t))
+    neg_ll, eta, dG = _pair_loss(G, batch.t, batch.e, _comparable_pairs(batch),
+                                 w_val, sigma)
     rank = float(eta.sum())
     value = neg_ll + w_val * rank
     if not need_grads:
         return neg_ll, rank, value, None, None
-    # dF(t_i|x_j)/dG_j = t_i * lam_j * S[i, j]
-    with np.errstate(invalid="ignore", over="ignore"):
-        D = t[:, None] * lam[None, :] * S
-        dG = -e + lam * t
-        dG = dG + (w_val / sigma) * ((eta * D).sum(axis=0)
-                                     - np.diag(D) * eta.sum(axis=1))
     pgrads, igrads = backward_batch(net, caches, dG)
     return neg_ll, rank, value, pgrads, igrads
 
@@ -159,12 +162,6 @@ def combined_loss_grads(net: Network, batch: Batch, w: float | None = None,
     return value, pgrads, igrads
 
 
-def combined_loss_components_grads(net: Network, batch: Batch,
-                                   w: float | None = None, sigma: float = 1.0):
-    """(neg_ll, rank, value, pgrads, igrads) in one pass, for training logs."""
-    return _clean_engine(net, batch, _resolve_w(w, batch), sigma, need_grads=True)
-
-
 def _project_ball(X_new: np.ndarray, X0: np.ndarray, eps: float) -> np.ndarray:
     return np.clip(X_new, X0 - eps, X0 + eps)
 
@@ -176,8 +173,9 @@ def pgd_perturb(net: Network, batch: Batch, eps: float, steps: int,
 
     Step size is eps/steps.  By default the raw input gradient is used as
     the ascent direction; sign_mode switches to its elementwise sign.
-    Times and event indicators are never touched.  Rows whose gradient is
-    non-finite are left unperturbed (and logged).
+    Times and event indicators are never touched.  Each step computes only
+    the input gradient.  A row whose gradient is non-finite at a step skips
+    that step (logged) and keeps what earlier steps moved it.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -188,8 +186,13 @@ def pgd_perturb(net: Network, batch: Batch, eps: float, steps: int,
     X0 = batch.X
     X = X0.copy()
     alpha = eps / steps
+    # times and events never change, so neither do the pairs and the weight
+    A = _comparable_pairs(batch)
+    w_val = _resolve_w(w, batch)
     for _ in range(steps):
-        _, _, igrads = combined_loss_grads(net, batch.with_X(X), w, sigma)
+        G, caches = forward_batch(net, X)
+        _, _, dG = _pair_loss(G, batch.t, batch.e, A, w_val, sigma)
+        igrads = input_grads_batch(net, caches, dG)
         bad = ~np.all(np.isfinite(igrads), axis=1)
         if bad.any():
             log.warning("skipping perturbation for %d record(s) with "

@@ -463,9 +463,11 @@ def emit_report(records, out_dir, curves: dict | None = None,
         os.makedirs(cdir, exist_ok=True)
         for name, (grid, values) in curves.items():
             cpath = os.path.join(cdir, f"{name}.csv")
+            rows = np.column_stack([grid, values]).tolist()
             with atomic_open(cpath) as fh:
-                np.savetxt(fh, np.column_stack([grid, values]), delimiter=",",
-                           header="time,survival", comments="")
+                # the bytes np.savetxt writes, formatted in one join
+                fh.write("time,survival\n" + "".join(
+                    "%.18e,%.18e\n" % (x, y) for x, y in rows))
             paths[f"curve:{name}"] = cpath
     if summary is not None:
         paths["summary"] = os.path.join(out_dir, "summary.json")

@@ -170,6 +170,17 @@ def backward_batch(net: Network, caches, upstream: np.ndarray):
     return grads, da
 
 
+def input_grads_batch(net: Network, caches, upstream: np.ndarray):
+    """Per-row input grads of sum_i upstream_i * G_i, without the parameter
+    grads: the dz @ W chain of backward_batch, equal to its second result."""
+    _, pre_acts = caches
+    dz = np.asarray(upstream, dtype=float)[:, None]
+    for k in range(net.n_layers - 1, 0, -1):
+        dz = (dz @ net.weights[k]) * leaky_relu_grad(pre_acts[k - 1],
+                                                     net.leaky_slope)
+    return dz @ net.weights[0]
+
+
 def forward(net: Network, x) -> float:
     """Scalar model output G(x) for a single covariate vector."""
     x = np.asarray(x, dtype=float)

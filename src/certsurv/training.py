@@ -17,9 +17,9 @@ from dataclasses import asdict, astuple, dataclass, field, fields
 import numpy as np
 
 from .data import FeatureCodec, SplitDataset, atomic_open, write_csv
-from .losses import (Batch, LossBreakdown, combined_loss,
-                     combined_loss_components_grads, fgsm_perturb,
-                     noise_perturb, pgd_perturb, sawar_loss_grads)
+from .losses import (Batch, LossBreakdown, _clean_engine, _resolve_w,
+                     combined_loss, fgsm_perturb, noise_perturb, pgd_perturb,
+                     sawar_loss_grads)
 from .network import (Network, TrainingDivergenceError, adam_step,
                       init_adam, init_network)
 
@@ -139,6 +139,20 @@ def _guard_epoch(config: TrainConfig) -> int:
     return config.warmup_epochs + config.ramp_epochs
 
 
+def _perturbed(net: Network, batch: Batch, config: TrainConfig, eps: float,
+               noise_seed) -> Batch:
+    """The batch a baseline, noise, fgsm or pgd model is scored on at eps."""
+    if config.method == "baseline" or eps == 0.0:
+        return batch
+    if config.method == "noise":
+        return noise_perturb(batch, eps, noise_seed)
+    if config.method == "fgsm":
+        return fgsm_perturb(net, batch, eps, config.w, config.sigma,
+                            config.fgsm_sign_mode)
+    return pgd_perturb(net, batch, eps, config.pgd_steps, config.w,
+                       config.sigma, config.fgsm_sign_mode)
+
+
 def _batch_loss_grads(net: Network, batch: Batch, config: TrainConfig,
                       eps: float, epoch: int, batch_idx: int):
     """Method dispatch; returns (LossBreakdown, ParamGrads)."""
@@ -147,18 +161,10 @@ def _batch_loss_grads(net: Network, batch: Batch, config: TrainConfig,
         breakdown, pgrads, _ = sawar_loss_grads(net, batch, eps, config.kappa,
                                                 w, sigma)
         return breakdown, pgrads
-    if config.method == "baseline" or eps == 0.0:
-        perturbed = batch
-    elif config.method == "noise":
-        perturbed = noise_perturb(batch, eps, (config.seed, epoch, batch_idx))
-    elif config.method == "fgsm":
-        perturbed = fgsm_perturb(net, batch, eps, w, sigma,
-                                 config.fgsm_sign_mode)
-    else:  # pgd
-        perturbed = pgd_perturb(net, batch, eps, config.pgd_steps, w, sigma,
-                                config.fgsm_sign_mode)
-    neg_ll, rank, value, pgrads, _ = combined_loss_components_grads(
-        net, perturbed, w, sigma
+    perturbed = _perturbed(net, batch, config, eps,
+                           (config.seed, epoch, batch_idx))
+    neg_ll, rank, value, pgrads, _ = _clean_engine(
+        net, perturbed, _resolve_w(w, perturbed), sigma, need_grads=True
     )
     breakdown = LossBreakdown(neg_ll, rank, value, value, value)
     return breakdown, pgrads
@@ -177,21 +183,15 @@ def _validation_loss(net: Network, split: SplitDataset, config: TrainConfig,
     val = split.validation
     batch = Batch(val.X, val.t, val.e)
     w, sigma = config.w, config.sigma
-    if config.val_monitor == "clean" or config.method == "baseline" or eps == 0.0:
+    if config.val_monitor == "clean":
         return combined_loss(net, batch, w, sigma)
-    if config.method == "sawar":
+    if config.method == "sawar" and eps != 0.0:
         breakdown, _, _ = sawar_loss_grads(net, batch, eps, config.kappa,
                                            w, sigma, need_grads=False)
         return breakdown.total
-    if config.method == "noise":
-        # distinct stream from the training batches
-        perturbed = noise_perturb(batch, eps, (config.seed, epoch, 10_000_019))
-    elif config.method == "fgsm":
-        perturbed = fgsm_perturb(net, batch, eps, w, sigma,
-                                 config.fgsm_sign_mode)
-    else:  # pgd
-        perturbed = pgd_perturb(net, batch, eps, config.pgd_steps, w, sigma,
-                                config.fgsm_sign_mode)
+    # the noise stream is distinct from the training batches'
+    perturbed = _perturbed(net, batch, config, eps,
+                           (config.seed, epoch, 10_000_019))
     return combined_loss(net, perturbed, w, sigma)
 
 

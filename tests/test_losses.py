@@ -1,12 +1,17 @@
+import logging
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from certsurv.losses import (Batch, certified_upper_loss,
+from certsurv.losses import (Batch, _comparable_pairs, _pair_loss,
+                             certified_upper_loss,
                              certified_upper_loss_grads, combined_loss,
                              combined_loss_grads, fgsm_perturb, loglik,
                              noise_perturb, pgd_perturb, rank_loss,
                              sawar_loss, sawar_loss_grads)
-from certsurv.network import Network
+from certsurv.network import (Network, backward_batch, forward_batch,
+                              input_grads_batch)
 from certsurv.survival import log_pdf, log_survival
 
 from conftest import random_batch, random_net
@@ -182,6 +187,116 @@ class TestPgd:
         batch = Batch(np.zeros((1, 1)), [1.0], [0])
         with pytest.raises(ValueError):
             pgd_perturb(net, batch, 0.1, 0)
+
+
+    def test_nonfinite_gradient_rows_skip_the_step(self, caplog):
+        # G = 800 x: exp(G) overflows on the first row, so its input gradient
+        # is NaN at every step; the other rows stay finite.
+        net = linear_net(800.0)
+        batch = Batch(np.array([[1.0], [0.0], [0.1], [-0.2]]),
+                      [1.0, 2.0, 3.0, 4.0], [1, 1, 1, 1])
+        steps = 3
+        with caplog.at_level(logging.WARNING, logger="certsurv.losses"):
+            out = pgd_perturb(net, batch, 0.05, steps)
+        skips = [r for r in caplog.records if "non-finite" in r.getMessage()]
+        assert len(skips) == steps
+        assert out.X[0, 0] == batch.X[0, 0]
+        assert np.all(out.X[1:] != batch.X[1:])
+
+    def test_nonfinite_gradient_keeps_earlier_steps(self):
+        # The first row's gradient is finite at x = 0.7; one sign step of
+        # 0.25 takes it to 0.95, where exp(800 x) overflows, and it stays.
+        net = linear_net(800.0)
+        batch = Batch(np.array([[0.7], [0.0]]), [1.0, 2.0], [1, 1])
+        out = pgd_perturb(net, batch, 0.75, 3, sign_mode=True)
+        assert out.X[0, 0] == 0.7 + 0.25
+        assert out.X[1, 0] == 0.75
+
+
+def _written_out_input_grads(net, batch, w, sigma):
+    """Input gradient of the clean loss with the pair formula spelled out
+    here, apart from losses._pair_loss."""
+    t, e = batch.t, batch.e
+    G, caches = forward_batch(net, batch.X)
+    lam = np.exp(G)
+    S = np.exp(-np.outer(t, lam))
+    F = 1.0 - S
+    A = (t[:, None] < t[None, :]) & (e[:, None] == 1)
+    eta = np.where(A, np.exp(-(np.diag(F)[:, None] - F) / sigma), 0.0)
+    w_val = 1.0 / len(batch) if w is None else float(w)
+    D = t[:, None] * lam[None, :] * S
+    dG = -e + lam * t
+    dG = dG + (w_val / sigma) * ((eta * D).sum(axis=0)
+                                 - np.diag(D) * eta.sum(axis=1))
+    return backward_batch(net, caches, dG)[1]
+
+
+def _stepwise_pgd(net, batch, eps, steps, w, sigma, sign_mode):
+    """Projected gradient ascent that takes every step's input gradient
+    from combined_loss_grads (parameter gradients included)."""
+    if eps == 0.0:
+        return batch.X
+    X0 = batch.X
+    X = X0.copy()
+    for _ in range(steps):
+        _, _, ig = combined_loss_grads(net, batch.with_X(X), w, sigma)
+        ig[~np.all(np.isfinite(ig), axis=1)] = 0.0
+        step = np.sign(ig) if sign_mode else ig
+        X = np.clip(X + (eps / steps) * step, X0 - eps, X0 + eps)
+    return X
+
+
+@st.composite
+def attack_cases(draw):
+    """A random net and batch: depth 0-3 hidden layers, 1-160 rows, tied or
+    distinct times, all-censored batches (no comparable pair) included."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    d = draw(st.integers(1, 4))
+    hidden = [draw(st.integers(1, 8))] * draw(st.integers(0, 3))
+    net = random_net(rng, [d, *hidden, 1], slope=draw(st.floats(0.01, 0.9)),
+                     scale=draw(st.sampled_from([0.5, 2.0])))
+    n = draw(st.integers(1, 160))
+    times = draw(st.sampled_from(["distinct", "tied", "censored"]))
+    t = (rng.choice([0.5, 1.0, 2.0], size=n) if times == "tied"
+         else rng.uniform(0.2, 3.0, size=n))
+    e = (np.zeros(n, dtype=int) if times == "censored"
+         else (rng.random(n) < 0.6).astype(int))
+    batch = Batch(rng.normal(size=(n, d)), t, e)
+    w = draw(st.sampled_from([None, 0.0, 2.0]))
+    sigma = draw(st.sampled_from([1e-3, 1.0, 4.0]))  # 1e-3: eta overflows
+    return net, batch, w, sigma
+
+
+class TestAttackPath:
+    @settings(max_examples=100, deadline=None)
+    @given(attack_cases())
+    def test_pair_loss_and_input_pass_equal_full_backward(self, case):
+        net, batch, w, sigma = case
+        with np.errstate(all="ignore"):
+            G, caches = forward_batch(net, batch.X)
+            w_val = 1.0 / len(batch) if w is None else w
+            _, _, dG = _pair_loss(G, batch.t, batch.e,
+                                  _comparable_pairs(batch), w_val, sigma)
+            got = input_grads_batch(net, caches, dG)
+            full = combined_loss_grads(net, batch, w, sigma)[2]
+            spelled = _written_out_input_grads(net, batch, w, sigma)
+        assert got.tobytes() == full.tobytes()
+        assert got.tobytes() == spelled.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(attack_cases(), st.integers(1, 10), st.booleans(),
+           st.sampled_from([0.0, 0.05, 0.5]))
+    def test_pgd_and_fgsm_equal_stepwise_full_gradients(self, case, steps,
+                                                         sign_mode, eps):
+        net, batch, w, sigma = case
+        with np.errstate(all="ignore"):
+            pgd = pgd_perturb(net, batch, eps, steps, w, sigma, sign_mode)
+            fgsm = fgsm_perturb(net, batch, eps, w, sigma, sign_mode)
+            want_pgd = _stepwise_pgd(net, batch, eps, steps, w, sigma,
+                                     sign_mode)
+            want_fgsm = _stepwise_pgd(net, batch, eps, 1, w, sigma, sign_mode)
+        assert pgd.X.tobytes() == want_pgd.tobytes()
+        assert fgsm.X.tobytes() == want_fgsm.tobytes()
 
 
 class TestNoise:

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 
@@ -5,8 +6,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from certsurv import data as data_module
 from certsurv.data import SurvivalDataset
 from certsurv.metrics import (AggregationError, DEFAULT_EPS_GRID,
                               METRIC_DIRECTIONS, MetricRecord,
@@ -25,6 +27,9 @@ from certsurv.training import TrainConfig
 from conftest import random_net
 
 NO_CENSOR = StepCurve(np.array([np.inf]), np.array([1.0]))
+# any float64, with the values whose text is easiest to get wrong
+CURVE_FLOATS = st.one_of(st.floats(width=64), st.sampled_from(
+    [-0.0, 5e-324, -5e-324, math.nan, math.inf, -math.inf, 1e308]))
 
 
 class TestConcordance:
@@ -580,16 +585,48 @@ class TestEmitReport:
     def test_failed_curve_write_leaves_no_file(self, tmp_path, monkeypatch):
         recs = [MetricRecord("d", "m", "fgsm", 0.0, 0.7, 0.2, 5.0)]
         out = tmp_path / "out4"
+        real_open = open
 
-        def broken_savetxt(fh, arr, **kw):
-            fh.write("time,survival\n0.0,")
-            raise OSError("disk full")
-        monkeypatch.setattr(np, "savetxt", broken_savetxt)
+        class DiskFull:
+            """A curve handle that writes part of its text, then fails."""
+
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                self.fh.write(text[:20])
+                raise OSError("disk full")
+
+        def curve_open(path, *args, **kw):
+            fh = real_open(path, *args, **kw)
+            return DiskFull(fh) if "curves" in os.fspath(path) else fh
+        monkeypatch.setattr(data_module, "open", curve_open, raising=False)
         grid = np.linspace(0, 1, 5)
         with pytest.raises(OSError, match="disk full"):
             emit_report(recs, out, curves={"km": (grid, np.exp(-grid))})
         assert os.listdir(out / "curves") == []
         assert not list(out.rglob("*.tmp"))
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.tuples(CURVE_FLOATS, CURVE_FLOATS), max_size=30))
+    def test_curve_bytes_equal_savetxt(self, tmp_path, points):
+        grid = np.array([p[0] for p in points], dtype=float)
+        values = np.array([p[1] for p in points], dtype=float)
+        recs = [MetricRecord("d", "m", "fgsm", 0.0, 0.7, 0.2, 5.0)]
+        paths = emit_report(recs, tmp_path / "out5",
+                            curves={"c": (grid, values)})
+        buf = io.StringIO()
+        np.savetxt(buf, np.column_stack([grid, values]), delimiter=",",
+                   header="time,survival", comments="")
+        with open(paths["curve:c"], "rb") as fh:
+            assert fh.read() == buf.getvalue().encode()
 
 
 class TestCensoringKm:

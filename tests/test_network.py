@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from certsurv.network import (ConfigurationError, InputError, Network,
                               ParamGrads, ShapeError,
                               TrainingDivergenceError, adam_step, backward,
-                              forward, init_adam, init_network, leaky_relu)
+                              backward_batch, forward, forward_batch,
+                              init_adam, init_network, input_grads_batch,
+                              leaky_relu)
 
 from conftest import random_net
 
@@ -131,6 +134,18 @@ class TestBackward:
                 fd = (fp - fm) / (2 * h)
                 got = grads.weights[k][i, j]
                 assert abs(fd - got) <= max(1e-4 * abs(fd), 1e-7)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 5),
+           st.lists(st.integers(1, 12), max_size=4), st.floats(0.01, 0.9),
+           st.integers(1, 64))
+    def test_input_pass_equals_full_backward(self, seed, d, hidden, slope, n):
+        rng = np.random.default_rng(seed)
+        net = random_net(rng, [d, *hidden, 1], slope=slope, scale=2.0)
+        _, caches = forward_batch(net, rng.normal(size=(n, d)))
+        upstream = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4, size=n)
+        got = input_grads_batch(net, caches, upstream)
+        assert got.tobytes() == backward_batch(net, caches, upstream)[1].tobytes()
 
 
 class TestAdam:
