@@ -8,7 +8,8 @@ Two propagators are provided:
   inactive, or crossing zero.  Crossing neurons are relaxed between the
   chord (the upper envelope of the convex activation) and a line through
   the origin whose slope is 1 when |ub| >= |lb| and the leaky slope
-  otherwise.
+  otherwise.  One chain (`_upper_chain`) computes upper bounds; the lower
+  bound of the output f is the negated upper bound of -f.
 
 The refined bound is intersected elementwise with the interval bound, so
 the refined interval is never wider.  `crown_ibp_batch_tape` additionally
@@ -19,11 +20,18 @@ adjoint is written out by hand in `crown_ibp_batch_vjp`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .network import Network, ParamGrads, ShapeError, leaky_relu, leaky_relu_grad
+
+
+def _check_radius(eps) -> None:
+    """Reject a radius that is negative or not finite (NaN included)."""
+    if not 0.0 <= eps < math.inf:
+        raise ValueError(f"radius must be finite and nonnegative, got {eps}")
 
 
 @dataclass(frozen=True)
@@ -37,8 +45,7 @@ class PerturbationSet:
         c = np.asarray(self.center, dtype=float)
         if not np.all(np.isfinite(c)):
             raise ValueError("perturbation center must be finite")
-        if self.eps < 0:
-            raise ValueError(f"radius must be nonnegative, got {self.eps}")
+        _check_radius(self.eps)
         object.__setattr__(self, "center", c)
 
 
@@ -125,10 +132,10 @@ class BoundTape:
     up_icpt: list
     low_slope: list
     crossing: list
-    stages_u: list  # (A entering stage k,) for k = L-1 .. 1, upper chain
-    stages_l: list
-    A_u: np.ndarray  # final input-space coefficients, upper chain
-    A_l: np.ndarray
+    stages_u: list  # (A entering stage k,) for k = L-1 .. 1, upper chain of f
+    stages_l: list  # the same for the upper chain of -f (the lower bound)
+    A_u: np.ndarray  # final input-space coefficients, upper chain of f
+    A_l: np.ndarray  # the same for -f
     crown_lb: np.ndarray
     crown_ub: np.ndarray
     ibp_lb: np.ndarray
@@ -137,38 +144,37 @@ class BoundTape:
     use_crown_lb: np.ndarray
 
 
-def _backward_pass(net: Network, X, eps, up_slope, up_icpt, low_slope):
-    """Backward linear bound over the output; returns bounds and tape pieces."""
-    I = X.shape[0]
-    L = net.n_layers
-    W_out, b_out = net.weights[-1], net.biases[-1]
-    AU = np.broadcast_to(W_out[0], (I, W_out.shape[1])).copy()
-    AL = AU.copy()
-    dU = np.full(I, b_out[0])
-    dL = dU.copy()
-    stages_u, stages_l = [], []
-    for k in range(L - 2, -1, -1):
+def _upper_chain(net: Network, X, eps, w_out, b_out, up_slope, up_icpt,
+                 low_slope):
+    """Backward linear upper bound on w_out . z + b_out, z the last hidden
+    layer (or the input); returns it, the coefficients entering each stage
+    and the final input-space coefficients."""
+    A = np.broadcast_to(w_out, (X.shape[0], w_out.shape[0])).copy()
+    d = np.full(X.shape[0], b_out)
+    stages = []
+    for k in range(net.n_layers - 2, -1, -1):
         W, b = net.weights[k], net.biases[k]
-        stages_u.append(AU)
-        posU = AU >= 0.0
-        lamU = np.where(posU, up_slope[k], low_slope[k])
-        muU = np.where(posU, up_icpt[k], 0.0)
-        dU = dU + (AU * muU).sum(axis=1)
-        BU = AU * lamU
-        AU = BU @ W
-        dU = dU + BU @ b
+        stages.append(A)
+        pos = A >= 0.0
+        lam = np.where(pos, up_slope[k], low_slope[k])
+        mu = np.where(pos, up_icpt[k], 0.0)
+        d = d + (A * mu).sum(axis=1)
+        B = A * lam
+        A = B @ W
+        d = d + B @ b
+    ub = (A * X).sum(axis=1) + eps * np.abs(A).sum(axis=1) + d
+    return ub, stages, A
 
-        stages_l.append(AL)
-        posL = AL >= 0.0
-        lamL = np.where(posL, low_slope[k], up_slope[k])
-        muL = np.where(posL, 0.0, up_icpt[k])
-        dL = dL + (AL * muL).sum(axis=1)
-        BL = AL * lamL
-        AL = BL @ W
-        dL = dL + BL @ b
-    ub = (AU * X).sum(axis=1) + eps * np.abs(AU).sum(axis=1) + dU
-    lb = (AL * X).sum(axis=1) - eps * np.abs(AL).sum(axis=1) + dL
-    return lb, ub, stages_u, stages_l, AU, AL
+
+def _backward_pass(net: Network, X, eps, up_slope, up_icpt, low_slope):
+    """Backward linear bounds on the output f, and their tape pieces; the
+    lower bound is minus the upper chain of -f."""
+    w, b = net.weights[-1][0], net.biases[-1][0]
+    ub, stages_u, AU = _upper_chain(net, X, eps, w, b, up_slope, up_icpt,
+                                    low_slope)
+    neg_lb, stages_l, AL = _upper_chain(net, X, eps, -w, -b, up_slope,
+                                        up_icpt, low_slope)
+    return -neg_lb, ub, stages_u, stages_l, AU, AL
 
 
 def crown_ibp_batch_tape(net: Network, X, eps: float):
@@ -177,6 +183,7 @@ def crown_ibp_batch_tape(net: Network, X, eps: float):
     if X.ndim != 2 or X.shape[1] != net.input_dim:
         raise ShapeError(f"expected (batch, {net.input_dim}), got {X.shape}")
     eps = float(eps)
+    _check_radius(eps)
     lows, ups, centers, radii = _interval_forward(net, X, eps)
     up_slope, up_icpt, low_slope, crossing = _relaxation(net, lows, ups)
     crown_lb, crown_ub, stages_u, stages_l, AU, AL = _backward_pass(
@@ -211,7 +218,6 @@ def crown_ibp_batch_vjp(net: Network, tape: BoundTape, dlb, dub):
     coefficients of crossing neurons), and the interval recursion.
     """
     X, eps = tape.X, tape.eps
-    I = X.shape[0]
     L = net.n_layers
     alpha = net.leaky_slope
     dlb = np.asarray(dlb, dtype=float)
@@ -231,54 +237,42 @@ def crown_ibp_batch_vjp(net: Network, tape: BoundTape, dlb, dub):
     lbar[L - 1][:, 0] += glI
     ubar[L - 1][:, 0] += guI
 
-    # Adjoint of the concretization step.
-    A_u_bar = guC[:, None] * (X + eps * np.sign(tape.A_u))
-    A_l_bar = glC[:, None] * (X - eps * np.sign(tape.A_l))
-    dX += guC[:, None] * tape.A_u + glC[:, None] * tape.A_l
-    dU_bar, dL_bar = guC, glC
-
     us_bar = [np.zeros_like(s) for s in tape.up_slope]
     ui_bar = [np.zeros_like(s) for s in tape.up_icpt]
 
-    # Walk the backward pass in reverse: stages were recorded for
-    # k = L-2 .. 0, so the adjoint visits k = 0 .. L-2.
-    for idx in range(len(tape.stages_u) - 1, -1, -1):
-        k = L - 2 - idx
-        W, b = net.weights[k], net.biases[k]
+    # The same adjoint serves the upper chain of f (seeded with guC) and the
+    # upper chain of -f, whose bound is -lb (seeded with -glC).
+    seed_bars = []
+    for stages, A_fin, g in ((tape.stages_u, tape.A_u, guC),
+                             (tape.stages_l, tape.A_l, -glC)):
+        # Adjoint of the concretization step.
+        A_bar = g[:, None] * (X + eps * np.sign(A_fin))
+        dX += g[:, None] * A_fin
+        d_bar = g
+        # Walk the chain in reverse: stages were recorded for
+        # k = L-2 .. 0, so the adjoint visits k = 0 .. L-2.
+        for idx in range(len(stages) - 1, -1, -1):
+            k = L - 2 - idx
+            W, b = net.weights[k], net.biases[k]
+            A_in = stages[idx]
+            pos = A_in >= 0.0
+            lam = np.where(pos, tape.up_slope[k], tape.low_slope[k])
+            mu = np.where(pos, tape.up_icpt[k], 0.0)
+            B = A_in * lam
+            B_bar = A_bar @ W.T + d_bar[:, None] * b[None, :]
+            grads.weights[k] += B.T @ A_bar
+            grads.biases[k] += B.T @ d_bar
+            sel = pos & tape.crossing[k]
+            us_bar[k] += np.where(sel, B_bar * A_in, 0.0)
+            ui_bar[k] += np.where(sel, d_bar[:, None] * A_in, 0.0)
+            A_bar = B_bar * lam + d_bar[:, None] * mu
+        seed_bars.append((A_bar, d_bar))
 
-        A_in = tape.stages_u[idx]
-        posU = A_in >= 0.0
-        lamU = np.where(posU, tape.up_slope[k], tape.low_slope[k])
-        muU = np.where(posU, tape.up_icpt[k], 0.0)
-        BU = A_in * lamU
-        BU_bar = A_u_bar @ W.T + dU_bar[:, None] * b[None, :]
-        grads.weights[k] += BU.T @ A_u_bar
-        grads.biases[k] += BU.T @ dU_bar
-        lam_bar = BU_bar * A_in
-        mu_bar = dU_bar[:, None] * A_in
-        sel = posU & tape.crossing[k]
-        us_bar[k] += np.where(sel, lam_bar, 0.0)
-        ui_bar[k] += np.where(sel, mu_bar, 0.0)
-        A_u_bar = BU_bar * lamU + dU_bar[:, None] * muU
-
-        A_in = tape.stages_l[idx]
-        posL = A_in >= 0.0
-        lamL = np.where(posL, tape.low_slope[k], tape.up_slope[k])
-        muL = np.where(posL, 0.0, tape.up_icpt[k])
-        BL = A_in * lamL
-        BL_bar = A_l_bar @ W.T + dL_bar[:, None] * b[None, :]
-        grads.weights[k] += BL.T @ A_l_bar
-        grads.biases[k] += BL.T @ dL_bar
-        lam_bar = BL_bar * A_in
-        mu_bar = dL_bar[:, None] * A_in
-        sel = (~posL) & tape.crossing[k]
-        us_bar[k] += np.where(sel, lam_bar, 0.0)
-        ui_bar[k] += np.where(sel, mu_bar, 0.0)
-        A_l_bar = BL_bar * lamL + dL_bar[:, None] * muL
-
-    # Initial coefficients were the output layer's weights and bias.
-    grads.weights[L - 1] += (A_u_bar + A_l_bar).sum(axis=0, keepdims=True)
-    grads.biases[L - 1] += np.array([(dU_bar + dL_bar).sum()])
+    # Each chain's initial coefficients were the output layer's weights and
+    # bias, negated for the chain of -f.
+    (Au_bar, du_bar), (Al_bar, dl_bar) = seed_bars
+    grads.weights[L - 1] += (Au_bar - Al_bar).sum(axis=0, keepdims=True)
+    grads.biases[L - 1] += np.array([(du_bar - dl_bar).sum()])
 
     # Chord slope/intercept sensitivities to the interval endpoints.
     for k in range(L - 1):

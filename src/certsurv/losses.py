@@ -11,8 +11,10 @@ per-record score bounds:
 * each ranking term grows when the earlier instance's event probability
   drops and the later one's rises, so it is maximized at (lb_i, ub_j).
 
-Both the clean loss and the certified bound expose exact gradients with
-respect to parameters and inputs (the latter via the bound-engine adjoint).
+One pair kernel (`_pair_terms`) and one likelihood term (`_ll_term`) serve
+both: the clean loss evaluates them at the scores G, the certified bound at
+the score endpoints.  Both expose exact gradients with respect to
+parameters and inputs (the certified one via the bound-engine adjoint).
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import crown_ibp_batch_tape, crown_ibp_batch_vjp
+from .bounds import (_check_radius, crown_ibp_batch_tape,
+                     crown_ibp_batch_vjp)
 from .network import (Network, ParamGrads, backward_batch, forward_batch,
                       input_grads_batch)
 
@@ -84,12 +87,39 @@ def _comparable_pairs(batch: Batch) -> np.ndarray:
     return (t[:, None] < t[None, :]) & (e[:, None] == 1)
 
 
+def _ll_term(G, t, e):
+    # Per-record negative log likelihood contribution, as a function of G.
+    with np.errstate(over="ignore"):
+        return -(e * G) + np.exp(G) * t
+
+
+def _ll_term_grad(G, t, e):
+    with np.errstate(over="ignore"):
+        return -np.asarray(e, dtype=float) + np.exp(G) * t
+
+
+def _pair_terms(G_own, G_cross, t, A, sigma, need_grads=True):
+    """(eta, D, D_own): eta[i, j] is the ranking term of pair (i, j) at
+    scores (G_own_i, G_cross_j) where A[i, j], else 0; D[i, j] and D_own[i]
+    are dF(t_i|g)/dg at G_cross_j and G_own_i (None without need_grads)."""
+    with np.errstate(over="ignore"):
+        lam_own = np.exp(G_own)
+        tl = np.outer(t, np.exp(G_cross))
+        S_own = np.exp(-lam_own * t)  # S(t_i | G_own_i)
+        S = np.exp(-tl)               # S[i, j] = S(t_i | G_cross_j)
+    eta = np.where(A, np.exp(-((1.0 - S_own)[:, None] - (1.0 - S)) / sigma),
+                   0.0)
+    if not need_grads:
+        return eta, None, None
+    # dF(t|g)/dg = t * exp(g) * S(t|g)
+    with np.errstate(invalid="ignore", over="ignore"):
+        return eta, tl * S, t * lam_own * S_own
+
+
 def loglik(net: Network, batch: Batch) -> float:
     """Right-censored log likelihood: sum of e*log f + (1-e)*log S."""
     G, _ = forward_batch(net, batch.X)
-    with np.errstate(over="ignore"):
-        lam = np.exp(G)
-    return float(np.sum(batch.e * G - lam * batch.t))
+    return -float(_ll_term(G, batch.t, batch.e).sum())
 
 
 def rank_loss(net: Network, batch: Batch, sigma: float = 1.0) -> float:
@@ -99,7 +129,7 @@ def rank_loss(net: Network, batch: Batch, sigma: float = 1.0) -> float:
         raise ValueError(f"sigma must be positive, got {sigma}")
     G, _ = forward_batch(net, batch.X)
     A = _comparable_pairs(batch)
-    _, eta, _ = _pair_loss(G, batch.t, batch.e, A, 0.0, sigma)
+    eta, _, _ = _pair_terms(G, G, batch.t, A, sigma, need_grads=False)
     return float(eta[A].sum())
 
 
@@ -109,33 +139,27 @@ def combined_loss(net: Network, batch: Batch, w: float | None = None,
     G, _ = forward_batch(net, batch.X)
     A = _comparable_pairs(batch)
     w_val = _resolve_w(w, batch)
-    neg_ll, eta, _ = _pair_loss(G, batch.t, batch.e, A, w_val, sigma)
+    neg_ll, eta, _ = _pair_loss(G, batch.t, batch.e, A, w_val, sigma,
+                                need_grads=False)
     return neg_ll + w_val * float(eta[A].sum())
 
 
 def _pair_loss(G: np.ndarray, t: np.ndarray, e: np.ndarray, A: np.ndarray,
-               w_val: float, sigma: float):
+               w_val: float, sigma: float, need_grads: bool = True):
     """Clean-loss pieces from the scores G: (neg_ll, eta, dG).
 
-    eta[i, j] is the ranking term of comparable pair (i, j) (A[i, j]) and 0
-    elsewhere; dG is the gradient of neg_ll + w_val * eta.sum() with respect
-    to G.  The training engine sums eta whole and the loss functions sum
-    eta[A]; the two orders round differently, and each caller keeps its own.
+    eta is `_pair_terms` at (G, G); dG is the gradient of neg_ll + w_val *
+    eta.sum() with respect to G (None without need_grads).  The training
+    engine sums eta whole and the loss functions sum eta[A]; the two orders
+    round differently, and each caller keeps its own.
     """
-    with np.errstate(over="ignore"):
-        lam = np.exp(G)
-        tl = np.outer(t, lam)
-        S = np.exp(-tl)  # S[i, j] = S(t_i | x_j)
-    F = 1.0 - S
-    own = np.diag(F)
-    eta = np.where(A, np.exp(-(own[:, None] - F) / sigma), 0.0)
-    neg_ll = -float(np.sum(e * G - lam * t))
-    # dF(t_i|x_j)/dG_j = t_i * lam_j * S[i, j]
+    eta, D, D_own = _pair_terms(G, G, t, A, sigma, need_grads)
+    neg_ll = float(_ll_term(G, t, e).sum())
+    if not need_grads:
+        return neg_ll, eta, None
     with np.errstate(invalid="ignore", over="ignore"):
-        D = tl * S
-        dG = -e + lam * t
-        dG = dG + (w_val / sigma) * ((eta * D).sum(axis=0)
-                                     - np.diag(D) * eta.sum(axis=1))
+        dG = _ll_term_grad(G, t, e) + (w_val / sigma) * (
+            (eta * D).sum(axis=0) - D_own * eta.sum(axis=1))
     return neg_ll, eta, dG
 
 
@@ -144,7 +168,7 @@ def _clean_engine(net: Network, batch: Batch, w_val: float, sigma: float,
     """One forward pass worth of clean-loss pieces (and optionally grads)."""
     G, caches = forward_batch(net, batch.X)
     neg_ll, eta, dG = _pair_loss(G, batch.t, batch.e, _comparable_pairs(batch),
-                                 w_val, sigma)
+                                 w_val, sigma, need_grads)
     rank = float(eta.sum())
     value = neg_ll + w_val * rank
     if not need_grads:
@@ -179,8 +203,7 @@ def pgd_perturb(net: Network, batch: Batch, eps: float, steps: int,
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    if eps < 0:
-        raise ValueError(f"eps must be nonnegative, got {eps}")
+    _check_radius(eps)
     if eps == 0.0:
         return batch
     X0 = batch.X
@@ -212,8 +235,7 @@ def fgsm_perturb(net: Network, batch: Batch, eps: float,
 
 def noise_perturb(batch: Batch, eps: float, rng_seed) -> Batch:
     """Gaussian noise with standard deviation sqrt(eps), clipped to the ball."""
-    if eps < 0:
-        raise ValueError(f"eps must be nonnegative, got {eps}")
+    _check_radius(eps)
     if eps == 0.0:
         return batch
     rng = np.random.default_rng(rng_seed)
@@ -221,17 +243,6 @@ def noise_perturb(batch: Batch, eps: float, rng_seed) -> Batch:
     # project after adding so containment is exact in floating point
     return batch.with_X(_project_ball(batch.X + np.sqrt(eps) * z,
                                       batch.X, eps))
-
-
-def _ll_term(G, t, e):
-    # Per-record negative log likelihood contribution, as a function of G.
-    with np.errstate(over="ignore"):
-        return -(e * G) + np.exp(G) * t
-
-
-def _ll_term_grad(G, t, e):
-    with np.errstate(over="ignore"):
-        return -np.asarray(e, dtype=float) + np.exp(G) * t
 
 
 def _certified_terms(lb, ub, batch: Batch, w_val: float, sigma: float):
@@ -250,18 +261,9 @@ def _certified_terms(lb, ub, batch: Batch, w_val: float, sigma: float):
 
     A = _comparable_pairs(batch)
     if A.any():
-        with np.errstate(over="ignore"):
-            lam_lb = np.exp(lb)
-            lam_ub = np.exp(ub)
-            S_own = np.exp(-lam_lb * t)           # S(t_i | lb_i)
-            S_cross = np.exp(-np.outer(t, lam_ub))  # S(t_i | ub_j)
-        F_own = 1.0 - S_own
-        F_cross = 1.0 - S_cross
-        eta = np.where(A, np.exp(-(F_own[:, None] - F_cross) / sigma), 0.0)
+        eta, D_cross, D_own = _pair_terms(lb, ub, t, A, sigma)
         value += w_val * float(eta.sum())
         with np.errstate(invalid="ignore", over="ignore"):
-            D_own = t * lam_lb * S_own
-            D_cross = t[:, None] * lam_ub[None, :] * S_cross
             dlb = dlb + (w_val / sigma) * (-D_own) * eta.sum(axis=1)
             dub = dub + (w_val / sigma) * (eta * D_cross).sum(axis=0)
     return value, dlb, dub
@@ -279,8 +281,7 @@ def certified_upper_loss_grads(net: Network, batch: Batch, eps: float,
                                w: float | None = None, sigma: float = 1.0,
                                need_grads: bool = True):
     """Certified loss bound with gradients through the bound computation."""
-    if eps < 0:
-        raise ValueError(f"eps must be nonnegative, got {eps}")
+    _check_radius(eps)
     w_val = _resolve_w(w, batch)
     lb, ub, tape = crown_ibp_batch_tape(net, batch.X, eps)
     value, dlb, dub = _certified_terms(lb, ub, batch, w_val, sigma)

@@ -119,6 +119,13 @@ class TestTrainCommand:
                          cwd=tmp_path)
         assert code == 2
 
+    @pytest.mark.parametrize("method", ["noise", "pgd", "sawar"])
+    def test_infinite_eps_max_exits_2(self, toy_csv, tmp_path, method):
+        code = run_child(["train", "--dataset", toy_csv, "--method", method,
+                          "--out", tmp_path / "o", "--eps-max", "inf"],
+                         cwd=tmp_path)
+        assert code == 2
+
     @pytest.mark.parametrize("line", ["sigma = 0", "hidden_dims = 0",
                                       "hidden_dims = 8, 0", "leaky_slope = 2",
                                       "leaky_slope = 0", "adam_beta1 = 1",

@@ -81,7 +81,8 @@ class TestTrainConfig:
                                              ("adam_beta2", -0.1),
                                              ("adam_eps", 0.0),
                                              ("w", -0.5), ("w", float("inf")),
-                                             ("w", float("nan"))])
+                                             ("w", float("nan")),
+                                             ("eps_max", float("inf"))])
     def test_invalid_fields(self, field, value):
         with pytest.raises(ValueError):
             TrainConfig(**{field: value})
