@@ -75,13 +75,17 @@ _BOOL_FIELDS = {"fgsm_sign_mode", "normalize_onehot"}
 
 
 def _config_from_file(path: str) -> dict:
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        read = parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        raise CliError(f"cannot parse config file {path}: {exc}",
+                       EXIT_CONFIG) from exc
     if not read:
         raise CliError(f"cannot read config file {path}", EXIT_CONFIG)
     if not parser.has_section("train"):
         raise CliError(f"config file {path} has no [train] section", EXIT_CONFIG)
-    valid = {f.name: f.type for f in dataclasses.fields(TrainConfig)}
+    valid = {f.name for f in dataclasses.fields(TrainConfig)}
     out = {}
     for key, raw in parser.items("train"):
         if key not in valid:
@@ -89,14 +93,12 @@ def _config_from_file(path: str) -> dict:
         try:
             if key in _BOOL_FIELDS:
                 out[key] = parser.getboolean("train", key)
-            elif key == "method":
+            elif key in ("method", "val_monitor"):
                 out[key] = raw.strip()
             elif key == "hidden_dims":
                 out[key] = tuple(int(v) for v in raw.replace(",", " ").split())
             elif key == "w":
                 out[key] = None if raw.strip().lower() == "auto" else float(raw)
-            elif key == "val_monitor":
-                out[key] = raw.strip()
             elif key in ("warmup_epochs", "ramp_epochs", "max_epochs",
                          "batch_size", "patience", "pgd_steps", "seed"):
                 out[key] = int(raw)
@@ -187,8 +189,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     _write_manifest(out_dir, "evaluate", args, config, [args.dataset])
     raw, split = _load_split(args.dataset, config.seed, config.normalize_onehot)
     if codec is not None:
-        same_cols = (set(codec.fac_levels) <= set(raw.fac_columns)
-                     and set(codec.num_stats) <= set(raw.num_columns))
+        same_cols = (codec.fac_levels.keys() <= raw.fac.keys()
+                     and codec.num_stats.keys() <= raw.num.keys())
         if not same_cols or codec.dim != net.input_dim:
             raise CliError(
                 "data error: checkpoint codec does not match the dataset "

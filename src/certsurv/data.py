@@ -1,12 +1,15 @@
 """CSV ingestion, feature encoding, stratified splitting, and atomic writes.
 
-Input files are headered, comma-separated, UTF-8, with a positive `time`
-column, a 0/1 `event` column, numeric features prefixed `num_`, and
-categorical features prefixed `fac_`.  Other columns are ignored with a
-warning.  Encoding is one binary column per observed categorical level
-(missing values get their own level) plus standardized numeric columns
-whose statistics come from the training rows only.  Output files are
-written through `atomic_open`, so a failed write never leaves a partial file.
+Input files are headered, comma-separated, UTF-8, with unique column names,
+a positive `time` column, a 0/1 `event` column, numeric features prefixed
+`num_`, and categorical features prefixed `fac_`; other columns are ignored
+with a warning.  `load_csv` converts each column once into a `RawDataset`:
+float arrays for `time` and each `num_*` column (NaN where missing), an int
+`event` array, and per `fac_*` column a string array whose missing-value
+spellings are already `__missing__`, so no other code knows them.  Encoding
+is one binary column per observed level plus numeric columns standardized
+with training-row statistics.  Output files are written through
+`atomic_open`, so a failed write never leaves a partial file.
 """
 
 from __future__ import annotations
@@ -66,23 +69,26 @@ def write_csv(path, header, rows) -> None:
 
 
 @dataclass
-class RawRow:
-    time: float
-    event: int
-    fac: dict[str, str]
-    num: dict[str, float]  # missing numerics stored as nan
-
-
-@dataclass
 class RawDataset:
+    """Parsed survival records, one array per column (see the module
+    docstring); `fac` and `num` keep the header order."""
+
     name: str
-    rows: list[RawRow]
-    fac_columns: list[str]
-    num_columns: list[str]
+    time: np.ndarray
+    event: np.ndarray
+    fac: dict[str, np.ndarray]
+    num: dict[str, np.ndarray]
     n_dropped_nonpositive: int = 0
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return len(self.time)
+
+    def take(self, idx) -> "RawDataset":
+        """The records at positions idx, in that order."""
+        return RawDataset(self.name, self.time[idx], self.event[idx],
+                          {c: v[idx] for c, v in self.fac.items()},
+                          {c: v[idx] for c, v in self.num.items()},
+                          self.n_dropped_nonpositive)
 
 
 @dataclass
@@ -136,84 +142,113 @@ class FeatureCodec:
         )
 
 
-def load_csv(path, name: str | None = None) -> RawDataset:
-    """Parse a survival CSV; rows with time <= 0 are dropped and counted."""
-    name = name or str(path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+def _floats(cells):
+    """float() of each cell, NaN where it fails, and the mask of failures."""
+    vals, bad = np.full(len(cells), np.nan), np.zeros(len(cells), dtype=bool)
+    for i, cell in enumerate(cells):
         try:
-            header = next(reader)
-        except StopIteration:
-            raise FormatError(f"{name}: empty file") from None
-        header = [h.strip() for h in header]
-        if "time" not in header or "event" not in header:
-            raise FormatError(f"{name}: header must contain 'time' and 'event'")
-        t_idx = header.index("time")
-        e_idx = header.index("event")
-        fac_cols = [h for h in header if h.startswith("fac_")]
-        num_cols = [h for h in header if h.startswith("num_")]
-        known = {"time", "event", *fac_cols, *num_cols}
-        for h in header:
-            if h not in known:
-                log.warning("%s: ignoring unrecognized column %r", name, h)
-        col_idx = {h: i for i, h in enumerate(header)}
+            vals[i] = float(cell)
+        except ValueError:
+            bad[i] = True
+    return vals, bad
 
-        rows: list[RawRow] = []
-        dropped = 0
-        for line_no, rec in enumerate(reader, start=2):
-            if not rec:
-                continue
-            if len(rec) != len(header):
-                raise RowError(line_no, f"expected {len(header)} fields, got {len(rec)}")
-            try:
-                t = float(rec[t_idx])
-            except ValueError:
-                raise RowError(line_no, f"unparseable time {rec[t_idx]!r}") from None
-            ev_raw = rec[e_idx].strip()
-            try:
-                ev = int(float(ev_raw))
-            except ValueError:
-                raise RowError(line_no, f"unparseable event {ev_raw!r}") from None
-            if ev not in (0, 1):
-                raise RowError(line_no, f"event must be 0 or 1, got {ev_raw!r}")
-            if not np.isfinite(t) or t <= 0:
-                dropped += 1
-                continue
-            fac = {c: rec[col_idx[c]].strip() for c in fac_cols}
-            num = {}
-            for c in num_cols:
-                raw = rec[col_idx[c]].strip()
-                if raw.lower() in _NA_STRINGS:
-                    num[c] = float("nan")
-                else:
-                    try:
-                        num[c] = float(raw)
-                    except ValueError:
-                        raise RowError(
-                            line_no, f"unparseable numeric {c}={raw!r}"
-                        ) from None
-            rows.append(RawRow(t, ev, fac, num))
+
+def _strip_missing(cells, fill):
+    """Stripped cells with every missing-value spelling replaced by fill,
+    and the mask of those cells."""
+    cells = np.array([c.strip() for c in cells], dtype=object)
+    missing = np.array([c.lower() in _NA_STRINGS for c in cells], dtype=bool)
+    cells[missing] = fill
+    return cells, missing
+
+
+def load_csv(path, name: str | None = None) -> RawDataset:
+    """Parse a survival CSV; rows with time <= 0 are dropped and counted.
+
+    A bad file raises FormatError; a ragged line or a bad cell raises
+    RowError for the first such line in file order.
+    """
+    name = name or str(path)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            lines = list(reader)
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{name}: not UTF-8 ({exc.reason})") from None
+    except csv.Error as exc:
+        raise FormatError(f"{name}: line {reader.line_num}: {exc}") from None
+    if not lines:
+        raise FormatError(f"{name}: empty file")
+    header = [h.strip() for h in lines[0]]
+    if len(set(header)) != len(header):
+        dups = sorted({h for h in header if header.count(h) > 1})
+        raise FormatError(f"{name}: duplicate column name(s) {dups}")
+    if "time" not in header or "event" not in header:
+        raise FormatError(f"{name}: header must contain 'time' and 'event'")
+    for h in header:
+        if h not in ("time", "event") and not h.startswith(("fac_", "num_")):
+            log.warning("%s: ignoring unrecognized column %r", name, h)
+    # Each check records the first line it rejects.  The earliest line wins,
+    # and on one line the check made first: fields, time, event, numerics.
+    records, line_nos, errors = [], [], []
+    for line_no, rec in enumerate(lines[1:], start=2):
+        if not rec:
+            continue
+        if len(rec) != len(header):
+            errors.append(RowError(line_no, f"expected {len(header)} "
+                                            f"fields, got {len(rec)}"))
+            break
+        records.append(rec)
+        line_nos.append(line_no)
+    cols = dict(zip(header, np.array(records, dtype=object).reshape(
+        len(records), len(header)).T))
+
+    def reject(mask, cells, prefix):
+        if mask.any():
+            i = mask.argmax()
+            errors.append(RowError(line_nos[i], prefix + repr(cells[i])))
+
+    time, bad = _floats(cols["time"])
+    reject(bad, cols["time"], "unparseable time ")
+    events = [c.strip() for c in cols["event"]]
+    event, bad = _floats(events)
+    reject(bad, events, "unparseable event ")
+    reject(~bad & (event != 0.0) & (event != 1.0), events,
+           "event must be 0 or 1, got ")
+    kept = np.isfinite(time) & (time > 0)
+    num = {}
+    for c in (h for h in header if h.startswith("num_")):
+        cells, missing = _strip_missing(cols[c], np.nan)
+        num[c], bad = _floats(cells)
+        reject(kept & bad, cells, f"unparseable numeric {c}=")
+        reject(kept & ~missing & ~bad & ~np.isfinite(num[c]), cells,
+               f"non-finite numeric {c}=")
+    if errors:
+        raise min(errors, key=lambda err: err.line_no)
+    fac = {h: _strip_missing(cols[h], _MISSING_LEVEL)[0]
+           for h in header if h.startswith("fac_")}
+    dropped = len(kept) - int(kept.sum())
     if dropped:
         log.warning("%s: dropped %d row(s) with nonpositive time", name, dropped)
-    if len(rows) < 10:
-        raise FormatError(f"{name}: need at least 10 usable rows, got {len(rows)}")
-    return RawDataset(name, rows, fac_cols, num_cols, dropped)
+    if kept.sum() < 10:
+        raise FormatError(f"{name}: need at least 10 usable rows, got "
+                          f"{kept.sum()}")
+    return RawDataset(name, time, event.astype(int), fac, num,
+                      dropped).take(np.flatnonzero(kept))
 
 
-def fit_codec(rows: list[RawRow], fac_columns: list[str], num_columns: list[str],
-              normalize_onehot: bool = False) -> FeatureCodec:
+def _onehot(col: np.ndarray, levels: list[str]) -> np.ndarray:
+    # unseen levels encode as an all-zero row
+    return (col[:, None] == np.array(levels, dtype=object)).astype(float)
+
+
+def fit_codec(raw: RawDataset, normalize_onehot: bool = False) -> FeatureCodec:
     """Fit level maps and normalization statistics on training rows only."""
-    if not rows:
+    if not len(raw):
         raise CodecError("cannot fit a codec on zero rows")
-    fac_levels: dict[str, list[str]] = {}
-    for c in fac_columns:
-        levels = sorted({r.fac[c] if r.fac[c].lower() not in _NA_STRINGS
-                         else _MISSING_LEVEL for r in rows})
-        fac_levels[c] = levels
+    fac_levels = {c: sorted(set(col.tolist())) for c, col in raw.fac.items()}
     num_stats, num_medians = {}, {}
-    kept_num = []
-    for c in num_columns:
-        vals = np.array([r.num[c] for r in rows])
+    for c, vals in raw.num.items():
         present = vals[~np.isnan(vals)]
         if present.size == 0:
             log.warning("numeric column %s has no observed values; dropped", c)
@@ -226,67 +261,40 @@ def fit_codec(rows: list[RawRow], fac_columns: list[str], num_columns: list[str]
             continue
         num_stats[c] = (mean, std)
         num_medians[c] = med
-        kept_num.append(c)
-    names: list[str] = []
-    for c in fac_columns:
-        names.extend(f"{c}={lv}" for lv in fac_levels[c])
-    names.extend(kept_num)
+    names = [f"{c}={lv}" for c, levels in fac_levels.items() for lv in levels]
+    names.extend(num_stats)
     if not names:
         raise CodecError("no usable feature columns after fitting")
     codec = FeatureCodec(fac_levels, num_stats, num_medians, names,
                          normalize_onehot)
     if normalize_onehot:
-        X = _encode(codec, rows, standardize_onehot=False)
-        oh_names = names[: len(names) - len(kept_num)]
-        stats = {}
-        for j, nm in enumerate(oh_names):
-            col = X[:, j]
-            std = float(col.std())
-            if std <= 0.0:
-                std = 1.0
-            stats[nm] = (float(col.mean()), std)
-        codec.onehot_stats = stats
+        for c, levels in fac_levels.items():
+            block = _onehot(raw.fac[c], levels)
+            for lv, col in zip(levels, block.T):
+                std = float(col.std())
+                codec.onehot_stats[f"{c}={lv}"] = (float(col.mean()),
+                                                   std if std > 0.0 else 1.0)
     return codec
 
 
-def _encode(codec: FeatureCodec, rows: list[RawRow],
-            standardize_onehot: bool | None = None) -> np.ndarray:
-    if standardize_onehot is None:
-        standardize_onehot = codec.normalize_onehot
-    n = len(rows)
-    X = np.zeros((n, codec.dim))
-    j = 0
-    for c, levels in codec.fac_levels.items():
-        pos = {lv: j + k for k, lv in enumerate(levels)}
-        for i, r in enumerate(rows):
-            raw = r.fac.get(c, "")
-            lv = _MISSING_LEVEL if raw.lower() in _NA_STRINGS else raw
-            k = pos.get(lv)
-            if k is not None:  # unseen levels encode as an all-zero block
-                X[i, k] = 1.0
-        j += len(levels)
-    for c, (mean, std) in codec.num_stats.items():
-        med = codec.num_medians[c]
-        vals = np.array([r.num.get(c, float("nan")) for r in rows])
-        vals = np.where(np.isnan(vals), med, vals)
-        X[:, j] = (vals - mean) / std
-        j += 1
-    if standardize_onehot and codec.onehot_stats:
-        for k, nm in enumerate(codec.feature_names):
-            if nm in codec.onehot_stats:
-                mean, std = codec.onehot_stats[nm]
-                X[:, k] = (X[:, k] - mean) / std
-    return X
-
-
-def apply_codec(codec: FeatureCodec, rows: list[RawRow]) -> SurvivalDataset:
-    """Encode rows with a fitted codec (train statistics, never refitted)."""
+def apply_codec(codec: FeatureCodec, raw: RawDataset) -> SurvivalDataset:
+    """Encode records with a fitted codec (train statistics, never refitted)."""
     if codec.dim == 0:
         raise CodecError("codec has no features")
-    X = _encode(codec, rows)
-    t = np.array([r.time for r in rows])
-    e = np.array([r.event for r in rows], dtype=int)
-    return SurvivalDataset(X, t, e, list(codec.feature_names))
+    blocks = []
+    for c, levels in codec.fac_levels.items():
+        block = _onehot(raw.fac[c], levels)
+        if codec.normalize_onehot:
+            mean, std = np.array([codec.onehot_stats[f"{c}={lv}"]
+                                  for lv in levels]).T
+            block = (block - mean) / std
+        blocks.append(block)
+    for c, (mean, std) in codec.num_stats.items():
+        vals = raw.num[c]
+        vals = np.where(np.isnan(vals), codec.num_medians[c], vals)
+        blocks.append(((vals - mean) / std)[:, None])
+    return SurvivalDataset(np.hstack(blocks), raw.time, raw.event,
+                           list(codec.feature_names))
 
 
 @dataclass
@@ -312,9 +320,8 @@ def stratified_split(raw: RawDataset, seed: int = 0,
     """Event-stratified 60/20/20 split; the codec is fitted on train only."""
     if len(raw) < 10:
         raise FormatError(f"{raw.name}: need at least 10 rows to split")
-    events = np.array([r.event for r in raw.rows])
     rng = np.random.default_rng(seed)
-    classes = np.unique(events)
+    classes = np.unique(raw.event)
     if classes.size < 2:
         log.warning("%s: single event class; falling back to a plain shuffle",
                     raw.name)
@@ -324,7 +331,7 @@ def stratified_split(raw: RawDataset, seed: int = 0,
     else:
         tr, va, te = [], [], []
         for cls in classes:
-            cls_idx = np.flatnonzero(events == cls)
+            cls_idx = np.flatnonzero(raw.event == cls)
             cls_idx = cls_idx[rng.permutation(cls_idx.size)]
             n_tr, n_va = _allocate(cls_idx.size)
             tr.append(cls_idx[:n_tr])
@@ -332,15 +339,6 @@ def stratified_split(raw: RawDataset, seed: int = 0,
             te.append(cls_idx[n_tr + n_va:])
         parts = (np.sort(np.concatenate(tr)), np.sort(np.concatenate(va)),
                  np.sort(np.concatenate(te)))
-    train_rows = [raw.rows[i] for i in parts[0]]
-    codec = fit_codec(train_rows, raw.fac_columns, raw.num_columns,
-                      normalize_onehot)
-    split = SplitDataset(
-        apply_codec(codec, train_rows),
-        apply_codec(codec, [raw.rows[i] for i in parts[1]]),
-        apply_codec(codec, [raw.rows[i] for i in parts[2]]),
-        codec,
-        seed,
-        *[np.asarray(p) for p in parts],
-    )
-    return split
+    codec = fit_codec(raw.take(parts[0]), normalize_onehot)
+    return SplitDataset(*(apply_codec(codec, raw.take(p)) for p in parts),
+                        codec, seed, *parts)

@@ -245,24 +245,27 @@ def noise_perturb(batch: Batch, eps: float, rng_seed) -> Batch:
                                       batch.X, eps))
 
 
-def _certified_terms(lb, ub, batch: Batch, w_val: float, sigma: float):
+def _certified_terms(lb, ub, batch: Batch, w_val: float, sigma: float,
+                     need_grads: bool = True):
     """Endpoint maxima of every loss term given per-record score bounds.
 
     Returns the bound value plus the sensitivities (dlb, dub) of that value
-    to each record's bounds.
+    to each record's bounds (None without need_grads).
     """
     t, e = batch.t, batch.e
     ll_lb = _ll_term(lb, t, e)
     ll_ub = _ll_term(ub, t, e)
     take_ub = ll_ub >= ll_lb  # ties go to the upper endpoint
     value = float(np.where(take_ub, ll_ub, ll_lb).sum())
-    dlb = np.where(take_ub, 0.0, _ll_term_grad(lb, t, e))
-    dub = np.where(take_ub, _ll_term_grad(ub, t, e), 0.0)
-
     A = _comparable_pairs(batch)
     if A.any():
-        eta, D_cross, D_own = _pair_terms(lb, ub, t, A, sigma)
+        eta, D_cross, D_own = _pair_terms(lb, ub, t, A, sigma, need_grads)
         value += w_val * float(eta.sum())
+    if not need_grads:
+        return value, None, None
+    dlb = np.where(take_ub, 0.0, _ll_term_grad(lb, t, e))
+    dub = np.where(take_ub, _ll_term_grad(ub, t, e), 0.0)
+    if A.any():
         with np.errstate(invalid="ignore", over="ignore"):
             dlb = dlb + (w_val / sigma) * (-D_own) * eta.sum(axis=1)
             dub = dub + (w_val / sigma) * (eta * D_cross).sum(axis=0)
@@ -284,7 +287,8 @@ def certified_upper_loss_grads(net: Network, batch: Batch, eps: float,
     _check_radius(eps)
     w_val = _resolve_w(w, batch)
     lb, ub, tape = crown_ibp_batch_tape(net, batch.X, eps)
-    value, dlb, dub = _certified_terms(lb, ub, batch, w_val, sigma)
+    value, dlb, dub = _certified_terms(lb, ub, batch, w_val, sigma,
+                                       need_grads)
     if not need_grads:
         return value, None, None
     pgrads, igrads = crown_ibp_batch_vjp(net, tape, dlb, dub)

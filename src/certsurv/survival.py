@@ -84,26 +84,20 @@ def km_estimator(times, events) -> StepCurve:
         raise DomainError("empty sample")
     if times.shape != events.shape:
         raise DomainError("times and events must have equal length")
-    if np.any(times <= 0):
+    if not np.all(times > 0):
         raise DomainError("times must be positive")
-    order = np.argsort(times, kind="stable")
+    order = np.argsort(times)
     times, events = times[order], events[order]
-    distinct = np.unique(times)
-    n_at_risk = times.size
-    bps, vals = [], []
-    surv = 1.0
-    for tj in distinct:
-        here = times == tj
-        d = int(events[here].sum())
-        if d > 0:
-            surv *= 1.0 - d / n_at_risk
-            bps.append(tj)
-            vals.append(surv)
-        n_at_risk -= int(here.sum())
-    if not bps:
+    distinct, first = np.unique(times, return_index=True)
+    deaths = np.add.reduceat(events, first)
+    at_risk = times.size - first
+    drop = deaths > 0
+    if not drop.any():
         # All censored: the curve never drops.
         return StepCurve(np.array([np.inf]), np.array([1.0]))
-    return StepCurve(np.array(bps), np.array(vals))
+    # cumprod multiplies the factors in time order, as a running product
+    return StepCurve(distinct[drop],
+                     np.cumprod(1.0 - deaths[drop] / at_risk[drop]))
 
 
 def scores_for(net: Network, X) -> np.ndarray:

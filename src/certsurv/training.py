@@ -30,7 +30,7 @@ CHECKPOINT_SCHEMA = 1
 # (fields, predicate, rule) for TrainConfig; NaN fails every predicate
 _CONFIG_RULES = (
     ("kappa", lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]"),
-    ("eps_max warmup_epochs", lambda v: 0 <= v < math.inf,
+    ("eps_max warmup_epochs seed", lambda v: 0 <= v < math.inf,
      "must be finite and nonnegative"),
     ("ramp_epochs max_epochs batch_size patience pgd_steps", lambda v: v >= 1,
      "must be >= 1"),

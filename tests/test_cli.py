@@ -139,6 +139,51 @@ class TestTrainCommand:
                          cwd=tmp_path)
         assert code == 2
 
+    @pytest.mark.parametrize("edit", [
+        lambda lines: lines[:3] + ["9.5,inf,0.1,0.2"] + lines[4:],
+        lambda lines: lines[:3] + ["9.5,0.9,0.1,0.2"] + lines[4:],
+        lambda lines: lines[:3] + ["9.5,1.5,0.1,0.2"] + lines[4:],
+        lambda lines: lines[:3] + ["9.5,1,inf,0.2"] + lines[4:],
+        lambda lines: ["time,event,num_a,num_a"] + lines[1:],
+    ], ids=["event-inf", "event-0.9", "event-1.5", "numeric-inf",
+            "duplicate-header"])
+    def test_bad_csv_exits_3(self, tmp_path, capsys, edit):
+        lines = ["time,event,num_a,num_b"] + [f"{i}.5,{i % 2},{i / 7:.3f},"
+                                              f"{i % 3}" for i in range(1, 30)]
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join(edit(lines)) + "\n")
+        code = run_cli(["train", "--dataset", path, "--method", "baseline",
+                        "--max-epochs", 1, "--out", tmp_path / "o"])
+        assert code == 3
+        assert "error: data error" in capsys.readouterr().err
+
+    def test_non_utf8_csv_exits_3(self, tmp_path, capsys):
+        rows = ["time,event,fac_city"] + [f"{i}.5,{i % 2},b"
+                                          for i in range(1, 30)]
+        rows[5] = "5.5,1,M\xfcnchen"
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(("\n".join(rows) + "\n").encode("latin-1"))
+        code = run_cli(["train", "--dataset", path, "--method", "baseline",
+                        "--max-epochs", 1, "--out", tmp_path / "o"])
+        assert code == 3
+        assert "UTF-8" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", [
+        b"[train]\nkappa = 0.2\nkappa = 0.3\n",
+        b"kappa = 0.2\n",
+        b"[train]\nkappa = 5%\n",
+        b"[train]\nmethod = baseline\n# caf\xe9\n",
+        b"[train]\nseed = -1\n",
+    ], ids=["duplicate-key", "no-section", "percent", "non-utf8",
+            "negative-seed"])
+    def test_bad_config_file_exits_2(self, toy_csv, tmp_path, capsys, text):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_bytes(text)
+        code = run_cli(["train", "--dataset", toy_csv, "--method", "baseline",
+                        "--config", cfg, "--out", tmp_path / "o"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_config_file_and_flag_precedence(self, toy_csv, tmp_path):
         cfg = tmp_path / "cfg.ini"
         cfg.write_text("[train]\nmax_epochs = 9\nbatch_size = 16\n"

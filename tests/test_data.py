@@ -30,9 +30,9 @@ class TestLoadCsv:
     def test_parses_structure(self, small_csv):
         raw = load_csv(small_csv)
         assert len(raw) == 10
-        assert raw.fac_columns == ["fac_color"]
-        assert raw.num_columns == ["num_a", "num_b"]
-        levels = {r.fac["fac_color"] for r in raw.rows}
+        assert list(raw.fac) == ["fac_color"]
+        assert list(raw.num) == ["num_a", "num_b"]
+        levels = set(raw.fac["fac_color"])
         assert levels == {"red", "green", "blue"}
 
     def test_nonpositive_time_dropped_and_counted(self, tmp_path):
@@ -66,51 +66,127 @@ class TestLoadCsv:
         with pytest.raises(FormatError):
             load_csv(str(path))
 
+    @pytest.mark.parametrize("event", ["inf", "-inf", "nan", "0.9", "1.5",
+                                       "2", "-1"])
+    def test_event_must_be_exactly_zero_or_one(self, tmp_path, event):
+        path = tmp_path / "ev.csv"
+        rows = ["time,event,num_a"] + [f"{i}.5,{i % 2},0.5" for i in range(1, 12)]
+        rows[4] = f"4.5,{event},0.5"
+        path.write_text("\n".join(rows) + "\n")
+        with pytest.raises(RowError) as err:
+            load_csv(str(path))
+        assert str(err.value).startswith("line 5: ")
+
+    def test_event_spellings_of_zero_and_one_accepted(self, tmp_path):
+        path = tmp_path / "ev.csv"
+        events = ["1.0", " 0 ", "0.0", "1e0", "-0", "1", "0", "1", "0", "1"]
+        rows = ["time,event,num_a"] + [f"{i + 1}.5,{ev},{i}"
+                                       for i, ev in enumerate(events)]
+        path.write_text("\n".join(rows) + "\n")
+        raw = load_csv(str(path))
+        assert raw.event.tolist() == [1, 0, 0, 1, 0, 1, 0, 1, 0, 1]
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "Infinity", "1e999",
+                                       "-nan"])
+    def test_non_finite_numeric_names_line(self, tmp_path, value):
+        path = tmp_path / "inf.csv"
+        rows = ["time,event,num_a"] + [f"{i}.5,1,0.5" for i in range(1, 12)]
+        rows[6] = f"6.5,1,{value}"
+        path.write_text("\n".join(rows) + "\n")
+        with pytest.raises(RowError) as err:
+            load_csv(str(path))
+        assert str(err.value).startswith("line 7: ")
+
+    def test_non_finite_numeric_in_dropped_row_ignored(self, tmp_path):
+        path = tmp_path / "drop_inf.csv"
+        rows = ["time,event,num_a"] + [f"{i}.5,1,0.5" for i in range(1, 12)]
+        rows.append("0,1,inf")
+        path.write_text("\n".join(rows) + "\n")
+        assert load_csv(str(path)).n_dropped_nonpositive == 1
+
+    def test_non_utf8_file_is_format_error(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        rows = ["time,event,fac_city"] + [f"{i}.5,1,a" for i in range(1, 12)]
+        rows[3] = "3.5,1,M\xfcnchen"
+        path.write_bytes(("\n".join(rows) + "\n").encode("latin-1"))
+        with pytest.raises(FormatError):
+            load_csv(str(path))
+
+    def test_duplicate_header_is_format_error(self, tmp_path):
+        path = tmp_path / "dup.csv"
+        rows = ["time,event,num_a,num_a"] + [f"{i}.5,1,{i},{-i}"
+                                             for i in range(1, 12)]
+        path.write_text("\n".join(rows) + "\n")
+        with pytest.raises(FormatError, match="num_a"):
+            load_csv(str(path))
+
+    @pytest.mark.parametrize("bad,want", [
+        # (line number -> replacement row, expected message prefix)
+        ({3: "2.5,1,0.1,oops", 6: "x,1,0.1,0.2"},
+         "line 3: unparseable numeric num_b='oops'"),
+        ({4: "x,1,0.1,0.2", 6: "5.5,1,0.1,oops"}, "line 4: unparseable time"),
+        ({5: "x,7,oops,oops"}, "line 5: unparseable time 'x'"),
+        ({5: "4.5,7,oops,0.2"}, "line 5: event must be 0 or 1"),
+        ({5: "4.5,1,oops,inf"}, "line 5: unparseable numeric num_a"),
+        ({3: "2.5,1,0.1,oops", 5: "4.5,1,0.1"}, "line 3: unparseable"),
+        ({3: "2.5,1,0.1", 5: "4.5,1,0.1,oops"}, "line 3: expected 4 fields"),
+    ])
+    def test_first_bad_line_in_file_order(self, tmp_path, bad, want):
+        path = tmp_path / "order.csv"
+        rows = ["time,event,num_a,num_b"] + [f"{i}.5,1,0.1,0.2"
+                                             for i in range(1, 13)]
+        for line_no, row in bad.items():
+            rows[line_no - 1] = row
+        path.write_text("\n".join(rows) + "\n")
+        with pytest.raises(RowError) as err:
+            load_csv(str(path))
+        assert str(err.value).startswith(want)
+
     def test_bundled_retinopathy_shape(self, data_dir):
         raw = load_csv(os.path.join(data_dir, "retinopathy.csv"))
         assert len(raw) == 394
-        assert len(raw.fac_columns) == 5
-        assert len(raw.num_columns) == 2
+        assert len(raw.fac) == 5
+        assert len(raw.num) == 2
 
     def test_bundled_stagec_shape(self, data_dir):
         raw = load_csv(os.path.join(data_dir, "stagec.csv"))
         assert len(raw) == 146
-        assert len(raw.fac_columns) == 4
-        assert len(raw.num_columns) == 3
+        assert len(raw.fac) == 4
+        assert len(raw.num) == 3
 
 
 class TestCodec:
     def test_one_hot_partition(self, small_csv):
         raw = load_csv(small_csv)
-        codec = fit_codec(raw.rows, raw.fac_columns, raw.num_columns)
-        ds = apply_codec(codec, raw.rows)
+        codec = fit_codec(raw)
+        ds = apply_codec(codec, raw)
         onehot = ds.X[:, :3]
         assert np.all(onehot.sum(axis=1) == 1.0)
 
     def test_standardization(self, small_csv):
         raw = load_csv(small_csv)
-        codec = fit_codec(raw.rows, raw.fac_columns, raw.num_columns)
-        ds = apply_codec(codec, raw.rows)
+        codec = fit_codec(raw)
+        ds = apply_codec(codec, raw)
         for j in range(3, 5):
             assert abs(ds.X[:, j].mean()) < 1e-10
             assert abs(ds.X[:, j].std() - 1.0) < 1e-10
 
     def test_unseen_level_encodes_as_zero_block(self, small_csv):
         raw = load_csv(small_csv)
-        codec = fit_codec(raw.rows[:6], raw.fac_columns, raw.num_columns)
-        row = raw.rows[0]
-        row.fac["fac_color"] = "chartreuse"
-        ds = apply_codec(codec, [row])
+        codec = fit_codec(raw.take(np.arange(6)))
+        row = raw.take([0])
+        row.fac["fac_color"][0] = "chartreuse"
+        ds = apply_codec(codec, row)
         n_levels = len(codec.fac_levels["fac_color"])
         assert np.all(ds.X[0, :n_levels] == 0.0)
 
     def test_manual_row_encoding(self, small_csv):
         raw = load_csv(small_csv)
-        codec = fit_codec(raw.rows, raw.fac_columns, raw.num_columns)
-        ds = apply_codec(codec, raw.rows)
+        codec = fit_codec(raw)
+        ds = apply_codec(codec, raw)
         # row 0: red, a=0.1, b=10; levels sorted: blue, green, red
-        a = np.array([r.num["num_a"] for r in raw.rows])
-        b = np.array([r.num["num_b"] for r in raw.rows])
+        a = raw.num["num_a"]
+        b = raw.num["num_b"]
         expected = [0.0, 0.0, 1.0,
                     (0.1 - a.mean()) / a.std(),
                     (10 - b.mean()) / b.std()]
@@ -125,9 +201,9 @@ class TestCodec:
         rows.append("11.0,1,")  # missing numeric
         path.write_text("\n".join(rows) + "\n")
         raw = load_csv(str(path))
-        codec = fit_codec(raw.rows, raw.fac_columns, raw.num_columns)
+        codec = fit_codec(raw)
         assert codec.num_medians["num_a"] == pytest.approx(np.median(vals))
-        ds = apply_codec(codec, raw.rows)
+        ds = apply_codec(codec, raw)
         mean, std = codec.num_stats["num_a"]
         assert ds.X[-1, 0] == pytest.approx((codec.num_medians["num_a"] - mean) / std)
 
@@ -139,9 +215,9 @@ class TestCodec:
             rows.append(f"{i + 1}.0,{i % 2},{level},{i / 7:.3f}")
         path.write_text("\n".join(rows) + "\n")
         raw = load_csv(str(path))
-        codec = fit_codec(raw.rows, raw.fac_columns, raw.num_columns)
+        codec = fit_codec(raw)
         assert "__missing__" in codec.fac_levels["fac_g"]
-        ds = apply_codec(codec, raw.rows)
+        ds = apply_codec(codec, raw)
         miss_col = codec.feature_names.index("fac_g=__missing__")
         assert ds.X[3, miss_col] == 1.0
         assert ds.X[:, :3].sum(axis=1).tolist() == [1.0] * 10
@@ -153,7 +229,7 @@ class TestCodec:
             rows.append(f"{i + 1}.0,{i % 2},{i / 5},7.0")
         path.write_text("\n".join(rows) + "\n")
         raw = load_csv(str(path))
-        codec = fit_codec(raw.rows, raw.fac_columns, raw.num_columns)
+        codec = fit_codec(raw)
         assert "num_c" not in codec.num_stats
         assert codec.dim == 1
 
@@ -163,28 +239,27 @@ class TestCodec:
         path.write_text("\n".join(rows) + "\n")
         raw = load_csv(str(path))
         with pytest.raises(CodecError):
-            fit_codec(raw.rows, raw.fac_columns, raw.num_columns)
+            fit_codec(raw)
 
     def test_no_leakage(self, small_csv):
         import copy
         raw = load_csv(small_csv)
-        codec = fit_codec(raw.rows[:6], raw.fac_columns, raw.num_columns)
+        codec = fit_codec(raw.take(np.arange(6)))
         before = copy.deepcopy(codec.to_dict())
-        apply_codec(codec, raw.rows[6:])
+        apply_codec(codec, raw.take(np.arange(6, len(raw))))
         assert codec.to_dict() == before
 
     def test_encoding_reproducible(self, small_csv):
         raw = load_csv(small_csv)
-        codec = fit_codec(raw.rows, raw.fac_columns, raw.num_columns)
-        a = apply_codec(codec, raw.rows)
-        b = apply_codec(codec, raw.rows)
+        codec = fit_codec(raw)
+        a = apply_codec(codec, raw)
+        b = apply_codec(codec, raw)
         assert np.array_equal(a.X, b.X)
 
     def test_normalize_onehot_option(self, small_csv):
         raw = load_csv(small_csv)
-        codec = fit_codec(raw.rows, raw.fac_columns, raw.num_columns,
-                          normalize_onehot=True)
-        ds = apply_codec(codec, raw.rows)
+        codec = fit_codec(raw, normalize_onehot=True)
+        ds = apply_codec(codec, raw)
         for j in range(3):
             assert abs(ds.X[:, j].mean()) < 1e-10
             assert abs(ds.X[:, j].std() - 1.0) < 1e-10
@@ -233,7 +308,7 @@ class TestStratifiedSplit:
 
     def test_event_rate_balance_on_larger_data(self, data_dir):
         raw = load_csv(os.path.join(data_dir, "zinc.csv"))
-        overall = np.mean([r.event for r in raw.rows])
+        overall = np.mean(raw.event)
         split = stratified_split(raw, seed=1)
         for part in (split.train, split.validation, split.test):
             assert abs(part.e.mean() - overall) <= 0.05
@@ -241,6 +316,5 @@ class TestStratifiedSplit:
     def test_codec_fitted_on_train_only(self, tmp_path):
         raw = self._toy(tmp_path)
         split = stratified_split(raw, seed=2)
-        train_rows = [raw.rows[i] for i in split.train_idx]
-        refit = fit_codec(train_rows, raw.fac_columns, raw.num_columns)
+        refit = fit_codec(raw.take(split.train_idx))
         assert refit.num_stats == split.codec.num_stats

@@ -477,3 +477,19 @@ class TestGradients:
             batch.X[r, c] += h
             fd = (fp - fm) / (2 * h)
             assert abs(fd - ig[r, c]) <= max(1e-4 * abs(fd), 1e-6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 60),
+       st.sampled_from([0.0, 0.3, 2.0]))
+def test_value_only_certified_loss_keeps_its_bits(seed, n, eps):
+    rng = np.random.default_rng(seed)
+    net = random_net(rng, [3, 6, 1])
+    batch = random_batch(rng, n, 3)
+    want, _, _ = certified_upper_loss_grads(net, batch, eps)
+    got, pgrads, igrads = certified_upper_loss_grads(net, batch, eps,
+                                                     need_grads=False)
+    assert pgrads is None and igrads is None
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    full, _, _ = sawar_loss_grads(net, batch, eps)
+    assert sawar_loss(net, batch, eps) == full

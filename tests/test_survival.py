@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from certsurv.network import Network
 from certsurv.survival import (DomainError, StepCurve, hazard, km_estimator,
@@ -169,9 +170,47 @@ class TestKaplanMeier:
         with pytest.raises(DomainError):
             km_estimator([], [])
 
+    def test_nan_time_rejected(self):
+        with pytest.raises(DomainError):
+            km_estimator([1.0, np.nan], [1, 1])
+
     def test_left_limit(self):
         curve = StepCurve(np.array([1.0, 2.0]), np.array([0.5, 0.25]))
         assert curve.at_left(1.0) == 1.0
         assert curve.at_left(1.5) == 0.5
         assert curve.at_left(2.0) == 0.5
         assert curve(2.0) == 0.25
+
+
+def _km_loop(times, events):
+    """The product-limit estimate as a loop over the distinct times."""
+    order = np.argsort(times, kind="stable")
+    times, events = times[order], events[order]
+    n_at_risk = times.size
+    bps, vals = [], []
+    surv = 1.0
+    for tj in np.unique(times):
+        here = times == tj
+        d = int(events[here].sum())
+        if d > 0:
+            surv *= 1.0 - d / n_at_risk
+            bps.append(tj)
+            vals.append(surv)
+        n_at_risk -= int(here.sum())
+    if not bps:
+        return StepCurve(np.array([np.inf]), np.array([1.0]))
+    return StepCurve(np.array(bps), np.array(vals))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 300),
+       st.sampled_from(["distinct", "tied", "censored"]))
+def test_km_estimator_equals_loop(seed, n, times):
+    rng = np.random.default_rng(seed)
+    t = (rng.choice([0.5, 1.0, 2.0, 7.25], size=n) if times == "tied"
+         else rng.uniform(0.01, 9.0, size=n))
+    e = (np.zeros(n, dtype=int) if times == "censored"
+         else (rng.random(n) < rng.random()).astype(int))
+    got, want = km_estimator(t, e), _km_loop(t, e)
+    assert got.breakpoints.tobytes() == want.breakpoints.tobytes()
+    assert got.values.tobytes() == want.values.tobytes()
