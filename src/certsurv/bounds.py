@@ -13,15 +13,20 @@ Two propagators are provided:
 
 The refined bound is intersected elementwise with the interval bound, so
 the refined interval is never wider.  `crown_ibp_batch_tape` additionally
-records every intermediate needed to pull loss gradients back through the
-whole bound computation (used by the certified training objective); the
-adjoint is written out by hand in `crown_ibp_batch_vjp`.
+returns a `BoundTape` holding every intermediate needed to pull loss
+gradients back through the whole bound computation (used by the certified
+training objective): the interval boxes, each layer's crossing mask, chord,
+chord denominator and exact-neuron slope from `_relaxation`, and each chain
+step's line choice, slope, intercept and scaled coefficients from
+`_upper_chain`.  The adjoint, written out by hand in `crown_ibp_batch_vjp`,
+only reads the tape and recomputes none of it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -94,45 +99,66 @@ def _interval_forward(net: Network, X: np.ndarray, eps: float):
 
 
 def _relaxation(net: Network, lows, ups):
-    """Per activation layer: upper-line slope/intercept and lower-line slope.
+    """Per activation layer: the relaxation lines, and the pieces of them
+    that the adjoint reads back.
 
     Active (l >= 0) and inactive (u <= 0) neurons are exact; crossing
-    neurons use the chord above and an origin line below.
+    neurons use the chord above and an origin line below.  Returns
+    (up_slope, up_icpt, low_slope, crossing, width, chord, base), one array
+    per layer each: `width` is u - l on crossing neurons and 1 elsewhere
+    (the chord's denominator), and `base` is the slope of an exact neuron,
+    1 where l >= 0 and the leaky slope elsewhere, which is also the
+    activation's derivative at l.
     """
     alpha = net.leaky_slope
-    up_slope, up_icpt, low_slope, crossing = [], [], [], []
+    pieces = tuple([] for _ in range(7))
     for k in range(net.n_layers - 1):
         l, u = lows[k], ups[k]
+        base = np.where(l >= 0.0, 1.0, alpha)
         cross = (l < 0.0) & (u > 0.0)
-        denom = np.where(cross, u - l, 1.0)
-        chord = np.where(cross, (u - alpha * l) / denom, 1.0)
-        us = np.where(l >= 0.0, 1.0, np.where(cross, chord, alpha))
-        ui = np.where(cross, (alpha - chord) * l, 0.0)
-        ls = np.where(l >= 0.0, 1.0,
-                      np.where(cross, np.where(np.abs(u) >= np.abs(l), 1.0, alpha),
-                               alpha))
-        up_slope.append(us)
-        up_icpt.append(ui)
-        low_slope.append(ls)
-        crossing.append(cross)
-    return up_slope, up_icpt, low_slope, crossing
+        width = np.where(cross, u - l, 1.0)
+        chord = np.where(cross, (u - alpha * l) / width, 1.0)
+        # A crossing neuron's lower line has slope 1 when |u| >= |l|, that
+        # is u >= -l; on an exact neuron u >= -l holds exactly when base = 1.
+        layer = (np.where(cross, chord, base),
+                 np.where(cross, (alpha - chord) * l, 0.0),
+                 np.where(u >= -l, 1.0, base),
+                 cross, width, chord, base)
+        for piece, value in zip(pieces, layer):
+            piece.append(value)
+    return pieces
+
+
+class Stage(NamedTuple):
+    """One step of a backward chain through activation layer k."""
+
+    A: np.ndarray    # coefficients entering the step
+    pos: np.ndarray  # A >= 0: the neuron takes its upper line
+    lam: np.ndarray  # the slope taken
+    mu: np.ndarray   # the intercept taken
+    B: np.ndarray    # A * lam, the coefficients handed to layer k's weights
 
 
 @dataclass
 class BoundTape:
-    """Intermediates of one batched bound computation, for the adjoint."""
+    """Intermediates of one batched bound computation, for the adjoint.
+
+    The forward pass writes every value the adjoint needs; the adjoint only
+    reads them.  Per-layer lists run over layers 0 .. L-1 (pre-activations)
+    or over activation layers 0 .. L-2 (relaxation pieces).
+    """
 
     X: np.ndarray
     eps: float
-    lows: list
+    lows: list      # interval pre-activation bounds of every layer
     ups: list
-    centers: list
+    centers: list   # center and radius of the box feeding every layer
     radii: list
-    up_slope: list
-    up_icpt: list
-    low_slope: list
-    crossing: list
-    stages_u: list  # (A entering stage k,) for k = L-1 .. 1, upper chain of f
+    crossing: list  # l < 0 < u, per activation layer
+    width: list     # u - l on crossing neurons, 1 elsewhere
+    chord: list     # chord slope on crossing neurons, 1 elsewhere
+    base: list      # 1 where l >= 0, else the leaky slope
+    stages_u: list  # Stage of the upper chain of f, for k = L-2 .. 0
     stages_l: list  # the same for the upper chain of -f (the lower bound)
     A_u: np.ndarray  # final input-space coefficients, upper chain of f
     A_l: np.ndarray  # the same for -f
@@ -147,19 +173,19 @@ class BoundTape:
 def _upper_chain(net: Network, X, eps, w_out, b_out, up_slope, up_icpt,
                  low_slope):
     """Backward linear upper bound on w_out . z + b_out, z the last hidden
-    layer (or the input); returns it, the coefficients entering each stage
-    and the final input-space coefficients."""
+    layer (or the input); returns it, the Stage of every step and the final
+    input-space coefficients."""
     A = np.broadcast_to(w_out, (X.shape[0], w_out.shape[0])).copy()
     d = np.full(X.shape[0], b_out)
     stages = []
     for k in range(net.n_layers - 2, -1, -1):
         W, b = net.weights[k], net.biases[k]
-        stages.append(A)
         pos = A >= 0.0
         lam = np.where(pos, up_slope[k], low_slope[k])
         mu = np.where(pos, up_icpt[k], 0.0)
         d = d + (A * mu).sum(axis=1)
         B = A * lam
+        stages.append(Stage(A, pos, lam, mu, B))
         A = B @ W
         d = d + B @ b
     ub = (A * X).sum(axis=1) + eps * np.abs(A).sum(axis=1) + d
@@ -185,7 +211,8 @@ def crown_ibp_batch_tape(net: Network, X, eps: float):
     eps = float(eps)
     _check_radius(eps)
     lows, ups, centers, radii = _interval_forward(net, X, eps)
-    up_slope, up_icpt, low_slope, crossing = _relaxation(net, lows, ups)
+    up_slope, up_icpt, low_slope, crossing, width, chord, base = _relaxation(
+        net, lows, ups)
     crown_lb, crown_ub, stages_u, stages_l, AU, AL = _backward_pass(
         net, X, eps, up_slope, up_icpt, low_slope
     )
@@ -198,9 +225,9 @@ def crown_ibp_batch_tape(net: Network, X, eps: float):
     # ulp above ub after the intersection, so repair downward.
     lb = np.minimum(lb, ub)
     tape = BoundTape(
-        X, eps, lows, ups, centers, radii, up_slope, up_icpt, low_slope,
-        crossing, stages_u, stages_l, AU, AL, crown_lb, crown_ub,
-        ibp_lb, ibp_ub, use_crown_ub, use_crown_lb,
+        X, eps, lows, ups, centers, radii, crossing, width, chord, base,
+        stages_u, stages_l, AU, AL, crown_lb, crown_ub, ibp_lb, ibp_ub,
+        use_crown_ub, use_crown_lb,
     )
     return lb, ub, tape
 
@@ -215,30 +242,25 @@ def crown_ibp_batch_vjp(net: Network, tape: BoundTape, dlb, dub):
 
     Hand-written adjoint of crown_ibp_batch_tape: routes through the
     bound intersection, the backward linear pass (including the chord
-    coefficients of crossing neurons), and the interval recursion.
+    coefficients of crossing neurons), and the interval recursion.  It
+    reads every forward value from the tape and recomputes none.
     """
     X, eps = tape.X, tape.eps
     L = net.n_layers
     alpha = net.leaky_slope
     dlb = np.asarray(dlb, dtype=float)
     dub = np.asarray(dub, dtype=float)
+    # The accumulators start at +0.0, so an entry that sums to zero is +0.0.
     grads = ParamGrads.zeros_like(net)
     dX = np.zeros_like(X)
 
     guC = np.where(tape.use_crown_ub, dub, 0.0)
     glC = np.where(tape.use_crown_lb, dlb, 0.0)
-    guI = dub - guC
-    glI = dlb - glC
 
-    # Pre-activation bound adjoints for every layer; the interval output
-    # bound picks up the non-refined branch of the intersection.
-    lbar = [np.zeros_like(l) for l in tape.lows]
-    ubar = [np.zeros_like(u) for u in tape.ups]
-    lbar[L - 1][:, 0] += glI
-    ubar[L - 1][:, 0] += guI
-
-    us_bar = [np.zeros_like(s) for s in tape.up_slope]
-    ui_bar = [np.zeros_like(s) for s in tape.up_icpt]
+    # Adjoints of each activation layer's chord slope and intercept, summed
+    # over both chains.
+    us_bar = [None] * (L - 1)
+    ui_bar = [None] * (L - 1)
 
     # The same adjoint serves the upper chain of f (seeded with guC) and the
     # upper chain of -f, whose bound is -lb (seeded with -glC).
@@ -254,18 +276,19 @@ def crown_ibp_batch_vjp(net: Network, tape: BoundTape, dlb, dub):
         for idx in range(len(stages) - 1, -1, -1):
             k = L - 2 - idx
             W, b = net.weights[k], net.biases[k]
-            A_in = stages[idx]
-            pos = A_in >= 0.0
-            lam = np.where(pos, tape.up_slope[k], tape.low_slope[k])
-            mu = np.where(pos, tape.up_icpt[k], 0.0)
-            B = A_in * lam
+            st = stages[idx]
             B_bar = A_bar @ W.T + d_bar[:, None] * b[None, :]
-            grads.weights[k] += B.T @ A_bar
-            grads.biases[k] += B.T @ d_bar
-            sel = pos & tape.crossing[k]
-            us_bar[k] += np.where(sel, B_bar * A_in, 0.0)
-            ui_bar[k] += np.where(sel, d_bar[:, None] * A_in, 0.0)
-            A_bar = B_bar * lam + d_bar[:, None] * mu
+            grads.weights[k] += st.B.T @ A_bar
+            grads.biases[k] += st.B.T @ d_bar
+            sel = st.pos & tape.crossing[k]
+            us = np.where(sel, B_bar * st.A, 0.0)
+            ui = np.where(sel, d_bar[:, None] * st.A, 0.0)
+            if us_bar[k] is None:
+                us_bar[k], ui_bar[k] = us, ui
+            else:
+                us_bar[k] += us
+                ui_bar[k] += ui
+            A_bar = B_bar * st.lam + d_bar[:, None] * st.mu
         seed_bars.append((A_bar, d_bar))
 
     # Each chain's initial coefficients were the output layer's weights and
@@ -274,26 +297,14 @@ def crown_ibp_batch_vjp(net: Network, tape: BoundTape, dlb, dub):
     grads.weights[L - 1] += (Au_bar - Al_bar).sum(axis=0, keepdims=True)
     grads.biases[L - 1] += np.array([(du_bar - dl_bar).sum()])
 
-    # Chord slope/intercept sensitivities to the interval endpoints.
-    for k in range(L - 1):
-        cross = tape.crossing[k]
-        if not np.any(cross):
-            continue
-        l, u = tape.lows[k], tape.ups[k]
-        denom = np.where(cross, u - l, 1.0)
-        chord = np.where(cross, (u - alpha * l) / denom, 1.0)
-        dchord_du = (alpha - 1.0) * l / denom ** 2
-        dchord_dl = (1.0 - alpha) * u / denom ** 2
-        dicpt_dl = (alpha - chord) - l * dchord_dl
-        dicpt_du = -l * dchord_du
-        ubar[k] += np.where(cross, us_bar[k] * dchord_du + ui_bar[k] * dicpt_du, 0.0)
-        lbar[k] += np.where(cross, us_bar[k] * dchord_dl + ui_bar[k] * dicpt_dl, 0.0)
-
-    # Adjoint of the interval recursion, deepest layer first.
+    # Adjoint of the interval recursion, deepest layer first.  The output's
+    # interval bounds pick up the non-refined branch of the intersection.
+    lbar = (dlb - glC)[:, None]
+    ubar = (dub - guC)[:, None]
     for k in range(L - 1, -1, -1):
         W = net.weights[k]
-        m_bar = lbar[k] + ubar[k]
-        s_bar = ubar[k] - lbar[k]
+        m_bar = lbar + ubar
+        s_bar = ubar - lbar
         c_prev, r_prev = tape.centers[k], tape.radii[k]
         grads.weights[k] += m_bar.T @ c_prev + np.sign(W) * (s_bar.T @ r_prev)
         grads.biases[k] += m_bar.sum(axis=0)
@@ -301,11 +312,23 @@ def crown_ibp_batch_vjp(net: Network, tape: BoundTape, dlb, dub):
         r_bar = s_bar @ np.abs(W)
         if k == 0:
             dX += c_bar
-        else:
-            au_bar = 0.5 * (c_bar + r_bar)
-            al_bar = 0.5 * (c_bar - r_bar)
-            ubar[k - 1] += au_bar * leaky_relu_grad(tape.ups[k - 1], alpha)
-            lbar[k - 1] += al_bar * leaky_relu_grad(tape.lows[k - 1], alpha)
+            break
+        j = k - 1
+        ubar = 0.5 * (c_bar + r_bar) * leaky_relu_grad(tape.ups[j], alpha)
+        lbar = 0.5 * (c_bar - r_bar) * tape.base[j]
+        cross = tape.crossing[j]
+        if cross.any():
+            # Chord slope/intercept sensitivities to the interval endpoints.
+            l, u, chord = tape.lows[j], tape.ups[j], tape.chord[j]
+            width2 = tape.width[j] ** 2
+            dchord_du = (alpha - 1.0) * l / width2
+            dchord_dl = (1.0 - alpha) * u / width2
+            dicpt_dl = (alpha - chord) - l * dchord_dl
+            dicpt_du = -l * dchord_du
+            ubar += np.where(cross, us_bar[j] * dchord_du
+                             + ui_bar[j] * dicpt_du, 0.0)
+            lbar += np.where(cross, us_bar[j] * dchord_dl
+                             + ui_bar[j] * dicpt_dl, 0.0)
     return grads, dX
 
 

@@ -77,7 +77,7 @@ _BOOL_FIELDS = {"fgsm_sign_mode", "normalize_onehot"}
 def _config_from_file(path: str) -> dict:
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        read = parser.read(path, encoding="utf-8")
+        read = parser.read(path, encoding="utf-8-sig")
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise CliError(f"cannot parse config file {path}: {exc}",
                        EXIT_CONFIG) from exc

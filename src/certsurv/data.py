@@ -1,15 +1,16 @@
 """CSV ingestion, feature encoding, stratified splitting, and atomic writes.
 
-Input files are headered, comma-separated, UTF-8, with unique column names,
-a positive `time` column, a 0/1 `event` column, numeric features prefixed
-`num_`, and categorical features prefixed `fac_`; other columns are ignored
-with a warning.  `load_csv` converts each column once into a `RawDataset`:
-float arrays for `time` and each `num_*` column (NaN where missing), an int
-`event` array, and per `fac_*` column a string array whose missing-value
-spellings are already `__missing__`, so no other code knows them.  Encoding
-is one binary column per observed level plus numeric columns standardized
-with training-row statistics.  Output files are written through
-`atomic_open`, so a failed write never leaves a partial file.
+Input files are headered, comma-separated, UTF-8 (a leading byte-order mark
+is skipped), with unique column names, a positive `time` column, a 0/1
+`event` column, numeric features prefixed `num_`, and categorical features
+prefixed `fac_`; other columns are ignored with a warning.  `load_csv`
+converts each column once into a `RawDataset`: float arrays for `time` and
+each `num_*` column (NaN where missing), an int `event` array, and per
+`fac_*` column a string array whose missing-value spellings are already
+`__missing__`, so no other code knows them.  Encoding is one binary column
+per observed level plus numeric columns standardized with training-row
+statistics.  Output files are written through `atomic_open`, so a failed
+write never leaves a partial file.
 """
 
 from __future__ import annotations
@@ -170,7 +171,7 @@ def load_csv(path, name: str | None = None) -> RawDataset:
     """
     name = name or str(path)
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             lines = list(reader)
     except UnicodeDecodeError as exc:

@@ -164,11 +164,15 @@ def _pair_loss(G: np.ndarray, t: np.ndarray, e: np.ndarray, A: np.ndarray,
 
 
 def _clean_engine(net: Network, batch: Batch, w_val: float, sigma: float,
-                  need_grads: bool):
-    """One forward pass worth of clean-loss pieces (and optionally grads)."""
+                  need_grads: bool, pairs: np.ndarray | None = None):
+    """One forward pass worth of clean-loss pieces (and optionally grads).
+
+    `pairs` is the batch's comparable-pair matrix, built here when None.
+    """
     G, caches = forward_batch(net, batch.X)
-    neg_ll, eta, dG = _pair_loss(G, batch.t, batch.e, _comparable_pairs(batch),
-                                 w_val, sigma, need_grads)
+    A = _comparable_pairs(batch) if pairs is None else pairs
+    neg_ll, eta, dG = _pair_loss(G, batch.t, batch.e, A, w_val, sigma,
+                                 need_grads)
     rank = float(eta.sum())
     value = neg_ll + w_val * rank
     if not need_grads:
@@ -246,18 +250,20 @@ def noise_perturb(batch: Batch, eps: float, rng_seed) -> Batch:
 
 
 def _certified_terms(lb, ub, batch: Batch, w_val: float, sigma: float,
-                     need_grads: bool = True):
+                     need_grads: bool = True,
+                     pairs: np.ndarray | None = None):
     """Endpoint maxima of every loss term given per-record score bounds.
 
     Returns the bound value plus the sensitivities (dlb, dub) of that value
-    to each record's bounds (None without need_grads).
+    to each record's bounds (None without need_grads).  `pairs` is the
+    batch's comparable-pair matrix, built here when None.
     """
     t, e = batch.t, batch.e
     ll_lb = _ll_term(lb, t, e)
     ll_ub = _ll_term(ub, t, e)
     take_ub = ll_ub >= ll_lb  # ties go to the upper endpoint
     value = float(np.where(take_ub, ll_ub, ll_lb).sum())
-    A = _comparable_pairs(batch)
+    A = _comparable_pairs(batch) if pairs is None else pairs
     if A.any():
         eta, D_cross, D_own = _pair_terms(lb, ub, t, A, sigma, need_grads)
         value += w_val * float(eta.sum())
@@ -284,11 +290,18 @@ def certified_upper_loss_grads(net: Network, batch: Batch, eps: float,
                                w: float | None = None, sigma: float = 1.0,
                                need_grads: bool = True):
     """Certified loss bound with gradients through the bound computation."""
+    return _certified_engine(net, batch, eps, _resolve_w(w, batch), sigma,
+                             need_grads)
+
+
+def _certified_engine(net: Network, batch: Batch, eps: float, w_val: float,
+                      sigma: float, need_grads: bool,
+                      pairs: np.ndarray | None = None):
+    """The certified counterpart of `_clean_engine`: bound, terms, adjoint."""
     _check_radius(eps)
-    w_val = _resolve_w(w, batch)
     lb, ub, tape = crown_ibp_batch_tape(net, batch.X, eps)
     value, dlb, dub = _certified_terms(lb, ub, batch, w_val, sigma,
-                                       need_grads)
+                                       need_grads, pairs)
     if not need_grads:
         return value, None, None
     pgrads, igrads = crown_ibp_batch_vjp(net, tape, dlb, dub)
@@ -306,25 +319,33 @@ def sawar_loss(net: Network, batch: Batch, eps: float, kappa: float = 0.5,
 def sawar_loss_grads(net: Network, batch: Batch, eps: float,
                      kappa: float = 0.5, w: float | None = None,
                      sigma: float = 1.0, need_grads: bool = True):
+    """The kappa mix of the clean loss and its certified upper bound, with
+    its parameter and input gradients (None without need_grads).  A term of
+    weight 0 adds nothing, so at kappa = 1 the result is the clean loss's
+    even when the certified bound overflows."""
     if not (0.0 <= kappa <= 1.0):
         raise ValueError(f"kappa must lie in [0, 1], got {kappa}")
     w_val = _resolve_w(w, batch)
+    pairs = _comparable_pairs(batch)
     neg_ll, rank, clean, clean_pg, clean_ig = _clean_engine(
-        net, batch, w_val, sigma, need_grads
+        net, batch, w_val, sigma, need_grads, pairs
     )
     if eps == 0.0:
         # Zero-width bounds make the certified term the clean loss itself;
         # reuse it so the warmup trajectory matches plain training bitwise.
         return LossBreakdown(neg_ll, rank, clean, clean, clean), clean_pg, clean_ig
-    cert, cert_pg, cert_ig = certified_upper_loss_grads(
-        net, batch, eps, w_val, sigma, need_grads=need_grads
+    cert, cert_pg, cert_ig = _certified_engine(
+        net, batch, eps, w_val, sigma, need_grads and kappa != 1.0, pairs
     )
-    total = kappa * clean + (1.0 - kappa) * cert
+    # A term of weight 0 is left out: 0 * inf is NaN.
+    total = (clean if kappa == 1.0 else cert if kappa == 0.0
+             else kappa * clean + (1.0 - kappa) * cert)
     breakdown = LossBreakdown(neg_ll, rank, clean, cert, total)
     if not need_grads:
         return breakdown, None, None
-    pgrads = ParamGrads.zeros_like(net)
-    pgrads.add_scaled(clean_pg, kappa)
-    pgrads.add_scaled(cert_pg, 1.0 - kappa)
-    igrads = kappa * clean_ig + (1.0 - kappa) * cert_ig
-    return breakdown, pgrads, igrads
+    if kappa == 1.0:
+        return breakdown, clean_pg, clean_ig
+    if kappa == 0.0:
+        return breakdown, cert_pg, cert_ig
+    pgrads = clean_pg.scale(kappa).add_scaled(cert_pg, 1.0 - kappa)
+    return breakdown, pgrads, kappa * clean_ig + (1.0 - kappa) * cert_ig

@@ -79,6 +79,11 @@ class ParamGrads:
             [np.zeros_like(b) for b in net.biases],
         )
 
+    def scale(self, factor: float) -> "ParamGrads":
+        for a in (*self.weights, *self.biases):
+            a *= factor
+        return self
+
     def add_scaled(self, other: "ParamGrads", scale: float = 1.0) -> "ParamGrads":
         for w, ow in zip(self.weights, other.weights):
             w += scale * ow

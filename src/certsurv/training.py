@@ -171,7 +171,7 @@ def _batch_loss_grads(net: Network, batch: Batch, config: TrainConfig,
     return breakdown, pgrads
 
 
-def _validation_loss(net: Network, split: SplitDataset, config: TrainConfig,
+def _validation_loss(net: Network, batch: Batch, config: TrainConfig,
                      eps: float, epoch: int) -> float:
     """Early-stopping monitor: the method's own objective on validation.
 
@@ -179,10 +179,8 @@ def _validation_loss(net: Network, split: SplitDataset, config: TrainConfig,
     robustness gained after the radius ramp (the certified term keeps
     falling while the clean term is flat), so the default evaluates the
     training objective itself; val_monitor="clean" restores the plain
-    combined loss.
+    combined loss.  `batch` is the whole validation split.
     """
-    val = split.validation
-    batch = Batch(val.X, val.t, val.e)
     w, sigma = config.w, config.sigma
     if config.val_monitor == "clean":
         return combined_loss(net, batch, w, sigma)
@@ -217,6 +215,8 @@ def train(config: TrainConfig, split: SplitDataset):
     best_epoch = -1
     stale = 0
     n = len(tr.X)
+    val = split.validation
+    val_batch = Batch(val.X, val.t, val.e)
     last_good = net
     for epoch in range(config.max_epochs):
         eps = eps_schedule(config, epoch)
@@ -230,13 +230,17 @@ def train(config: TrainConfig, split: SplitDataset):
             batch = Batch(tr.X[idx], tr.t[idx], tr.e[idx], idx)
             breakdown, pgrads = _batch_loss_grads(net, batch, config, eps,
                                                   epoch, n_batches)
-            if np.isfinite(breakdown.total) and pgrads.is_finite():
-                epoch_finite = True
+            try:
+                if not np.isfinite(breakdown.total):
+                    raise TrainingDivergenceError("non-finite loss")
+                # adam_step refuses a non-finite gradient
                 net, state = adam_step(state, net, pgrads)
-                last_good = net
-            else:
+            except TrainingDivergenceError:
                 log.warning("epoch %d batch %d: non-finite loss, update skipped",
                             epoch, n_batches)
+            else:
+                epoch_finite = True
+                last_good = net
             sums += [breakdown.neg_ll, breakdown.rank, breakdown.clean_combined,
                      breakdown.certified_upper, breakdown.total]
             n_batches += 1
@@ -244,7 +248,7 @@ def train(config: TrainConfig, split: SplitDataset):
             raise TrainingDivergenceError(
                 f"no finite training loss in epoch {epoch}", last_good=last_good
             )
-        val_loss = _validation_loss(net, split, config, eps, epoch)
+        val_loss = _validation_loss(net, val_batch, config, eps, epoch)
         avg = sums / n_batches
         report.rows.append(EpochRow(epoch, eps, *avg, val_loss))
         if epoch >= guard:

@@ -1,8 +1,10 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from certsurv.bounds import (BoundTape, PerturbationSet, ScalarBounds,
+from certsurv.bounds import (PerturbationSet, ScalarBounds,
                              _interval_forward, _relaxation, crown_ibp_batch,
                              crown_ibp_batch_tape, crown_ibp_batch_vjp,
                              crown_ibp_bounds, ibp_bounds, worst_case_hazard)
@@ -248,7 +250,7 @@ def _two_chain_backward_pass(net, X, eps, up_slope, up_icpt, low_slope,
 
 def _two_chain_tape(net, X, eps, lower_pos):
     lows, ups, centers, radii = _interval_forward(net, X, eps)
-    up_slope, up_icpt, low_slope, crossing = _relaxation(net, lows, ups)
+    up_slope, up_icpt, low_slope, crossing = _relaxation(net, lows, ups)[:4]
     crown_lb, crown_ub, stages_u, stages_l, AU, AL = _two_chain_backward_pass(
         net, X, eps, up_slope, up_icpt, low_slope, lower_pos)
     ibp_lb, ibp_ub = lows[-1][:, 0], ups[-1][:, 0]
@@ -257,10 +259,12 @@ def _two_chain_tape(net, X, eps, lower_pos):
     lb = np.where(use_crown_lb, crown_lb, ibp_lb)
     ub = np.where(use_crown_ub, crown_ub, ibp_ub)
     lb = np.minimum(lb, ub)
-    tape = BoundTape(X, eps, lows, ups, centers, radii, up_slope, up_icpt,
-                     low_slope, crossing, stages_u, stages_l, AU, AL,
-                     crown_lb, crown_ub, ibp_lb, ibp_ub, use_crown_ub,
-                     use_crown_lb)
+    tape = SimpleNamespace(
+        X=X, eps=eps, lows=lows, ups=ups, centers=centers, radii=radii,
+        up_slope=up_slope, up_icpt=up_icpt, low_slope=low_slope,
+        crossing=crossing, stages_u=stages_u, stages_l=stages_l, A_u=AU,
+        A_l=AL, crown_lb=crown_lb, crown_ub=crown_ub, ibp_lb=ibp_lb,
+        ibp_ub=ibp_ub, use_crown_ub=use_crown_ub, use_crown_lb=use_crown_lb)
     return lb, ub, tape
 
 
@@ -354,16 +358,34 @@ def _grad_bytes(grads, dX):
 
 
 @st.composite
-def bound_cases(draw):
+def bound_cases(draw, radii=(0.0, 0.05, 0.5, 2.0), max_rows=20):
     """A random net, rows and radius: 0-3 hidden layers of width 1-8."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     d = draw(st.integers(1, 4))
     hidden = [draw(st.integers(1, 8)) for _ in range(draw(st.integers(0, 3)))]
     net = random_net(rng, [d, *hidden, 1], slope=draw(st.floats(0.01, 0.9)),
                      scale=draw(st.sampled_from([0.5, 2.0])))
-    X = rng.normal(size=(draw(st.integers(1, 20)), d))
-    eps = draw(st.sampled_from([0.0, 0.05, 0.5, 2.0]))
+    X = rng.normal(size=(draw(st.integers(1, max_rows)), d))
+    eps = draw(st.sampled_from(radii))
     return net, X, eps, rng
+
+
+def _discrete_choices(net, tape):
+    """Every discrete choice behind a bound, as bytes: the signs of the
+    weights (|W| in the interval radius), the active and crossing masks,
+    which line a crossing neuron's lower bound takes, each chain step's
+    line choice, the signs of the final coefficients (|A| in the
+    concretization), the intersection branches and the lb <= ub repair."""
+    parts = [np.sign(W) for W in net.weights]
+    for l, u in zip(tape.lows, tape.ups):
+        parts += [l >= 0.0, u >= 0.0, u >= -l]
+    parts += tape.crossing
+    parts += [stage.pos for stage in (*tape.stages_u, *tape.stages_l)]
+    lb = np.where(tape.use_crown_lb, tape.crown_lb, tape.ibp_lb)
+    ub = np.where(tape.use_crown_ub, tape.crown_ub, tape.ibp_ub)
+    parts += [np.sign(tape.A_u), np.sign(tape.A_l), tape.use_crown_ub,
+              tape.use_crown_lb, lb <= ub]
+    return b"".join(np.ascontiguousarray(p).tobytes() for p in parts)
 
 
 class TestBoundEngineProperties:
@@ -398,6 +420,43 @@ class TestBoundEngineProperties:
             tol = 1e-9 * max(1.0, np.abs(vals).max())
             assert lb[i] <= vals.min() + tol
             assert ub[i] >= vals.max() - tol
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=150, deadline=None)
+    @given(bound_cases(radii=(0.05, 0.5, 2.0), max_rows=6))
+    def test_vjp_matches_central_differences(self, case):
+        # d/dp of sum(dlb * lb + dub * ub) for sampled parameter and input
+        # coordinates p, away from the kinks of the bound: a coordinate is
+        # skipped when a discrete choice differs at p - h, p or p + h.
+        net, X, eps, rng = case
+        dlb, dub = rng.normal(size=len(X)), rng.normal(size=len(X))
+        crown_ibp_batch_vjp(net, crown_ibp_batch_tape(net, X, 0.0)[2],
+                            dlb, dub)
+
+        def objective():
+            lb, ub, tape = crown_ibp_batch_tape(net, X, eps)
+            size = np.abs(dlb) @ np.abs(lb) + np.abs(dub) @ np.abs(ub)
+            return dlb @ lb + dub @ ub, size, _discrete_choices(net, tape)
+
+        _, _, tape = crown_ibp_batch_tape(net, X, eps)
+        grads, dX = crown_ibp_batch_vjp(net, tape, dlb, dub)
+        pairs = list(zip((*net.weights, *net.biases, X),
+                         (*grads.weights, *grads.biases, dX)))
+        h = 1e-6
+        for _ in range(10):
+            p, g = pairs[int(rng.integers(len(pairs)))]
+            at = tuple(int(rng.integers(n)) for n in p.shape)
+            p0 = p[at]
+            values = []
+            for step in (h, -h, 0.0):
+                p[at] = p0 + step
+                values.append(objective())
+            p[at] = p0
+            (f_plus, _, c_plus), (f_minus, _, c_minus), (_, size, c0) = values
+            if not c_plus == c_minus == c0:
+                continue
+            fd = (f_plus - f_minus) / (2 * h)
+            assert abs(fd - g[at]) <= 1e-5 * (1.0 + abs(g[at])) + 1e-8 * size
 
     def test_zero_output_weight_takes_the_upper_line_in_both_chains(self):
         # Every hidden neuron crosses zero and the output ignores the first.

@@ -168,6 +168,25 @@ class TestTrainCommand:
         assert code == 3
         assert "UTF-8" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("marked", ["csv", "ini"])
+    def test_byte_order_mark_is_dropped(self, tmp_path, marked):
+        # a UTF-8 byte-order mark before the CSV header or the INI section
+        rows = ["time,event,num_a"] + [f"{i}.5,{i % 2},{i / 7:.3f}"
+                                       for i in range(1, 30)]
+        def bom(kind):
+            return b"\xef\xbb\xbf" if kind == marked else b""
+
+        path = tmp_path / "data.csv"
+        path.write_bytes(bom("csv") + ("\n".join(rows) + "\n").encode())
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_bytes(bom("ini") + b"[train]\nmax_epochs = 3\n")
+        out = tmp_path / "o"
+        code = run_cli(["train", "--dataset", path, "--method", "baseline",
+                        "--config", cfg, "--out", out])
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["resolved_config"]["max_epochs"] == 3
+
     @pytest.mark.parametrize("text", [
         b"[train]\nkappa = 0.2\nkappa = 0.3\n",
         b"kappa = 0.2\n",

@@ -112,6 +112,21 @@ class TestLoadCsv:
         with pytest.raises(FormatError):
             load_csv(str(path))
 
+    def test_utf8_byte_order_mark_is_dropped(self, tmp_path):
+        # spreadsheet programs start a UTF-8 CSV with a byte-order mark
+        text = "\n".join(["time,event,num_a,fac_city"]
+                         + [f"{i}.5,{i % 2},{i / 7:.3f},M\u00fcnchen"
+                            for i in range(1, 12)]) + "\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "bom.csv"
+        plain.write_bytes(text.encode("utf-8"))
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        want, got = load_csv(str(plain)), load_csv(str(marked))
+        assert got.time.tobytes() == want.time.tobytes()
+        assert got.event.tobytes() == want.event.tobytes()
+        assert list(got.num) == ["num_a"] and list(got.fac) == ["fac_city"]
+        assert got.num["num_a"].tobytes() == want.num["num_a"].tobytes()
+        assert list(got.fac["fac_city"]) == list(want.fac["fac_city"])
+
     def test_duplicate_header_is_format_error(self, tmp_path):
         path = tmp_path / "dup.csv"
         rows = ["time,event,num_a,num_a"] + [f"{i}.5,1,{i},{-i}"

@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from certsurv.losses import (Batch, _comparable_pairs, _pair_loss,
+from certsurv.losses import (Batch, _clean_engine, _comparable_pairs,
+                             _pair_loss,
                              certified_upper_loss,
                              certified_upper_loss_grads, combined_loss,
                              combined_loss_grads, fgsm_perturb, loglik,
                              noise_perturb, pgd_perturb, rank_loss,
                              sawar_loss, sawar_loss_grads)
-from certsurv.network import (Network, backward_batch, forward_batch,
-                              input_grads_batch)
+from certsurv.network import (Network, ParamGrads, backward_batch,
+                              forward_batch, input_grads_batch)
 from certsurv.survival import log_pdf, log_survival
 
 from conftest import random_batch, random_net
@@ -420,11 +421,56 @@ class TestSawar:
         assert bd.total == pytest.approx(0.5 * (a + b), rel=1e-12)
         assert bd.certified_upper >= bd.clean_combined - 1e-9
 
+    @pytest.mark.parametrize("eps", [2.0, 1e-3])
+    def test_kappa_one_is_the_clean_engine_bit_for_bit(self, eps):
+        # At eps=2 the certified bound overflows to +inf; its weight of 0
+        # must not turn the finite clean objective into NaN.
+        net = Network([1, 2, 1], [np.array([[30.0], [-30.0]]),
+                                  np.array([[20.0, 20.0]])],
+                      [np.zeros(2), np.zeros(1)])
+        batch = Batch(np.array([[0.01], [-0.01], [0.02]]), [1.0, 2.0, 3.0],
+                      [1, 0, 1])
+        bd, pgrads, igrads = sawar_loss_grads(net, batch, eps, kappa=1.0)
+        neg_ll, rank, clean, clean_pg, clean_ig = _clean_engine(
+            net, batch, 1.0 / 3, 1.0, need_grads=True)
+        assert (np.isinf(bd.certified_upper) if eps == 2.0
+                else np.isfinite(bd.certified_upper))
+        assert (bd.neg_ll, bd.rank, bd.clean_combined) == (neg_ll, rank, clean)
+        assert np.float64(bd.total).tobytes() == np.float64(clean).tobytes()
+        assert _grad_bytes(pgrads, igrads) == _grad_bytes(clean_pg, clean_ig)
+
+    def test_kappa_zero_is_the_certified_loss_bit_for_bit(self):
+        rng = np.random.default_rng(20)
+        net = random_net(rng, [2, 4, 1])
+        batch = random_batch(rng, 6, 2)
+        bd, pgrads, igrads = sawar_loss_grads(net, batch, 0.3, kappa=0.0)
+        cert, cert_pg, cert_ig = certified_upper_loss_grads(net, batch, 0.3)
+        assert np.float64(bd.total).tobytes() == np.float64(cert).tobytes()
+        assert _grad_bytes(pgrads, igrads) == _grad_bytes(cert_pg, cert_ig)
+
+    @pytest.mark.parametrize("kappa", [0.25, 0.5, 0.9])
+    def test_mix_equals_a_zero_started_sum(self, kappa):
+        rng = np.random.default_rng(21)
+        net = random_net(rng, [3, 5, 4, 1])
+        batch = random_batch(rng, 9, 3)
+        _, pgrads, igrads = sawar_loss_grads(net, batch, 0.2, kappa=kappa)
+        _, clean_pg, clean_ig = combined_loss_grads(net, batch)
+        _, cert_pg, cert_ig = certified_upper_loss_grads(net, batch, 0.2)
+        want = ParamGrads.zeros_like(net)
+        want.add_scaled(clean_pg, kappa)
+        want.add_scaled(cert_pg, 1.0 - kappa)
+        assert _grad_bytes(pgrads, igrads) == _grad_bytes(
+            want, kappa * clean_ig + (1.0 - kappa) * cert_ig)
+
     def test_invalid_kappa(self):
         net = linear_net(1.0)
         batch = Batch(np.zeros((1, 1)), [1.0], [0])
         with pytest.raises(ValueError):
             sawar_loss(net, batch, 0.1, kappa=1.5)
+
+
+def _grad_bytes(pgrads, igrads):
+    return [a.tobytes() for a in (*pgrads.weights, *pgrads.biases, igrads)]
 
 
 def _fd_wrt_params(fn, net, rng, n_probe, h=1e-5):
