@@ -226,8 +226,14 @@ def load_csv(path, name: str | None = None) -> RawDataset:
                f"non-finite numeric {c}=")
     if errors:
         raise min(errors, key=lambda err: err.line_no)
-    fac = {h: _strip_missing(cols[h], _MISSING_LEVEL)[0]
-           for h in header if h.startswith("fac_")}
+    fac = {}
+    for h in (h for h in header if h.startswith("fac_")):
+        # a factor column repeats a few levels: each is tested once
+        cells = cols[h].tolist()
+        index = {c: i for i, c in enumerate(dict.fromkeys(cells))}
+        levels, _ = _strip_missing(list(index), _MISSING_LEVEL)
+        fac[h] = levels[np.fromiter(map(index.__getitem__, cells), np.intp,
+                                    len(cells))]
     dropped = len(kept) - int(kept.sum())
     if dropped:
         log.warning("%s: dropped %d row(s) with nonpositive time", name, dropped)

@@ -15,12 +15,20 @@ One pair kernel (`_pair_terms`) and one likelihood term (`_ll_term`) serve
 both: the clean loss evaluates them at the scores G, the certified bound at
 the score endpoints.  Both expose exact gradients with respect to
 parameters and inputs (the certified one via the bound-engine adjoint).
+
+Only a record with an event and a later time in its batch can be the
+earlier member of a pair.  `_comparable_pairs` lists those rows once per
+batch, and the kernel computes its (batch x batch) terms on them alone; the
+other rows are zero.  Row and column sums come out the same bit for bit,
+but numpy sums a whole array pairwise, so the loss value's sum over all
+pairs is taken over a full-size matrix with the zero rows put back.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,10 +39,13 @@ from .network import (Network, ParamGrads, backward_batch, forward_batch,
 
 log = logging.getLogger(__name__)
 
-# glibc's malloc maps each block above its mmap threshold (128 KiB at start)
-# afresh, and a 128-row batch's 128 x 128 pair matrices are just above it.
-# Freeing one large mapped block raises the threshold to its size: 20 pgd
-# epochs on retinopathy then make ~250 page faults, not ~39,000.
+# glibc's malloc maps each block at or above its mmap threshold (128 KiB at
+# start) afresh: a 128-row batch's full pair matrix and the bound engine's
+# per-layer arrays are that large.  Freeing one large mapped block raises
+# the threshold to its size.  One 50-epoch cycle on the three fixtures
+# (seed 5) makes 297 minor page faults with this line and 5,226 without it
+# for pgd training (2,944 with the full pair matrix in a reused buffer), and
+# 802 against 127,426 for sawar training, which is then 13% slower.
 np.empty(1 << 20)
 
 
@@ -81,10 +92,24 @@ def _resolve_w(w, batch: Batch) -> float:
     return 1.0 / len(batch) if w is None else float(w)
 
 
-def _comparable_pairs(batch: Batch) -> np.ndarray:
-    """A[i, j] = 1 when t_i < t_j and instance i had an observed event."""
+class Pairs(NamedTuple):
+    """A batch's comparable pairs, kept on the rows that have one.
+
+    `rows` are the records with an event and a later time in the batch;
+    `A[r, j]` is True when t[rows[r]] < t[j].  Every other record's row of
+    the (batch x batch) pair matrix is all False.
+    """
+
+    rows: np.ndarray
+    A: np.ndarray
+
+
+def _comparable_pairs(batch: Batch) -> Pairs:
+    """The pairs (i, j) with t_i < t_j where instance i had an observed
+    event; times and events fix them, so one plan serves a whole batch."""
     t, e = batch.t, batch.e
-    return (t[:, None] < t[None, :]) & (e[:, None] == 1)
+    rows = np.flatnonzero((e == 1) & (t < np.fmax.reduce(t)))
+    return Pairs(rows, t[rows, None] < t[None, :])
 
 
 def _ll_term(G, t, e):
@@ -98,22 +123,50 @@ def _ll_term_grad(G, t, e):
         return -np.asarray(e, dtype=float) + np.exp(G) * t
 
 
-def _pair_terms(G_own, G_cross, t, A, sigma, need_grads=True):
-    """(eta, D, D_own): eta[i, j] is the ranking term of pair (i, j) at
-    scores (G_own_i, G_cross_j) where A[i, j], else 0; D[i, j] and D_own[i]
-    are dF(t_i|g)/dg at G_cross_j and G_own_i (None without need_grads)."""
+def _pair_terms(G_own, G_cross, t, pairs: Pairs, sigma, need_grads=True):
+    """(eta, D_own, row_sums, cross_sums) at scores G_own for each pair's
+    earlier record and G_cross for its later one.
+
+    eta[r, j] is the ranking term of pair (rows[r], j) where A[r, j], else
+    0.  Only the plan's rows are computed; every other row of the full
+    (batch x batch) matrix is 0.  With D[i, j] = dF(t_i|g)/dg at G_cross_j
+    and D_own[i] the same at G_own_i, row_sums[i] is the sum of row i of
+    eta (0 off the plan) and cross_sums[j] the sum of column j of eta * D.
+    Both equal the full matrix's sums bit for bit: a row sum reads only its
+    row, numpy adds a column's rows in order, and a zero row adds +0.0 --
+    or NaN to the column sum, where 0 * D[i, j] is NaN because
+    t_i * exp(G_cross_j) overflows.
+    The latest record is never on the plan and has the largest t_i, so it
+    stands in for every record that is not.  The last three are None
+    without need_grads.
+    """
+    rows = pairs.rows
     with np.errstate(over="ignore"):
         lam_own = np.exp(G_own)
-        tl = np.outer(t, np.exp(G_cross))
+        lam_cross = np.exp(G_cross)
+        tl = np.outer(t[rows], lam_cross)
         S_own = np.exp(-lam_own * t)  # S(t_i | G_own_i)
-        S = np.exp(-tl)               # S[i, j] = S(t_i | G_cross_j)
-    eta = np.where(A, np.exp(-((1.0 - S_own)[:, None] - (1.0 - S)) / sigma),
-                   0.0)
+        S = np.exp(-tl)               # S[r, j] = S(t_rows[r] | G_cross_j)
+    eta = np.where(pairs.A, np.exp(-((1.0 - S_own[rows])[:, None]
+                                     - (1.0 - S)) / sigma), 0.0)
     if not need_grads:
-        return eta, None, None
+        return eta, None, None, None
+    row_sums = np.zeros(len(t))
+    row_sums[rows] = eta.sum(axis=1)
     # dF(t|g)/dg = t * exp(g) * S(t|g)
     with np.errstate(invalid="ignore", over="ignore"):
-        return eta, tl * S, t * lam_own * S_own
+        cross_sums = ((eta * (tl * S)).sum(axis=0)
+                      + 0.0 * (t.max() * lam_cross))
+        return eta, t * lam_own * S_own, row_sums, cross_sums
+
+
+def _whole_sum(eta: np.ndarray, pairs: Pairs) -> float:
+    """eta.sum() of the full (batch x batch) matrix.  numpy sums a whole
+    array pairwise, so its rounding depends on where the zero rows sit:
+    eta is put back into a full-size zero matrix before the sum."""
+    full = np.zeros((eta.shape[1], eta.shape[1]))
+    full[pairs.rows] = eta
+    return float(full.sum())
 
 
 def loglik(net: Network, batch: Batch) -> float:
@@ -128,52 +181,63 @@ def rank_loss(net: Network, batch: Batch, sigma: float = 1.0) -> float:
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
     G, _ = forward_batch(net, batch.X)
-    A = _comparable_pairs(batch)
-    eta, _, _ = _pair_terms(G, G, batch.t, A, sigma, need_grads=False)
-    return float(eta[A].sum())
+    pairs = _comparable_pairs(batch)
+    eta = _pair_terms(G, G, batch.t, pairs, sigma, need_grads=False)[0]
+    return float(eta[pairs.A].sum())
 
 
 def combined_loss(net: Network, batch: Batch, w: float | None = None,
-                  sigma: float = 1.0) -> float:
-    """Negative log likelihood plus w times the ranking penalty."""
+                  sigma: float = 1.0, pairs: Pairs | None = None) -> float:
+    """Negative log likelihood plus w times the ranking penalty.
+
+    `pairs` is the batch's `_comparable_pairs`, built here when None.
+    """
     G, _ = forward_batch(net, batch.X)
-    A = _comparable_pairs(batch)
+    pairs = _comparable_pairs(batch) if pairs is None else pairs
     w_val = _resolve_w(w, batch)
-    neg_ll, eta, _ = _pair_loss(G, batch.t, batch.e, A, w_val, sigma,
+    neg_ll, eta, _ = _pair_loss(G, batch.t, batch.e, pairs, w_val, sigma,
                                 need_grads=False)
-    return neg_ll + w_val * float(eta[A].sum())
+    return neg_ll + w_val * float(eta[pairs.A].sum())
 
 
-def _pair_loss(G: np.ndarray, t: np.ndarray, e: np.ndarray, A: np.ndarray,
+def _loss_grad(G: np.ndarray, t: np.ndarray, e: np.ndarray, pairs: Pairs,
+               w_val: float, sigma: float):
+    """(eta, dG): `_pair_terms` at (G, G) and the gradient of neg_ll +
+    w_val * (sum of eta) with respect to G."""
+    eta, D_own, row_sums, cross_sums = _pair_terms(G, G, t, pairs, sigma)
+    with np.errstate(invalid="ignore", over="ignore"):
+        dG = _ll_term_grad(G, t, e) + (w_val / sigma) * (
+            cross_sums - D_own * row_sums)
+    return eta, dG
+
+
+def _pair_loss(G: np.ndarray, t: np.ndarray, e: np.ndarray, pairs: Pairs,
                w_val: float, sigma: float, need_grads: bool = True):
     """Clean-loss pieces from the scores G: (neg_ll, eta, dG).
 
-    eta is `_pair_terms` at (G, G); dG is the gradient of neg_ll + w_val *
-    eta.sum() with respect to G (None without need_grads).  The training
-    engine sums eta whole and the loss functions sum eta[A]; the two orders
-    round differently, and each caller keeps its own.
+    eta is `_pair_terms` at (G, G) on the plan's rows; dG is `_loss_grad`'s
+    (None without need_grads).  The training engine sums eta as the whole
+    matrix and the loss functions sum eta[A]; the two orders round
+    differently, and each caller keeps its own.
     """
-    eta, D, D_own = _pair_terms(G, G, t, A, sigma, need_grads)
-    neg_ll = float(_ll_term(G, t, e).sum())
-    if not need_grads:
-        return neg_ll, eta, None
-    with np.errstate(invalid="ignore", over="ignore"):
-        dG = _ll_term_grad(G, t, e) + (w_val / sigma) * (
-            (eta * D).sum(axis=0) - D_own * eta.sum(axis=1))
-    return neg_ll, eta, dG
+    if need_grads:
+        eta, dG = _loss_grad(G, t, e, pairs, w_val, sigma)
+    else:
+        eta, dG = _pair_terms(G, G, t, pairs, sigma, need_grads=False)[0], None
+    return float(_ll_term(G, t, e).sum()), eta, dG
 
 
 def _clean_engine(net: Network, batch: Batch, w_val: float, sigma: float,
-                  need_grads: bool, pairs: np.ndarray | None = None):
+                  need_grads: bool, pairs: Pairs | None = None):
     """One forward pass worth of clean-loss pieces (and optionally grads).
 
-    `pairs` is the batch's comparable-pair matrix, built here when None.
+    `pairs` is the batch's `_comparable_pairs`, built here when None.
     """
     G, caches = forward_batch(net, batch.X)
-    A = _comparable_pairs(batch) if pairs is None else pairs
-    neg_ll, eta, dG = _pair_loss(G, batch.t, batch.e, A, w_val, sigma,
+    pairs = _comparable_pairs(batch) if pairs is None else pairs
+    neg_ll, eta, dG = _pair_loss(G, batch.t, batch.e, pairs, w_val, sigma,
                                  need_grads)
-    rank = float(eta.sum())
+    rank = _whole_sum(eta, pairs)
     value = neg_ll + w_val * rank
     if not need_grads:
         return neg_ll, rank, value, None, None
@@ -196,14 +260,15 @@ def _project_ball(X_new: np.ndarray, X0: np.ndarray, eps: float) -> np.ndarray:
 
 def pgd_perturb(net: Network, batch: Batch, eps: float, steps: int,
                 w: float | None = None, sigma: float = 1.0,
-                sign_mode: bool = False) -> Batch:
+                sign_mode: bool = False, pairs: Pairs | None = None) -> Batch:
     """Iterated projected gradient ascent on the combined loss.
 
     Step size is eps/steps.  By default the raw input gradient is used as
     the ascent direction; sign_mode switches to its elementwise sign.
     Times and event indicators are never touched.  Each step computes only
-    the input gradient.  A row whose gradient is non-finite at a step skips
-    that step (logged) and keeps what earlier steps moved it.
+    the input gradient, not the loss.  A row whose gradient is non-finite
+    at a step skips that step (logged) and keeps what earlier steps moved
+    it.  `pairs` is the batch's `_comparable_pairs`, built here when None.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -214,11 +279,11 @@ def pgd_perturb(net: Network, batch: Batch, eps: float, steps: int,
     X = X0.copy()
     alpha = eps / steps
     # times and events never change, so neither do the pairs and the weight
-    A = _comparable_pairs(batch)
+    pairs = _comparable_pairs(batch) if pairs is None else pairs
     w_val = _resolve_w(w, batch)
     for _ in range(steps):
         G, caches = forward_batch(net, X)
-        _, _, dG = _pair_loss(G, batch.t, batch.e, A, w_val, sigma)
+        _, dG = _loss_grad(G, batch.t, batch.e, pairs, w_val, sigma)
         igrads = input_grads_batch(net, caches, dG)
         bad = ~np.all(np.isfinite(igrads), axis=1)
         if bad.any():
@@ -232,9 +297,9 @@ def pgd_perturb(net: Network, batch: Batch, eps: float, steps: int,
 
 def fgsm_perturb(net: Network, batch: Batch, eps: float,
                  w: float | None = None, sigma: float = 1.0,
-                 sign_mode: bool = False) -> Batch:
+                 sign_mode: bool = False, pairs: Pairs | None = None) -> Batch:
     """Single-step gradient perturbation (the steps=1 special case)."""
-    return pgd_perturb(net, batch, eps, 1, w, sigma, sign_mode)
+    return pgd_perturb(net, batch, eps, 1, w, sigma, sign_mode, pairs)
 
 
 def noise_perturb(batch: Batch, eps: float, rng_seed) -> Batch:
@@ -250,31 +315,32 @@ def noise_perturb(batch: Batch, eps: float, rng_seed) -> Batch:
 
 
 def _certified_terms(lb, ub, batch: Batch, w_val: float, sigma: float,
-                     need_grads: bool = True,
-                     pairs: np.ndarray | None = None):
+                     need_grads: bool = True, pairs: Pairs | None = None):
     """Endpoint maxima of every loss term given per-record score bounds.
 
     Returns the bound value plus the sensitivities (dlb, dub) of that value
     to each record's bounds (None without need_grads).  `pairs` is the
-    batch's comparable-pair matrix, built here when None.
+    batch's `_comparable_pairs`, built here when None.
     """
     t, e = batch.t, batch.e
     ll_lb = _ll_term(lb, t, e)
     ll_ub = _ll_term(ub, t, e)
     take_ub = ll_ub >= ll_lb  # ties go to the upper endpoint
     value = float(np.where(take_ub, ll_ub, ll_lb).sum())
-    A = _comparable_pairs(batch) if pairs is None else pairs
-    if A.any():
-        eta, D_cross, D_own = _pair_terms(lb, ub, t, A, sigma, need_grads)
-        value += w_val * float(eta.sum())
+    pairs = _comparable_pairs(batch) if pairs is None else pairs
+    paired = pairs.rows.size > 0
+    if paired:
+        eta, D_own, row_sums, cross_sums = _pair_terms(lb, ub, t, pairs,
+                                                       sigma, need_grads)
+        value += w_val * _whole_sum(eta, pairs)
     if not need_grads:
         return value, None, None
     dlb = np.where(take_ub, 0.0, _ll_term_grad(lb, t, e))
     dub = np.where(take_ub, _ll_term_grad(ub, t, e), 0.0)
-    if A.any():
+    if paired:
         with np.errstate(invalid="ignore", over="ignore"):
-            dlb = dlb + (w_val / sigma) * (-D_own) * eta.sum(axis=1)
-            dub = dub + (w_val / sigma) * (eta * D_cross).sum(axis=0)
+            dlb = dlb + (w_val / sigma) * (-D_own) * row_sums
+            dub = dub + (w_val / sigma) * cross_sums
     return value, dlb, dub
 
 
@@ -296,7 +362,7 @@ def certified_upper_loss_grads(net: Network, batch: Batch, eps: float,
 
 def _certified_engine(net: Network, batch: Batch, eps: float, w_val: float,
                       sigma: float, need_grads: bool,
-                      pairs: np.ndarray | None = None):
+                      pairs: Pairs | None = None):
     """The certified counterpart of `_clean_engine`: bound, terms, adjoint."""
     _check_radius(eps)
     lb, ub, tape = crown_ibp_batch_tape(net, batch.X, eps)

@@ -239,20 +239,21 @@ def adam_step(state: AdamState, net: Network, grads: ParamGrads):
     b1, b2 = state.beta1, state.beta2
     corr1 = 1.0 - b1 ** t
     corr2 = 1.0 - b2 ** t
-    new_net = net.copy()
+    new_net = Network(list(net.layer_dims), [], [], net.leaky_slope)
     new_state = AdamState(state.lr, b1, b2, state.eps, t, [], [], [], [])
     for k in range(net.n_layers):
-        for params, g, m_list, v_list, nm, nv in (
-            (new_net.weights, grads.weights[k], state.m_w, state.v_w,
-             new_state.m_w, new_state.v_w),
-            (new_net.biases, grads.biases[k], state.m_b, state.v_b,
-             new_state.m_b, new_state.v_b),
+        for params, new_params, g, m_list, v_list, nm, nv in (
+            (net.weights, new_net.weights, grads.weights[k], state.m_w,
+             state.v_w, new_state.m_w, new_state.v_w),
+            (net.biases, new_net.biases, grads.biases[k], state.m_b,
+             state.v_b, new_state.m_b, new_state.v_b),
         ):
             m = b1 * m_list[k] + (1.0 - b1) * g
             v = b2 * v_list[k] + (1.0 - b2) * g * g
             m_hat = m / corr1
             v_hat = v / corr2
-            params[k] = params[k] - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+            new_params.append(
+                params[k] - state.lr * m_hat / (np.sqrt(v_hat) + state.eps))
             nm.append(m)
             nv.append(v)
     return new_net, new_state

@@ -17,9 +17,9 @@ from dataclasses import asdict, astuple, dataclass, field, fields
 import numpy as np
 
 from .data import FeatureCodec, SplitDataset, atomic_open, write_csv
-from .losses import (Batch, LossBreakdown, _clean_engine, _resolve_w,
-                     combined_loss, fgsm_perturb, noise_perturb, pgd_perturb,
-                     sawar_loss_grads)
+from .losses import (Batch, LossBreakdown, _clean_engine, _comparable_pairs,
+                     _resolve_w, combined_loss, fgsm_perturb, noise_perturb,
+                     pgd_perturb, sawar_loss_grads)
 from .network import (Network, TrainingDivergenceError, adam_step,
                       init_adam, init_network)
 
@@ -141,17 +141,19 @@ def _guard_epoch(config: TrainConfig) -> int:
 
 
 def _perturbed(net: Network, batch: Batch, config: TrainConfig, eps: float,
-               noise_seed) -> Batch:
-    """The batch a baseline, noise, fgsm or pgd model is scored on at eps."""
+               noise_seed, pairs) -> Batch:
+    """The batch a baseline, noise, fgsm or pgd model is scored on at eps.
+    `pairs` is the batch's `_comparable_pairs`, which no perturbation
+    changes."""
     if config.method == "baseline" or eps == 0.0:
         return batch
     if config.method == "noise":
         return noise_perturb(batch, eps, noise_seed)
     if config.method == "fgsm":
         return fgsm_perturb(net, batch, eps, config.w, config.sigma,
-                            config.fgsm_sign_mode)
+                            config.fgsm_sign_mode, pairs)
     return pgd_perturb(net, batch, eps, config.pgd_steps, config.w,
-                       config.sigma, config.fgsm_sign_mode)
+                       config.sigma, config.fgsm_sign_mode, pairs)
 
 
 def _batch_loss_grads(net: Network, batch: Batch, config: TrainConfig,
@@ -162,10 +164,12 @@ def _batch_loss_grads(net: Network, batch: Batch, config: TrainConfig,
         breakdown, pgrads, _ = sawar_loss_grads(net, batch, eps, config.kappa,
                                                 w, sigma)
         return breakdown, pgrads
+    pairs = _comparable_pairs(batch)
     perturbed = _perturbed(net, batch, config, eps,
-                           (config.seed, epoch, batch_idx))
+                           (config.seed, epoch, batch_idx), pairs)
     neg_ll, rank, value, pgrads, _ = _clean_engine(
-        net, perturbed, _resolve_w(w, perturbed), sigma, need_grads=True
+        net, perturbed, _resolve_w(w, perturbed), sigma, need_grads=True,
+        pairs=pairs
     )
     breakdown = LossBreakdown(neg_ll, rank, value, value, value)
     return breakdown, pgrads
@@ -189,9 +193,10 @@ def _validation_loss(net: Network, batch: Batch, config: TrainConfig,
                                            w, sigma, need_grads=False)
         return breakdown.total
     # the noise stream is distinct from the training batches'
+    pairs = _comparable_pairs(batch)
     perturbed = _perturbed(net, batch, config, eps,
-                           (config.seed, epoch, 10_000_019))
-    return combined_loss(net, perturbed, w, sigma)
+                           (config.seed, epoch, 10_000_019), pairs)
+    return combined_loss(net, perturbed, w, sigma, pairs)
 
 
 def train(config: TrainConfig, split: SplitDataset):

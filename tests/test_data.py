@@ -237,6 +237,19 @@ class TestCodec:
         assert ds.X[3, miss_col] == 1.0
         assert ds.X[:, :3].sum(axis=1).tolist() == [1.0] * 10
 
+    def test_factor_cells_are_stripped_and_missing_per_cell(self, tmp_path):
+        # distinct spellings of one level, and of the missing value, each
+        # map on their own
+        cells = ["a", " a", "a ", "NA", " na ", "None", "b", "", "a", "b\t"]
+        path = tmp_path / "spell.csv"
+        path.write_text("time,event,fac_g\n" + "".join(
+            f"{i + 1}.0,{i % 2},{c}\n" for i, c in enumerate(cells)))
+        raw = load_csv(str(path))
+        assert raw.fac["fac_g"].dtype == object
+        assert raw.fac["fac_g"].tolist() == [
+            "a", "a", "a", "__missing__", "__missing__", "__missing__", "b",
+            "__missing__", "a", "b"]
+
     def test_constant_column_dropped(self, tmp_path):
         path = tmp_path / "const.csv"
         rows = ["time,event,num_a,num_c"]

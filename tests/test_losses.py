@@ -300,6 +300,82 @@ class TestAttackPath:
         assert fgsm.X.tobytes() == want_fgsm.tobytes()
 
 
+def _written_out_clean_engine(net, batch, w_val, sigma):
+    """_clean_engine's (neg_ll, rank, value, pgrads, igrads), with the full
+    (batch x batch) pair formula written out here."""
+    t, e = batch.t, batch.e
+    G, caches = forward_batch(net, batch.X)
+    lam = np.exp(G)
+    S = np.exp(-np.outer(t, lam))
+    F = 1.0 - S
+    A = (t[:, None] < t[None, :]) & (e[:, None] == 1)
+    eta = np.where(A, np.exp(-(np.diag(F)[:, None] - F) / sigma), 0.0)
+    neg_ll = float((-(e * G) + lam * t).sum())
+    rank = float(eta.sum())
+    D = t[:, None] * lam[None, :] * S
+    dG = -e + lam * t
+    dG = dG + (w_val / sigma) * ((eta * D).sum(axis=0)
+                                 - np.diag(D) * eta.sum(axis=1))
+    return (neg_ll, rank, neg_ll + w_val * rank,
+            *backward_batch(net, caches, dG))
+
+
+@st.composite
+def engine_cases(draw):
+    """A random net, or an identity net whose scores are the inputs, on 1-160
+    rows: tied or distinct times; mixed, all-event, no-event or one-event
+    batches; and optionally one score of 709.5 (exp(G) * t overflows only
+    for t > 1.32) or 800 (exp(G) overflows) in a column whose other rows
+    may all be censored."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.just(1) | st.integers(1, 160))
+    t = (rng.choice([0.5, 1.0, 2.0], size=n)
+         if draw(st.booleans()) else rng.uniform(0.2, 3.0, size=n))
+    events = draw(st.sampled_from(["mixed", "all", "none", "one"]))
+    e = {"mixed": (rng.random(n) < 0.5).astype(int),
+         "all": np.ones(n, dtype=int), "none": np.zeros(n, dtype=int),
+         "one": (np.arange(n) == rng.integers(n)).astype(int)}[events]
+    huge = draw(st.sampled_from([None, 709.5, 800.0]))
+    if huge is None:
+        d = draw(st.integers(1, 4))
+        net = random_net(rng, [d, draw(st.integers(1, 8)), 1],
+                         slope=draw(st.floats(0.01, 0.9)))
+        X = rng.normal(size=(n, d))
+    else:
+        net = Network([1, 1], [np.array([[1.0]])], [np.array([0.0])])
+        X = rng.normal(size=(n, 1))
+        X[rng.integers(n), 0] = huge
+    w = draw(st.sampled_from([None, 0.0, 2.0]))
+    sigma = draw(st.sampled_from([1e-3, 1.0, 4.0]))  # 1e-3: eta overflows
+    return net, Batch(X, t, e), (1.0 / n if w is None else w), sigma
+
+
+@settings(max_examples=150, deadline=None)
+@given(engine_cases())
+def test_clean_engine_equals_written_out_full_matrix(case):
+    net, batch, w_val, sigma = case
+    with np.errstate(all="ignore"):
+        got = _clean_engine(net, batch, w_val, sigma, need_grads=True)
+        value_only = _clean_engine(net, batch, w_val, sigma, need_grads=False)
+        want = _written_out_clean_engine(net, batch, w_val, sigma)
+    for g, v, w in zip(got[:3], value_only[:3], want[:3]):
+        assert np.float64(g).tobytes() == np.float64(w).tobytes()
+        assert np.float64(v).tobytes() == np.float64(w).tobytes()
+    assert _grad_bytes(*got[3:]) == _grad_bytes(*want[3:])
+    assert value_only[3:] == (None, None)
+
+
+@settings(max_examples=100, deadline=None)
+@given(engine_cases())
+def test_pair_plan_holds_the_nonzero_rows_of_the_pair_matrix(case):
+    _, batch, _, _ = case
+    t, e = batch.t, batch.e
+    A = (t[:, None] < t[None, :]) & (e[:, None] == 1)
+    pairs = _comparable_pairs(batch)
+    assert np.array_equal(pairs.rows, np.flatnonzero(A.any(axis=1)))
+    assert np.array_equal(pairs.A, A[pairs.rows])
+
+
 class TestNoise:
     def test_eps_zero_unchanged(self):
         rng = np.random.default_rng(10)

@@ -105,6 +105,28 @@ class TestTrain:
             ci = concordance_index(np.exp(risks), test.t, test.e)
             assert ci > 0.8, (method, ci)
 
+    @pytest.mark.parametrize("method", ["fgsm", "pgd"])
+    def test_attack_training_builds_one_pair_plan_per_batch(
+            self, planted_split, monkeypatch, method):
+        # The attack and the loss share the batch's comparable pairs: one
+        # plan per training batch and one per validation pass.
+        from certsurv import losses, training
+        build = losses._comparable_pairs
+        sizes = []
+
+        def counted(batch):
+            sizes.append(len(batch))
+            return build(batch)
+
+        monkeypatch.setattr(losses, "_comparable_pairs", counted)
+        monkeypatch.setattr(training, "_comparable_pairs", counted)
+        cfg = fast_config(method=method, max_epochs=4, warmup_epochs=1,
+                          ramp_epochs=1)
+        train(cfg, planted_split)
+        n, bs = len(planted_split.train), cfg.batch_size
+        epoch = [min(bs, n - b0) for b0 in range(0, n, bs)]
+        assert sizes == (epoch + [len(planted_split.validation)]) * 4
+
     def test_baseline_ignores_radius(self, planted_split):
         cfg_a = fast_config(method="baseline", eps_max=0.5)
         cfg_b = fast_config(method="baseline", eps_max=0.0)
