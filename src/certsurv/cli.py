@@ -178,10 +178,7 @@ def _parse_eps_grid(raw: str | None):
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     eps_grid = _parse_eps_grid(args.eps_grid)
-    try:
-        net, codec, config = load_checkpoint(args.model)
-    except CheckpointError as exc:
-        raise CliError(f"data error: {exc}", EXIT_DATA) from exc
+    net, codec, config = load_checkpoint(args.model)
     name = os.path.splitext(os.path.basename(args.dataset))[0]
     out_dir = args.out or os.path.join(
         _out_root(), f"eval_{name}_{config.method}_{args.attack}_s{config.seed}"
@@ -339,7 +336,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
     except (FormatError, RowError, CodecError, CheckpointError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except TrainingDivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -219,8 +219,13 @@ def load_csv(path, name: str | None = None) -> RawDataset:
     kept = np.isfinite(time) & (time > 0)
     num = {}
     for c in (h for h in header if h.startswith("num_")):
-        cells, missing = _strip_missing(cols[c], np.nan)
-        num[c], bad = _floats(cells)
+        # a missing spelling never reads as finite: only the other cells are
+        # stripped and parsed again (float() keeps \x1c-\x1f, strip() not)
+        num[c], bad = _floats(cols[c])
+        odd = np.flatnonzero(~np.isfinite(num[c]))
+        cells, missing = cols[c].copy(), np.zeros(len(bad), dtype=bool)
+        cells[odd], missing[odd] = _strip_missing(cells[odd], np.nan)
+        num[c][odd], bad[odd] = _floats(cells[odd])
         reject(kept & bad, cells, f"unparseable numeric {c}=")
         reject(kept & ~missing & ~bad & ~np.isfinite(num[c]), cells,
                f"non-finite numeric {c}=")

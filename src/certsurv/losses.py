@@ -15,13 +15,17 @@ One pair kernel (`_pair_terms`) and one likelihood term (`_ll_term`) serve
 both: the clean loss evaluates them at the scores G, the certified bound at
 the score endpoints.  Both expose exact gradients with respect to
 parameters and inputs (the certified one via the bound-engine adjoint).
+`_clean_engine` is the only code that computes the clean value:
+`combined_loss`, `rank_loss`, `combined_loss_grads`, `sawar_loss_grads` and
+training read its fields, so they agree bit for bit.
 
 Only a record with an event and a later time in its batch can be the
 earlier member of a pair.  `_comparable_pairs` lists those rows once per
 batch, and the kernel computes its (batch x batch) terms on them alone; the
 other rows are zero.  Row and column sums come out the same bit for bit,
-but numpy sums a whole array pairwise, so the loss value's sum over all
-pairs is taken over a full-size matrix with the zero rows put back.
+but numpy sums a whole array pairwise, so every sum of the ranking terms
+over all pairs, clean and certified, is `_whole_sum`: a full-size matrix
+with the zero rows put back.
 """
 
 from __future__ import annotations
@@ -161,9 +165,10 @@ def _pair_terms(G_own, G_cross, t, pairs: Pairs, sigma, need_grads=True):
 
 
 def _whole_sum(eta: np.ndarray, pairs: Pairs) -> float:
-    """eta.sum() of the full (batch x batch) matrix.  numpy sums a whole
-    array pairwise, so its rounding depends on where the zero rows sit:
-    eta is put back into a full-size zero matrix before the sum."""
+    """eta.sum() of the full (batch x batch) matrix, the one sum order of
+    the ranking term in every clean and certified value.  numpy sums a
+    whole array pairwise, so its rounding depends on where the zero rows
+    sit: eta is put back into a full-size zero matrix before the sum."""
     full = np.zeros((eta.shape[1], eta.shape[1]))
     full[pairs.rows] = eta
     return float(full.sum())
@@ -180,10 +185,7 @@ def rank_loss(net: Network, batch: Batch, sigma: float = 1.0) -> float:
     comparable pairs; zero when no pair is comparable."""
     if sigma <= 0:
         raise ValueError(f"sigma must be positive, got {sigma}")
-    G, _ = forward_batch(net, batch.X)
-    pairs = _comparable_pairs(batch)
-    eta = _pair_terms(G, G, batch.t, pairs, sigma, need_grads=False)[0]
-    return float(eta[pairs.A].sum())
+    return _clean_engine(net, batch, 0.0, sigma, need_grads=False)[1]
 
 
 def combined_loss(net: Network, batch: Batch, w: float | None = None,
@@ -192,12 +194,8 @@ def combined_loss(net: Network, batch: Batch, w: float | None = None,
 
     `pairs` is the batch's `_comparable_pairs`, built here when None.
     """
-    G, _ = forward_batch(net, batch.X)
-    pairs = _comparable_pairs(batch) if pairs is None else pairs
-    w_val = _resolve_w(w, batch)
-    neg_ll, eta, _ = _pair_loss(G, batch.t, batch.e, pairs, w_val, sigma,
-                                need_grads=False)
-    return neg_ll + w_val * float(eta[pairs.A].sum())
+    return _clean_engine(net, batch, _resolve_w(w, batch), sigma,
+                         need_grads=False, pairs=pairs)[2]
 
 
 def _loss_grad(G: np.ndarray, t: np.ndarray, e: np.ndarray, pairs: Pairs,
@@ -211,47 +209,31 @@ def _loss_grad(G: np.ndarray, t: np.ndarray, e: np.ndarray, pairs: Pairs,
     return eta, dG
 
 
-def _pair_loss(G: np.ndarray, t: np.ndarray, e: np.ndarray, pairs: Pairs,
-               w_val: float, sigma: float, need_grads: bool = True):
-    """Clean-loss pieces from the scores G: (neg_ll, eta, dG).
-
-    eta is `_pair_terms` at (G, G) on the plan's rows; dG is `_loss_grad`'s
-    (None without need_grads).  The training engine sums eta as the whole
-    matrix and the loss functions sum eta[A]; the two orders round
-    differently, and each caller keeps its own.
-    """
-    if need_grads:
-        eta, dG = _loss_grad(G, t, e, pairs, w_val, sigma)
-    else:
-        eta, dG = _pair_terms(G, G, t, pairs, sigma, need_grads=False)[0], None
-    return float(_ll_term(G, t, e).sum()), eta, dG
-
-
 def _clean_engine(net: Network, batch: Batch, w_val: float, sigma: float,
                   need_grads: bool, pairs: Pairs | None = None):
-    """One forward pass worth of clean-loss pieces (and optionally grads).
+    """The clean loss: (neg_ll, rank, value, pgrads, igrads), the last two
+    None without need_grads.  Every clean value is read from here.
 
     `pairs` is the batch's `_comparable_pairs`, built here when None.
     """
     G, caches = forward_batch(net, batch.X)
     pairs = _comparable_pairs(batch) if pairs is None else pairs
-    neg_ll, eta, dG = _pair_loss(G, batch.t, batch.e, pairs, w_val, sigma,
-                                 need_grads)
+    t, e = batch.t, batch.e
+    if need_grads:
+        eta, dG = _loss_grad(G, t, e, pairs, w_val, sigma)
+    else:
+        eta = _pair_terms(G, G, t, pairs, sigma, need_grads=False)[0]
+    neg_ll = float(_ll_term(G, t, e).sum())
     rank = _whole_sum(eta, pairs)
-    value = neg_ll + w_val * rank
-    if not need_grads:
-        return neg_ll, rank, value, None, None
-    pgrads, igrads = backward_batch(net, caches, dG)
-    return neg_ll, rank, value, pgrads, igrads
+    grads = backward_batch(net, caches, dG) if need_grads else (None, None)
+    return neg_ll, rank, neg_ll + w_val * rank, *grads
 
 
 def combined_loss_grads(net: Network, batch: Batch, w: float | None = None,
                         sigma: float = 1.0):
     """Value plus exact parameter and input gradients of the clean loss."""
-    _, _, value, pgrads, igrads = _clean_engine(
-        net, batch, _resolve_w(w, batch), sigma, need_grads=True
-    )
-    return value, pgrads, igrads
+    return _clean_engine(net, batch, _resolve_w(w, batch), sigma,
+                         need_grads=True)[2:]
 
 
 def _project_ball(X_new: np.ndarray, X0: np.ndarray, eps: float) -> np.ndarray:
@@ -354,24 +336,20 @@ def certified_upper_loss(net: Network, batch: Batch, eps: float,
 
 def certified_upper_loss_grads(net: Network, batch: Batch, eps: float,
                                w: float | None = None, sigma: float = 1.0,
-                               need_grads: bool = True):
-    """Certified loss bound with gradients through the bound computation."""
-    return _certified_engine(net, batch, eps, _resolve_w(w, batch), sigma,
-                             need_grads)
+                               need_grads: bool = True,
+                               pairs: Pairs | None = None):
+    """Certified loss bound with gradients through the bound computation:
+    (value, pgrads, igrads), the last two None without need_grads.
 
-
-def _certified_engine(net: Network, batch: Batch, eps: float, w_val: float,
-                      sigma: float, need_grads: bool,
-                      pairs: Pairs | None = None):
-    """The certified counterpart of `_clean_engine`: bound, terms, adjoint."""
+    `pairs` is the batch's `_comparable_pairs`, built here when None.
+    """
     _check_radius(eps)
     lb, ub, tape = crown_ibp_batch_tape(net, batch.X, eps)
-    value, dlb, dub = _certified_terms(lb, ub, batch, w_val, sigma,
-                                       need_grads, pairs)
-    if not need_grads:
-        return value, None, None
-    pgrads, igrads = crown_ibp_batch_vjp(net, tape, dlb, dub)
-    return value, pgrads, igrads
+    value, dlb, dub = _certified_terms(lb, ub, batch, _resolve_w(w, batch),
+                                       sigma, need_grads, pairs)
+    grads = (crown_ibp_batch_vjp(net, tape, dlb, dub) if need_grads
+             else (None, None))
+    return value, *grads
 
 
 def sawar_loss(net: Network, batch: Batch, eps: float, kappa: float = 0.5,
@@ -400,18 +378,16 @@ def sawar_loss_grads(net: Network, batch: Batch, eps: float,
         # Zero-width bounds make the certified term the clean loss itself;
         # reuse it so the warmup trajectory matches plain training bitwise.
         return LossBreakdown(neg_ll, rank, clean, clean, clean), clean_pg, clean_ig
-    cert, cert_pg, cert_ig = _certified_engine(
+    cert, cert_pg, cert_ig = certified_upper_loss_grads(
         net, batch, eps, w_val, sigma, need_grads and kappa != 1.0, pairs
     )
     # A term of weight 0 is left out: 0 * inf is NaN.
     total = (clean if kappa == 1.0 else cert if kappa == 0.0
              else kappa * clean + (1.0 - kappa) * cert)
     breakdown = LossBreakdown(neg_ll, rank, clean, cert, total)
-    if not need_grads:
-        return breakdown, None, None
     if kappa == 1.0:
         return breakdown, clean_pg, clean_ig
-    if kappa == 0.0:
+    if kappa == 0.0 or not need_grads:  # cert_pg is None without need_grads
         return breakdown, cert_pg, cert_ig
     pgrads = clean_pg.scale(kappa).add_scaled(cert_pg, 1.0 - kappa)
     return breakdown, pgrads, kappa * clean_ig + (1.0 - kappa) * cert_ig

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import worst_case_log_hazard_batch
-from .data import SurvivalDataset, atomic_open, write_csv
+from .data import FormatError, SurvivalDataset, atomic_open, write_csv
 from .losses import Batch, fgsm_perturb
 from .network import Network, forward_batch
 from .survival import StepCurve, km_estimator, population_curve_from_hazards
@@ -164,17 +164,34 @@ def write_metrics_csv(path, records) -> None:
 
 
 def read_metrics_csv(path) -> list[MetricRecord]:
-    records = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            records.append(MetricRecord(
-                row["dataset"], row["method"], row["attack"],
-                float(row["eps"]), float(row["ci"]), float(row["ibs"]),
-                float(row["negll"]), bool(int(row["ci_flag"])),
-                bool(int(row["ibs_flag"])), bool(int(row["negll_flag"])),
-                int(row["seed"]),
-            ))
+    """Inverse of write_metrics_csv.  A missing or repeated column, a short
+    or long row, a bad cell or a file that is not UTF-8 raises FormatError
+    naming the file (and the line)."""
+    fields, records = MetricRecord.CSV_FIELDS, []
+    kinds = (str,) * 3 + (float,) * 4 + (lambda v: bool(int(v)),) * 3 + (int,)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            if (len(set(header)) != len(header)
+                    or not set(fields) <= set(header)):
+                raise FormatError(f"{path}: header must name each of "
+                                  f"{list(fields)} once")
+            at = [header.index(f) for f in fields]
+            for rec in filter(None, reader):
+                try:
+                    if len(rec) != len(header):
+                        raise ValueError(f"expected {len(header)} fields, "
+                                         f"got {len(rec)}")
+                    records.append(MetricRecord(
+                        *[kind(rec[i]) for kind, i in zip(kinds, at)]))
+                except ValueError as exc:
+                    raise FormatError(f"{path}: line {reader.line_num}: "
+                                      f"{exc}") from None
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 ({exc.reason})") from None
+    except csv.Error as exc:
+        raise FormatError(f"{path}: line {reader.line_num}: {exc}") from None
     return records
 
 

@@ -156,23 +156,29 @@ def _perturbed(net: Network, batch: Batch, config: TrainConfig, eps: float,
                        config.sigma, config.fgsm_sign_mode, pairs)
 
 
-def _batch_loss_grads(net: Network, batch: Batch, config: TrainConfig,
-                      eps: float, epoch: int, batch_idx: int):
-    """Method dispatch; returns (LossBreakdown, ParamGrads)."""
+def _objective(net: Network, batch: Batch, config: TrainConfig, eps: float,
+               noise_seed, need_grads: bool):
+    """The method's own loss on `batch` at radius eps, and its parameter
+    gradients (None without need_grads); the one dispatch on the method.
+    `noise_seed` seeds the noise method's draw."""
     w, sigma = config.w, config.sigma
     if config.method == "sawar":
         breakdown, pgrads, _ = sawar_loss_grads(net, batch, eps, config.kappa,
-                                                w, sigma)
+                                                w, sigma, need_grads)
         return breakdown, pgrads
     pairs = _comparable_pairs(batch)
-    perturbed = _perturbed(net, batch, config, eps,
-                           (config.seed, epoch, batch_idx), pairs)
+    perturbed = _perturbed(net, batch, config, eps, noise_seed, pairs)
     neg_ll, rank, value, pgrads, _ = _clean_engine(
-        net, perturbed, _resolve_w(w, perturbed), sigma, need_grads=True,
-        pairs=pairs
+        net, perturbed, _resolve_w(w, perturbed), sigma, need_grads, pairs
     )
-    breakdown = LossBreakdown(neg_ll, rank, value, value, value)
-    return breakdown, pgrads
+    return LossBreakdown(neg_ll, rank, value, value, value), pgrads
+
+
+def _batch_loss_grads(net: Network, batch: Batch, config: TrainConfig,
+                      eps: float, epoch: int, batch_idx: int):
+    """(LossBreakdown, ParamGrads) of one training batch."""
+    return _objective(net, batch, config, eps,
+                      (config.seed, epoch, batch_idx), need_grads=True)
 
 
 def _validation_loss(net: Network, batch: Batch, config: TrainConfig,
@@ -182,21 +188,17 @@ def _validation_loss(net: Network, batch: Batch, config: TrainConfig,
     Selecting checkpoints by the clean loss systematically discards the
     robustness gained after the radius ramp (the certified term keeps
     falling while the clean term is flat), so the default evaluates the
-    training objective itself; val_monitor="clean" restores the plain
-    combined loss.  `batch` is the whole validation split.
+    training objective itself, through the code that trains it;
+    val_monitor="clean" restores the plain combined loss.  `batch` is the
+    whole validation split.
     """
-    w, sigma = config.w, config.sigma
     if config.val_monitor == "clean":
-        return combined_loss(net, batch, w, sigma)
-    if config.method == "sawar" and eps != 0.0:
-        breakdown, _, _ = sawar_loss_grads(net, batch, eps, config.kappa,
-                                           w, sigma, need_grads=False)
-        return breakdown.total
+        return combined_loss(net, batch, config.w, config.sigma)
     # the noise stream is distinct from the training batches'
-    pairs = _comparable_pairs(batch)
-    perturbed = _perturbed(net, batch, config, eps,
-                           (config.seed, epoch, 10_000_019), pairs)
-    return combined_loss(net, perturbed, w, sigma, pairs)
+    breakdown, _ = _objective(net, batch, config, eps,
+                              (config.seed, epoch, 10_000_019),
+                              need_grads=False)
+    return breakdown.total
 
 
 def train(config: TrainConfig, split: SplitDataset):
@@ -246,8 +248,7 @@ def train(config: TrainConfig, split: SplitDataset):
             else:
                 epoch_finite = True
                 last_good = net
-            sums += [breakdown.neg_ll, breakdown.rank, breakdown.clean_combined,
-                     breakdown.certified_upper, breakdown.total]
+            sums += astuple(breakdown)
             n_batches += 1
         if not epoch_finite:
             raise TrainingDivergenceError(
@@ -303,7 +304,8 @@ def load_checkpoint(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, RecursionError, UnicodeDecodeError,
+            json.JSONDecodeError) as exc:  # RecursionError: deep nesting
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise CheckpointError(f"checkpoint {path} is not a JSON object")
@@ -321,7 +323,8 @@ def load_checkpoint(path):
         codec = (FeatureCodec.from_dict(doc["codec"])
                  if doc.get("codec") is not None else None)
         config = TrainConfig.from_dict(doc["config"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, LookupError, OverflowError, TypeError,
+            ValueError) as exc:  # a value of the wrong type, size or range
         raise CheckpointError(f"malformed checkpoint {path}: {exc}") from exc
     dims = net.layer_dims
     shapes = [(o, i) for i, o in zip(dims[:-1], dims[1:])]

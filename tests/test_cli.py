@@ -287,6 +287,16 @@ class TestEvaluateCommand:
                          cwd=tmp_path)
         assert code == 3
 
+    @pytest.mark.parametrize("data", [b"\xff\xfe{}", b"[" * 100_000],
+                             ids=["non-utf8", "deep-nesting"])
+    def test_unparseable_checkpoint_exits_3(self, toy_csv, tmp_path, data):
+        ck = tmp_path / "bytes.ckpt.json"
+        ck.write_bytes(data)
+        code = run_child(["evaluate", "--model", ck, "--dataset", toy_csv,
+                          "--attack", "fgsm", "--out", tmp_path / "e"],
+                         cwd=tmp_path)
+        assert code == 3
+
     def _evaluate_edited_checkpoint(self, trained_dir, toy_csv, tmp_path,
                                     edit):
         """Exit code of a child `evaluate` on the trained checkpoint after
@@ -429,6 +439,27 @@ class TestReportCommand:
         code = run_cli(["report", "--inputs", root, "--out", tmp_path / "r2"])
         assert code == 3
         assert "sawar" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("edit", [
+        lambda text: text.replace("negll,", "", 1),
+        lambda text: text.replace(",0.0,", ",abc,", 1),
+        lambda text: text.replace(",0,", ",", 1),
+        lambda text: text.encode("utf-8").replace(b"sawar", b"saw\xe4r"),
+    ], ids=["missing-column", "non-numeric-eps", "short-row", "non-utf8"])
+    def test_malformed_metrics_csv_exits_3(self, metrics_tree, tmp_path,
+                                           capsys, edit):
+        path = metrics_tree / "d2_sawar" / "metrics.csv"
+        text = edit(path.read_text())
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        else:
+            path.write_text(text)
+        assert run_cli(["report", "--inputs", metrics_tree,
+                        "--out", tmp_path / "r"]) == 3
+        err = capsys.readouterr().err
+        assert "error: data error" in err and str(path) in err
+        assert not os.path.exists(tmp_path / "r")
 
 
 class TestSelftestCommand:

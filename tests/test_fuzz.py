@@ -1,15 +1,19 @@
 """Input fuzzing: generated CSV and INI files through `cli.main`.
 
-Every generated input must end in a documented exit code (0 success,
-2 configuration error, 3 data error) and never in an uncaught exception.
+Every generated input (a survival CSV, an INI config, a metrics.csv tree,
+a checkpoint) must end in a documented exit code (0 success, 2 configuration
+error, 3 data error) and never in an uncaught exception.
 """
 
 import os
+import re
 import tempfile
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from certsurv.cli import main
+from certsurv.metrics import MetricRecord
 
 from conftest import planted_linear_csv
 
@@ -135,3 +139,119 @@ def test_generated_ini_exits_0_or_2(data):
         code = main(["train", "--dataset", csv_path, "--config", cfg,
                      "--out", os.path.join(tmp, "out"), *FAST])
     assert code in (0, 2)
+
+
+
+METRIC_CELLS = st.sampled_from(["abc", "", "nan", "inf", "-1", "2", "1e999",
+                                "0.5", "x y", "\x00"])
+TREE = [(ds, method, ci) for ds in ("d1", "d2")
+        for method, ci in (("baseline", 0.6), ("sawar", 0.7))]
+
+
+def _metrics_table(ds, method, ci):
+    return [list(MetricRecord.CSV_FIELDS)] + [
+        [str(c) for c in MetricRecord(ds, method, "fgsm", eps, ci, 0.2,
+                                      5.0).csv_row()] for eps in (0.0, 0.5)]
+
+
+@st.composite
+def metrics_bytes(draw, ds, method, ci):
+    """A valid metrics.csv, then up to four edits that may break it."""
+    table = _metrics_table(ds, method, ci)
+    stray = b""
+    for _ in range(draw(st.integers(0, 4))):
+        row = table[draw(st.integers(0, len(table) - 1))]
+        j = draw(st.integers(0, len(table[0]) - 1))
+        edit = draw(st.sampled_from(["cell", "cell", "ragged", "duplicate",
+                                     "drop", "stray"]))
+        if edit == "cell" and j < len(row):
+            row[j] = draw(METRIC_CELLS)
+        elif edit == "ragged":
+            if draw(st.booleans()):
+                row.append("9")
+            else:
+                del row[-1:]
+        elif edit == "duplicate":
+            for r in table:
+                r.extend(r[j:j + 1])
+        elif edit == "drop" and len(table[0]) > 1:
+            for r in table:
+                del r[j:j + 1]
+        elif edit == "stray":
+            stray += draw(STRAY)
+    data = "".join(",".join(r) + "\n" for r in table).encode("utf-8")
+    at = draw(st.integers(0, len(data)))
+    return data[:at] + stray + data[at:]
+
+
+@FUZZ
+@given(st.sampled_from(range(len(TREE))).flatmap(
+    lambda k: st.tuples(st.just(k), metrics_bytes(*TREE[k]))))
+def test_generated_metrics_tree_exits_0_or_3(case):
+    which, data = case
+    with tempfile.TemporaryDirectory() as tmp:
+        root = os.path.join(tmp, "inputs")
+        for k, (ds, method, ci) in enumerate(TREE):
+            os.makedirs(os.path.join(root, f"{ds}_{method}"))
+            text = "".join(",".join(r) + "\n"
+                           for r in _metrics_table(ds, method, ci))
+            with open(os.path.join(root, f"{ds}_{method}", "metrics.csv"),
+                      "wb") as fh:
+                fh.write(data if k == which else text.encode("utf-8"))
+        code = main(["report", "--inputs", root, "--out",
+                     os.path.join(tmp, "r")])
+    assert code in (0, 3)
+
+
+@pytest.fixture(scope="module")
+def checkpoint_text(tmp_path_factory):
+    """A toy CSV and the text of a small checkpoint fitted to it."""
+    from certsurv.data import load_csv, stratified_split
+    from certsurv.network import init_network
+    from certsurv.training import TrainConfig, save_checkpoint
+    tmp = tmp_path_factory.mktemp("ckpt")
+    csv_path = planted_linear_csv(str(tmp / "toy.csv"), n=40, seed=3)
+    split = stratified_split(load_csv(csv_path), seed=0)
+    net = init_network([split.codec.dim, 3, 1], 0.01, seed=0)
+    save_checkpoint(net, split.codec, TrainConfig(hidden_dims=(3,)),
+                    tmp / "ck.json")
+    return csv_path, (tmp / "ck.json").read_bytes()
+
+
+JSON_VALUE = re.compile(rb'-?\d[\d.eE+-]*|"[^"]*"|true|false|null')
+ODD_JSON = st.sampled_from([b"NaN", b"Infinity", b"1e999", b"-1", b"0",
+                            b"2.5", b'"x"', b"null", b"[]", b"{}", b"true",
+                            b"99999999999999999999"])
+
+
+@st.composite
+def checkpoint_edits(draw, data):
+    """Up to three edits to a valid checkpoint: a JSON value or key
+    replaced, a span cut out, or a stray byte."""
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(data)))
+        edit = draw(st.sampled_from(["value", "value", "cut", "stray"]))
+        if edit == "value":
+            a, b = draw(st.sampled_from(
+                [m.span() for m in JSON_VALUE.finditer(data)]))
+            data = data[:a] + draw(ODD_JSON) + data[b:]
+        elif edit == "cut":
+            data = data[:at] + data[at + draw(st.integers(1, 40)):]
+        else:
+            data = data[:at] + draw(STRAY) + data[at:]
+    return data
+
+
+@FUZZ
+@given(st.data())
+def test_generated_checkpoint_exits_0_or_3(checkpoint_text, data):
+    csv_path, text = checkpoint_text
+    ck_bytes = data.draw(checkpoint_edits(text))
+    with tempfile.TemporaryDirectory() as tmp:
+        ck = os.path.join(tmp, "ck.json")
+        with open(ck, "wb") as fh:
+            fh.write(ck_bytes)
+        code = main(["evaluate", "--model", ck, "--dataset", csv_path,
+                     "--attack", "fgsm", "--eps-grid", "0,0.5", "--out",
+                     os.path.join(tmp, "e")])
+    assert code in (0, 3)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from certsurv.losses import (Batch, _clean_engine, _comparable_pairs,
-                             _pair_loss,
+                             _loss_grad,
                              certified_upper_loss,
                              certified_upper_loss_grads, combined_loss,
                              combined_loss_grads, fgsm_perturb, loglik,
@@ -216,7 +216,7 @@ class TestPgd:
 
 def _written_out_input_grads(net, batch, w, sigma):
     """Input gradient of the clean loss with the pair formula spelled out
-    here, apart from losses._pair_loss."""
+    here, apart from losses._loss_grad."""
     t, e = batch.t, batch.e
     G, caches = forward_batch(net, batch.X)
     lam = np.exp(G)
@@ -276,8 +276,8 @@ class TestAttackPath:
         with np.errstate(all="ignore"):
             G, caches = forward_batch(net, batch.X)
             w_val = 1.0 / len(batch) if w is None else w
-            _, _, dG = _pair_loss(G, batch.t, batch.e,
-                                  _comparable_pairs(batch), w_val, sigma)
+            _, dG = _loss_grad(G, batch.t, batch.e,
+                               _comparable_pairs(batch), w_val, sigma)
             got = input_grads_batch(net, caches, dG)
             full = combined_loss_grads(net, batch, w, sigma)[2]
             spelled = _written_out_input_grads(net, batch, w, sigma)
@@ -363,6 +363,23 @@ def test_clean_engine_equals_written_out_full_matrix(case):
         assert np.float64(v).tobytes() == np.float64(w).tobytes()
     assert _grad_bytes(*got[3:]) == _grad_bytes(*want[3:])
     assert value_only[3:] == (None, None)
+
+
+@settings(max_examples=100, deadline=None)
+@given(engine_cases(), st.sampled_from([0.05, 0.5]))
+def test_every_clean_value_is_the_clean_engine_value(case, eps):
+    # One sum order: combined_loss, rank_loss and the kappa = 1 mix read
+    # the clean engine's fields, so they agree bit for bit.
+    net, batch, w_val, sigma = case
+    with np.errstate(all="ignore"):
+        _, rank, value, _, _ = _clean_engine(net, batch, w_val, sigma,
+                                             need_grads=False)
+        combined = combined_loss(net, batch, w_val, sigma)
+        mixed = sawar_loss(net, batch, eps, 1.0, w_val, sigma).total
+        ranked = rank_loss(net, batch, sigma)
+    assert np.float64(combined).tobytes() == np.float64(value).tobytes()
+    assert np.float64(mixed).tobytes() == np.float64(value).tobytes()
+    assert np.float64(ranked).tobytes() == np.float64(rank).tobytes()
 
 
 @settings(max_examples=100, deadline=None)
@@ -476,7 +493,8 @@ class TestSawar:
         net = random_net(rng, [2, 4, 1])
         batch = random_batch(rng, 5, 2)
         bd = sawar_loss(net, batch, 0.3, kappa=1.0)
-        assert bd.total == pytest.approx(combined_loss(net, batch), rel=1e-12)
+        assert (np.float64(bd.total).tobytes()
+                == np.float64(combined_loss(net, batch)).tobytes())
 
     def test_kappa_zero_is_certified(self):
         rng = np.random.default_rng(17)

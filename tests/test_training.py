@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 
 from certsurv.data import load_csv, stratified_split
+from certsurv.losses import Batch
 from certsurv.metrics import concordance_index
 from certsurv.network import forward, init_network
-from certsurv.training import (CheckpointError, TrainConfig, eps_schedule,
-                               load_checkpoint, save_checkpoint, train)
+from certsurv.training import (CheckpointError, TrainConfig,
+                               _batch_loss_grads, _validation_loss,
+                               eps_schedule, load_checkpoint, save_checkpoint,
+                               train)
 
 from conftest import planted_linear_csv
 
@@ -126,6 +129,21 @@ class TestTrain:
         n, bs = len(planted_split.train), cfg.batch_size
         epoch = [min(bs, n - b0) for b0 in range(0, n, bs)]
         assert sizes == (epoch + [len(planted_split.validation)]) * 4
+
+    @pytest.mark.parametrize("eps", [0.0, 0.3])
+    @pytest.mark.parametrize("method", ["baseline", "fgsm", "pgd", "sawar"])
+    def test_validation_loss_is_the_training_objective(self, planted_split,
+                                                       method, eps):
+        # Validation scores a batch with the code that trains on it.  The
+        # noise method is left out on purpose: its validation draw comes
+        # from its own stream, not from a training batch's.
+        val = planted_split.validation
+        batch = Batch(val.X, val.t, val.e)
+        cfg = fast_config(method=method, pgd_steps=3)
+        net = init_network([val.X.shape[1], 16, 1], cfg.leaky_slope, seed=5)
+        got = _validation_loss(net, batch, cfg, eps, 7)
+        want = _batch_loss_grads(net, batch, cfg, eps, 7, 0)[0].total
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
     def test_baseline_ignores_radius(self, planted_split):
         cfg_a = fast_config(method="baseline", eps_max=0.5)
