@@ -24,15 +24,15 @@ import numpy as np
 from . import __version__
 from .data import (CodecError, FormatError, RowError, atomic_open, load_csv,
                    stratified_split, write_csv)
-from .metrics import (DEFAULT_EPS_GRID, AggregationError, attack_sweep,
-                      censoring_km, emit_report, read_metrics_csv,
-                      report_tables)
+from .metrics import (ATTACKS, DEFAULT_EPS_GRID, AggregationError,
+                      attack_sweep, censoring_km, emit_report,
+                      read_metrics_csv, report_tables)
 from .network import TrainingDivergenceError
 from .survival import (km_estimator, population_curve,
                        population_curve_from_hazards, survival_quantiles,
                        default_time_grid)
-from .training import (CheckpointError, TrainConfig, load_checkpoint,
-                       save_checkpoint, train)
+from .training import (FIELD_TYPES, METHODS, CheckpointError, TrainConfig,
+                       load_checkpoint, save_checkpoint, train)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -71,7 +71,12 @@ def _write_manifest(out_dir: str, command: str, args: argparse.Namespace,
         fh.write("\n")
 
 
-_BOOL_FIELDS = {"fgsm_sign_mode", "normalize_onehot"}
+# TrainConfig fields that `certsurv train` also takes as flags
+_TRAIN_FLAGS = ("method", "seed", "kappa", "eps_max", "max_epochs",
+               "batch_size", "patience", "warmup_epochs", "ramp_epochs",
+               "learning_rate", "pgd_steps")
+_FIELD_PARSERS = {f.name: FIELD_TYPES[f.type][0]
+                  for f in dataclasses.fields(TrainConfig)}
 
 
 def _config_from_file(path: str) -> dict:
@@ -85,25 +90,12 @@ def _config_from_file(path: str) -> dict:
         raise CliError(f"cannot read config file {path}", EXIT_CONFIG)
     if not parser.has_section("train"):
         raise CliError(f"config file {path} has no [train] section", EXIT_CONFIG)
-    valid = {f.name for f in dataclasses.fields(TrainConfig)}
     out = {}
     for key, raw in parser.items("train"):
-        if key not in valid:
+        if key not in _FIELD_PARSERS:
             raise CliError(f"unknown config key {key!r} in {path}", EXIT_CONFIG)
         try:
-            if key in _BOOL_FIELDS:
-                out[key] = parser.getboolean("train", key)
-            elif key in ("method", "val_monitor"):
-                out[key] = raw.strip()
-            elif key == "hidden_dims":
-                out[key] = tuple(int(v) for v in raw.replace(",", " ").split())
-            elif key == "w":
-                out[key] = None if raw.strip().lower() == "auto" else float(raw)
-            elif key in ("warmup_epochs", "ramp_epochs", "max_epochs",
-                         "batch_size", "patience", "pgd_steps", "seed"):
-                out[key] = int(raw)
-            else:
-                out[key] = float(raw)
+            out[key] = _FIELD_PARSERS[key](raw)
         except ValueError as exc:
             raise CliError(f"bad value for {key!r} in {path}: {exc}",
                            EXIT_CONFIG) from exc
@@ -114,12 +106,8 @@ def _resolve_train_config(args: argparse.Namespace) -> TrainConfig:
     overrides: dict = {}
     if getattr(args, "config", None):
         overrides.update(_config_from_file(args.config))
-    for flag in ("method", "seed", "kappa", "eps_max", "max_epochs",
-                 "batch_size", "patience", "warmup_epochs", "ramp_epochs",
-                 "learning_rate", "pgd_steps"):
-        val = getattr(args, flag, None)
-        if val is not None:
-            overrides[flag] = val
+    overrides.update({flag: val for flag in _TRAIN_FLAGS
+                      if (val := getattr(args, flag, None)) is not None})
     try:
         return TrainConfig(**overrides)
     except (TypeError, ValueError) as exc:
@@ -263,6 +251,8 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_selftest(args: argparse.Namespace) -> int:
+    if args.seed < 0 or args.trials < 1:
+        raise CliError("need --seed >= 0 and --trials >= 1", EXIT_CONFIG)
     from .selftest import run_selftest
     ok = run_selftest(seed=args.seed, trials=args.trials)
     return EXIT_OK if ok else 1
@@ -282,29 +272,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", help="fit one method on one dataset")
     p_train.add_argument("--dataset", required=True, help="survival CSV path")
-    p_train.add_argument("--method", required=True,
-                         choices=["baseline", "noise", "fgsm", "pgd", "sawar"])
     p_train.add_argument("--config", help="INI config file with a [train] section")
-    p_train.add_argument("--seed", type=int, default=None)
     p_train.add_argument("--out", help="output directory")
-    p_train.add_argument("--kappa", type=float, default=None)
-    p_train.add_argument("--eps-max", dest="eps_max", type=float, default=None)
-    p_train.add_argument("--max-epochs", dest="max_epochs", type=int, default=None)
-    p_train.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-    p_train.add_argument("--patience", type=int, default=None)
-    p_train.add_argument("--warmup-epochs", dest="warmup_epochs", type=int,
-                         default=None)
-    p_train.add_argument("--ramp-epochs", dest="ramp_epochs", type=int,
-                         default=None)
-    p_train.add_argument("--learning-rate", dest="learning_rate", type=float,
-                         default=None)
-    p_train.add_argument("--pgd-steps", dest="pgd_steps", type=int, default=None)
+    for name in _TRAIN_FLAGS:
+        kind = ({"required": True, "choices": METHODS} if name == "method"
+                else {"type": _FIELD_PARSERS[name], "default": None})
+        p_train.add_argument("--" + name.replace("_", "-"), dest=name, **kind)
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("evaluate", help="metric sweep for a checkpoint")
     p_eval.add_argument("--model", required=True, help="checkpoint path")
     p_eval.add_argument("--dataset", required=True, help="survival CSV path")
-    p_eval.add_argument("--attack", required=True, choices=["fgsm", "worstcase"])
+    p_eval.add_argument("--attack", required=True, choices=ATTACKS)
     p_eval.add_argument("--eps-grid", dest="eps_grid", default=None,
                         help="comma-separated radii (default: the 12-point grid)")
     p_eval.add_argument("--out", help="output directory")

@@ -23,7 +23,7 @@ from .bounds import worst_case_log_hazard_batch
 from .data import FormatError, SurvivalDataset, atomic_open, write_csv
 from .losses import Batch, fgsm_perturb
 from .network import Network, forward_batch
-from .survival import StepCurve, km_estimator, population_curve_from_hazards
+from .survival import StepCurve, km_estimator
 from .training import TrainConfig
 
 log = logging.getLogger(__name__)
@@ -337,31 +337,27 @@ def average_ranks(records: list[MetricRecord],
 
 def relative_percent_change(baseline_records, method_records,
                             metrics=("ci", "ibs", "negll")):
-    """Mean percent change from the baseline per (eps, metric).
-
-    Cells with a zero baseline value are skipped and counted as flagged.
+    """Mean percent change from the baseline, and the number of flagged
+    cells, each per (eps, metric).  A cell whose baseline is zero or whose
+    baseline or method value is not finite is skipped and flagged.
     """
     base = {(r.dataset, r.eps): r for r in baseline_records}
-    eps_values = sorted({r.eps for r in method_records})
-    out = {}
-    flagged = 0
-    for eps in eps_values:
+    out, flagged = {}, {}
+    for eps in sorted({r.eps for r in method_records}):
+        cells = [r for r in method_records if r.eps == eps]
         for metric in metrics:
             changes = []
-            for r in method_records:
-                if r.eps != eps:
-                    continue
+            for r in cells:
                 b = base.get((r.dataset, r.eps))
                 if b is None:
                     raise AggregationError(
                         f"no baseline cell for dataset={r.dataset} eps={r.eps}"
                     )
-                bv = getattr(b, metric)
-                if bv == 0.0 or not np.isfinite(bv):
-                    flagged += 1
-                    continue
-                changes.append(100.0 * (getattr(r, metric) - bv) / bv)
+                bv, v = getattr(b, metric), getattr(r, metric)
+                if bv != 0.0 and math.isfinite(bv) and math.isfinite(v):
+                    changes.append(100.0 * (v - bv) / bv)
             out[(eps, metric)] = float(np.mean(changes)) if changes else float("nan")
+            flagged[(eps, metric)] = len(cells) - len(changes)
     return out, flagged
 
 
@@ -442,20 +438,22 @@ def report_tables(records: list[MetricRecord]) -> dict:
                     base, [r for r in recs if r.method == method])
                 for (eps, metric), val in sorted(changes.items()):
                     pc_rows.append([attack, method, repr(float(eps)), metric,
-                                    repr(float(val)), flagged])
+                                    repr(float(val)), flagged[(eps, metric)]])
         # average_ranks has checked that every (dataset, eps, method) exists
         cell = {(r.dataset, r.eps, r.method): r for r in recs}
         blocks = sorted({(r.dataset, r.eps) for r in recs})
         for metric in METRIC_DIRECTIONS:
-            if len(methods) < 2 or len(blocks) < 2:
+            # a block with an undefined (NaN) value is left out
+            matrix = [row for row in (
+                [getattr(cell[(ds, eps, m)], metric) for m in methods]
+                for ds, eps in blocks) if not np.isnan(row).any()]
+            if len(methods) < 2 or len(matrix) < 2:
                 # test undefined with one treatment or one block
-                fr_rows.append([attack, metric, "", "", len(blocks),
+                fr_rows.append([attack, metric, "", "", len(matrix),
                                 len(methods)])
                 continue
-            stat, p = friedman_test(_oriented(metric, [
-                [getattr(cell[(ds, eps, m)], metric) for m in methods]
-                for ds, eps in blocks]))
-            fr_rows.append([attack, metric, repr(stat), repr(p), len(blocks),
+            stat, p = friedman_test(_oriented(metric, matrix))
+            fr_rows.append([attack, metric, repr(stat), repr(p), len(matrix),
                             len(methods)])
     return {
         "ranks.csv": (["attack", "eps", "metric", *methods], rank_rows),
@@ -493,10 +491,3 @@ def emit_report(records, out_dir, curves: dict | None = None,
             fh.write("\n")
     return paths
 
-
-def worst_case_population_curve(net: Network, X, eps: float, grid):
-    """Population curve under per-record certified-maximum hazards."""
-    G_ub = worst_case_log_hazard_batch(net, np.asarray(X, dtype=float), eps)
-    with np.errstate(over="ignore"):
-        hazards = np.exp(G_ub)
-    return population_curve_from_hazards(hazards, grid)

@@ -9,9 +9,11 @@ always comes from a full-radius epoch.
 
 from __future__ import annotations
 
+import configparser
 import json
 import logging
 import math
+import numbers
 from dataclasses import asdict, astuple, dataclass, field, fields
 
 import numpy as np
@@ -27,8 +29,39 @@ log = logging.getLogger(__name__)
 
 METHODS = ("baseline", "noise", "fgsm", "pgd", "sawar")
 CHECKPOINT_SCHEMA = 1
+
+
+def _of(*kinds):
+    """Type check for an instance of `kinds`, where a bool is not an int."""
+    return lambda v: (isinstance(v, kinds)
+                      and isinstance(v, bool) == (bool in kinds))
+
+
+def _parse_bool(text: str) -> bool:
+    states = configparser.ConfigParser.BOOLEAN_STATES  # getboolean's words
+    if (key := text.strip().lower()) not in states:
+        raise ValueError(f"not a boolean: {text!r}")
+    return states[key]
+
+
+# TrainConfig annotation -> (parser of INI/flag text, type check of a value);
+# an integer (numpy's too) is fine where a float is expected
+FIELD_TYPES = {
+    "str": (str.strip, _of(str)),
+    "bool": (_parse_bool, _of(bool)),
+    "int": (int, _of(numbers.Integral)),
+    "float": (float, _of(numbers.Real)),
+    "float | None": (lambda text: None if text.strip().lower() == "auto"
+                     else float(text), _of(numbers.Real, type(None))),
+    "tuple[int, ...]": (
+        lambda text: tuple(int(v) for v in text.replace(",", " ").split()),
+        lambda v: _of(tuple)(v) and all(map(_of(numbers.Integral), v))),
+}
 # (fields, predicate, rule) for TrainConfig; NaN fails every predicate
 _CONFIG_RULES = (
+    ("method", lambda v: v in METHODS, f"must be one of {METHODS}"),
+    ("val_monitor", lambda v: v in ("objective", "clean"),
+     "must be 'objective' or 'clean'"),
     ("kappa", lambda v: 0.0 <= v <= 1.0, "must lie in [0, 1]"),
     ("eps_max warmup_epochs seed", lambda v: 0 <= v < math.inf,
      "must be finite and nonnegative"),
@@ -72,12 +105,9 @@ class TrainConfig:
     normalize_onehot: bool = False  # standardize one-hot columns too
 
     def __post_init__(self):
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
-        if self.val_monitor not in ("objective", "clean"):
-            raise ValueError(f"val_monitor must be 'objective' or 'clean', "
-                             f"got {self.val_monitor!r}")
-        for names, ok, rule in _CONFIG_RULES:
+        typed = [(f.name, FIELD_TYPES[f.type][1], f"must be of type {f.type}")
+                 for f in fields(self)]
+        for names, ok, rule in (*typed, *_CONFIG_RULES):
             for name in names.split():
                 value = getattr(self, name)
                 if not ok(value):
@@ -90,10 +120,9 @@ class TrainConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "TrainConfig":
-        d = dict(d)
-        if "hidden_dims" in d:
-            d["hidden_dims"] = tuple(int(h) for h in d["hidden_dims"])
-        return TrainConfig(**d)
+        # JSON gives the hidden widths back as a list
+        return TrainConfig(**{k: tuple(v) if isinstance(v, list) else v
+                              for k, v in d.items()})
 
 
 @dataclass

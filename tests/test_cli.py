@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import os
@@ -326,6 +327,17 @@ class TestEvaluateCommand:
         assert self._evaluate_edited_checkpoint(trained_dir, toy_csv,
                                                 tmp_path, set_nan) == 3
 
+    @pytest.mark.parametrize("key,value", [
+        ("seed", 1.5), ("seed", True), ("batch_size", 2.5),
+        ("fgsm_sign_mode", "no"), ("normalize_onehot", 2),
+        ("hidden_dims", [50.5, 50]), ("hidden_dims", ["50", 50])])
+    def test_wrong_typed_checkpoint_config_exits_3(self, trained_dir, toy_csv,
+                                                   tmp_path, key, value):
+        def retype(doc):
+            doc["config"][key] = value
+        assert self._evaluate_edited_checkpoint(trained_dir, toy_csv,
+                                                tmp_path, retype) == 3
+
     def test_emits_curves(self, trained_dir, toy_csv, tmp_path):
         out = tmp_path / "e6"
         code = run_cli(["evaluate", "--model",
@@ -422,6 +434,33 @@ class TestReportCommand:
         rows = (out / "friedman.csv").read_text().splitlines()[1:]
         assert rows and all(line.split(",")[3] for line in rows)
 
+    def test_unflagged_nan_is_flagged_and_left_out(self, tmp_path):
+        from certsurv.metrics import MetricRecord, write_metrics_csv
+        root = tmp_path / "inputs"
+        for ds in ("d1", "d2"):
+            for method, ci in (("baseline", 0.6), ("sawar", 0.75)):
+                if (ds, method) == ("d1", "sawar"):
+                    ci = float("nan")   # with ci_flag = 0
+                d = root / f"{ds}_{method}"
+                d.mkdir(parents=True)
+                write_metrics_csv(d / "metrics.csv", [
+                    MetricRecord(ds, method, "worstcase", eps, ci, 0.2, 5.0)
+                    for eps in (0.0, 0.5)])
+        out = tmp_path / "rep"
+        assert run_cli(["report", "--inputs", root, "--out", out]) == 0
+        with open(out / "percent_change.csv") as fh:
+            pct = {(r["eps"], r["metric"]): r for r in csv.DictReader(fh)}
+        for eps in ("0.0", "0.5"):
+            ci = pct[(eps, "ci")]
+            assert float(ci["pct_change_vs_baseline"]) == pytest.approx(25.0)
+            assert ci["flagged_cells"] == "1"
+            for metric in ("ibs", "negll"):
+                assert pct[(eps, metric)]["flagged_cells"] == "0"
+        with open(out / "friedman.csv") as fh:
+            friedman = {r["metric"]: r for r in csv.DictReader(fh)}
+        assert friedman["ci"]["n_blocks"] == "2"
+        assert friedman["ibs"]["n_blocks"] == "4"
+
     def test_empty_dir_exits_3(self, tmp_path):
         (tmp_path / "empty").mkdir()
         assert run_cli(["report", "--inputs", tmp_path / "empty",
@@ -470,6 +509,13 @@ class TestSelftestCommand:
         out2 = capsys.readouterr().out
         assert out1 == out2
         assert "selftest passed" in out1
+
+    @pytest.mark.parametrize("flag,value", [("--seed", -1), ("--trials", 0)])
+    def test_selftest_bad_seed_or_trials_exits_2(self, capsys, flag, value):
+        assert run_cli(["selftest", flag, value]) == 2
+        captured = capsys.readouterr()
+        assert "selftest passed" not in captured.out
+        assert flag in captured.err
 
 
 class TestEntrypoint:

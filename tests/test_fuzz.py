@@ -99,7 +99,7 @@ LEGAL = {"kappa": "0.3", "eps_max": "0.2", "warmup_epochs": "1",
          "fgsm_sign_mode": "yes", "val_monitor": "clean",
          "normalize_onehot": "on", "method": "noise"}
 ODD_VALUES = ["-1", "nan", "inf", "", "5%", "%(kappa)s", "x", "0", "0.5",
-              "true", "1, 0"]
+              "true", "1, 0", "2.5", "no"]
 ODD_LINES = ["[train]", "[other]", "[", "bogus = 1", "kappa", "  0.5",
              "# note", "Kappa = 0.2", "kappa: 0.4"]
 
@@ -221,7 +221,8 @@ def checkpoint_text(tmp_path_factory):
 JSON_VALUE = re.compile(rb'-?\d[\d.eE+-]*|"[^"]*"|true|false|null')
 ODD_JSON = st.sampled_from([b"NaN", b"Infinity", b"1e999", b"-1", b"0",
                             b"2.5", b'"x"', b"null", b"[]", b"{}", b"true",
-                            b"99999999999999999999"])
+                            b"99999999999999999999", b'"no"', b"[1.5]",
+                            b'["8"]'])
 
 
 @st.composite

@@ -18,13 +18,21 @@ from certsurv.metrics import (AggregationError, DEFAULT_EPS_GRID,
                               emit_report, friedman_test, integrated_brier,
                               negll_metric, read_metrics_csv,
                               relative_percent_change, report_tables,
-                              worst_case_population_curve, write_metrics_csv)
+                              write_metrics_csv)
+from certsurv.bounds import worst_case_log_hazard_batch
 from certsurv.network import forward_batch
 from certsurv.survival import (StepCurve, km_estimator,
                                population_curve_from_hazards)
 from certsurv.training import TrainConfig
 
 from conftest import random_net
+
+
+def _worst_case_curve(net, X, eps, grid):
+    """Population curve under per-record certified-maximum hazards."""
+    return population_curve_from_hazards(
+        np.exp(worst_case_log_hazard_batch(net, X, eps)), grid)
+
 
 NO_CENSOR = StepCurve(np.array([np.inf]), np.array([1.0]))
 # any float64, with the values whose text is easiest to get wrong
@@ -322,9 +330,9 @@ class TestAttackSweep:
         net = random_net(rng, [2, 5, 1])
         test = _dataset(rng)
         grid = np.linspace(0.1, 4.0, 25)
-        prev = worst_case_population_curve(net, test.X, 0.1, grid)
+        prev = _worst_case_curve(net, test.X, 0.1, grid)
         for eps in (0.3, 0.6, 1.0):
-            cur = worst_case_population_curve(net, test.X, eps, grid)
+            cur = _worst_case_curve(net, test.X, eps, grid)
             assert np.all(cur <= prev + 1e-12)
             prev = cur
 
@@ -341,7 +349,7 @@ class TestAttackSweep:
         for eps, hazards in seen.items():
             np.testing.assert_array_equal(
                 population_curve_from_hazards(hazards, grid),
-                worst_case_population_curve(net, test.X, eps, grid))
+                _worst_case_curve(net, test.X, eps, grid))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_nonfinite_hazard_flags_every_metric(self, bad):
@@ -421,7 +429,7 @@ class TestPercentChange:
         out, flagged = relative_percent_change(base, [
             MetricRecord("a", "m", "fgsm", 0.1, 0.5, 0.2, 10.0)])
         assert out[(0.1, "ci")] == 0.0
-        assert flagged == 0
+        assert flagged == {(0.1, m): 0 for m in ("ci", "ibs", "negll")}
 
     def test_fifty_percent_gain(self):
         base = [MetricRecord("a", "baseline", "fgsm", 0.1, 0.5, 0.2, 10.0)]
@@ -441,8 +449,20 @@ class TestPercentChange:
         base = [MetricRecord("a", "baseline", "fgsm", 0.1, 0.0, 0.2, 10.0)]
         out, flagged = relative_percent_change(base, [
             MetricRecord("a", "m", "fgsm", 0.1, 0.5, 0.2, 10.0)])
-        assert flagged == 1
+        assert flagged == {(0.1, "ci"): 1, (0.1, "ibs"): 0, (0.1, "negll"): 0}
         assert np.isnan(out[(0.1, "ci")])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_method_value_flagged_per_row(self, bad):
+        base = [MetricRecord(ds, "baseline", "fgsm", eps, 0.5, 0.2, 10.0)
+                for ds in ("a", "b") for eps in (0.0, 0.1)]
+        out, flagged = relative_percent_change(base, [
+            MetricRecord(ds, "m", "fgsm", eps,
+                         bad if (ds, eps) == ("a", 0.1) else 0.75, 0.2, 10.0)
+            for ds in ("a", "b") for eps in (0.0, 0.1)])
+        assert out[(0.1, "ci")] == pytest.approx(50.0)
+        assert flagged[(0.1, "ci")] == 1
+        assert sum(flagged.values()) == 1
 
 
 class TestFriedman:
@@ -536,15 +556,18 @@ class TestReportTables:
         blocks = sorted({(ds, eps) for ds, eps, _ in recs})
         for row in rows:
             metric = row[1]
-            oriented = METRIC_DIRECTIONS[metric] * np.array(
+            values = np.array(
                 [[getattr(recs[(ds, eps, m)], metric) for m in self.METHODS]
                  for ds, eps in blocks])
-            assert not np.isfinite(oriented).all()
+            # the block holding a NaN is left out; +inf stays in
+            kept = values[~np.isnan(values).any(axis=1)]
+            assert len(kept) == len(blocks) - 1
+            oriented = METRIC_DIRECTIONS[metric] * kept
             oriented[~np.isfinite(oriented)] = 1e300
             stat, p = friedman_test(oriented)
             assert float(row[2]) == stat
             assert float(row[3]) == p
-            assert row[4:] == [len(blocks), len(self.METHODS)]
+            assert row[4:] == [len(kept), len(self.METHODS)]
 
 
 class TestEmitReport:

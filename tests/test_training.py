@@ -94,6 +94,27 @@ class TestTrainConfig:
         cfg = TrainConfig(method="pgd", hidden_dims=(32, 16), kappa=0.25)
         assert TrainConfig.from_dict(cfg.to_dict()) == cfg
 
+    @pytest.mark.parametrize("field,value", [("batch_size", 2.5),
+                                             ("seed", True),
+                                             ("hidden_dims", (8.0,)),
+                                             ("hidden_dims", (True,)),
+                                             ("hidden_dims", [8]),
+                                             ("kappa", True), ("kappa", "0.5"),
+                                             ("fgsm_sign_mode", "no"),
+                                             ("normalize_onehot", 1),
+                                             ("method", None), ("w", "auto")])
+    def test_wrong_type_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be of type"):
+            TrainConfig(**{field: value})
+
+    def test_int_accepted_for_float_and_kept(self):
+        cfg = TrainConfig(kappa=1, w=0)
+        assert cfg.to_dict()["kappa"] == 1
+        assert type(cfg.to_dict()["kappa"]) is int
+        assert cfg.w == 0 and type(cfg.w) is int
+        assert TrainConfig(seed=np.int64(3), hidden_dims=(np.int64(4),),
+                           kappa=np.float64(0.25)).seed == 3
+
 
 class TestTrain:
     def test_recovers_planted_linear_risk(self, planted_split):
