@@ -31,6 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .network import Network, ParamGrads, ShapeError, leaky_relu, leaky_relu_grad
+from .survival import hazard
 
 
 def _check_radius(eps) -> None:
@@ -350,9 +351,7 @@ def crown_ibp_bounds(net: Network, pset: PerturbationSet) -> ScalarBounds:
 
 def worst_case_hazard(net: Network, pset: PerturbationSet) -> float:
     """Certified upper bound on exp(G) over the ball (+inf on overflow)."""
-    ub = crown_ibp_bounds(net, pset).ub
-    with np.errstate(over="ignore"):
-        return float(np.exp(ub))
+    return float(hazard(crown_ibp_bounds(net, pset).ub))
 
 
 def worst_case_log_hazard_batch(net: Network, X, eps: float) -> np.ndarray:

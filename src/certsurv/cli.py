@@ -27,10 +27,9 @@ from .data import (CodecError, FormatError, RowError, atomic_open, load_csv,
 from .metrics import (ATTACKS, DEFAULT_EPS_GRID, AggregationError,
                       attack_sweep, censoring_km, emit_report,
                       read_metrics_csv, report_tables)
-from .network import TrainingDivergenceError
-from .survival import (km_estimator, population_curve,
-                       population_curve_from_hazards, survival_quantiles,
-                       default_time_grid)
+from .network import TrainingDivergenceError, forward_batch
+from .survival import (default_time_grid, hazard, km_estimator,
+                       population_curve, survival_quantiles)
 from .training import (FIELD_TYPES, METHODS, CheckpointError, TrainConfig,
                        load_checkpoint, save_checkpoint, train)
 
@@ -108,6 +107,9 @@ def _resolve_train_config(args: argparse.Namespace) -> TrainConfig:
         overrides.update(_config_from_file(args.config))
     overrides.update({flag: val for flag in _TRAIN_FLAGS
                       if (val := getattr(args, flag, None)) is not None})
+    if "method" not in overrides:
+        raise CliError("no training method: pass --method or set method in "
+                       "the [train] section of --config", EXIT_CONFIG)
     try:
         return TrainConfig(**overrides)
     except (TypeError, ValueError) as exc:
@@ -189,11 +191,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     test = split.test
     ckm = censoring_km(split.train)
     curve_grid = default_time_grid(test.t)
-    lo, hi = survival_quantiles(net, test.X, curve_grid)
+    clean_hazards = hazard(forward_batch(net, test.X)[0])
+    lo, hi = survival_quantiles(clean_hazards, curve_grid)
     curve_payload = {
         "km_test": (curve_grid, km_estimator(test.t, test.e)(curve_grid)),
         "population_clean": (curve_grid,
-                             population_curve(net, test.X, curve_grid)),
+                             population_curve(clean_hazards, curve_grid)),
         "quantile_lo05": (curve_grid, lo),
         "quantile_hi95": (curve_grid, hi),
     }
@@ -201,9 +204,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     def worst_case_curve(eps, hazards):
         # the sweep's certified hazards give the worst-case population curve
         curve_payload[f"population_worstcase_eps{eps:g}"] = (
-            curve_grid, population_curve_from_hazards(hazards, curve_grid))
+            curve_grid, population_curve(hazards, curve_grid))
 
-    # --jobs is accepted and ignored: the cells run in this process
     records = attack_sweep(
         net, test, args.attack, sorted(eps_grid), config, ckm,
         dataset_name=name, method_name=config.method, seed=config.seed,
@@ -275,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--config", help="INI config file with a [train] section")
     p_train.add_argument("--out", help="output directory")
     for name in _TRAIN_FLAGS:
-        kind = ({"required": True, "choices": METHODS} if name == "method"
+        kind = ({"choices": METHODS} if name == "method"
                 else {"type": _FIELD_PARSERS[name], "default": None})
         p_train.add_argument("--" + name.replace("_", "-"), dest=name, **kind)
     p_train.set_defaults(func=cmd_train)
@@ -287,9 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--eps-grid", dest="eps_grid", default=None,
                         help="comma-separated radii (default: the 12-point grid)")
     p_eval.add_argument("--out", help="output directory")
-    p_eval.add_argument("--jobs", type=int, default=1,
-                        help="ignored; kept for compatibility (cells run "
-                             "sequentially in one process)")
     p_eval.set_defaults(func=cmd_evaluate)
 
     p_rep = sub.add_parser("report", help="aggregate metrics.csv files")

@@ -23,7 +23,8 @@ from .bounds import worst_case_log_hazard_batch
 from .data import FormatError, SurvivalDataset, atomic_open, write_csv
 from .losses import Batch, fgsm_perturb
 from .network import Network, forward_batch
-from .survival import StepCurve, km_estimator
+from .survival import (StepCurve, evaluation_grid, hazard, km_estimator,
+                       survival_matrix)
 from .training import TrainConfig
 
 log = logging.getLogger(__name__)
@@ -195,12 +196,6 @@ def read_metrics_csv(path) -> list[MetricRecord]:
     return records
 
 
-def evaluation_grid(times, n_points: int = 100) -> np.ndarray:
-    """n_points positive horizons spanning (0, max observed time]."""
-    tmax = float(np.max(times))
-    return np.linspace(0.0, tmax, n_points + 1)[1:]
-
-
 def censoring_km(train: SurvivalDataset) -> StepCurve:
     """Kaplan-Meier curve of the censoring distribution (events flipped)."""
     return km_estimator(train.t, 1 - train.e)
@@ -211,7 +206,7 @@ def _metrics_from_hazards(hazards, test: SurvivalDataset,
     hazards = np.asarray(hazards, dtype=float)
     # overflowed (+inf) or undefined (NaN) hazards flag every metric
     nonfinite = not bool(np.isfinite(hazards).all())
-    surv = np.exp(-np.outer(hazards, grid))
+    surv = survival_matrix(hazards, grid)
     try:
         ci = concordance_index(hazards, test.t, test.e)
         ci_flag = nonfinite
@@ -236,23 +231,20 @@ def attack_hazards(net: Network, test: SurvivalDataset, attack: str,
         G = worst_case_log_hazard_batch(net, test.X, eps)
     else:
         raise ValueError(f"unknown attack {attack!r}; expected one of {ATTACKS}")
-    with np.errstate(over="ignore"):
-        return np.exp(G)
+    return hazard(G)
 
 
 def attack_sweep(net: Network, test: SurvivalDataset, attack: str, eps_grid,
                  config: TrainConfig, censor_km: StepCurve,
                  dataset_name: str = "", method_name: str = "",
-                 seed: int = 0, grid=None,
-                 on_hazards=None) -> list[MetricRecord]:
+                 seed: int = 0, on_hazards=None) -> list[MetricRecord]:
     """Concordance / integrated Brier / negative log likelihood per radius.
 
     on_hazards, if given, is called as on_hazards(eps, hazards) for every
     radius, so callers can reuse the attacked hazards without recomputing
     them.
     """
-    if grid is None:
-        grid = evaluation_grid(test.t)
+    grid = evaluation_grid(test.t)
     records = []
     for eps in eps_grid:
         hazards = attack_hazards(net, test, attack, float(eps), config)

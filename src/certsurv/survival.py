@@ -5,6 +5,8 @@ hazard is exp(G) (constant in time; the baseline rate is absorbed into the
 network bias), so S(t|x) = exp(-exp(G) t).  All likelihood arithmetic stays
 in log space; exponentiation happens only at the metric/curve boundary,
 where overflow is mapped to an infinity sentinel rather than an exception.
+The curve tools take per-record hazards, not a network, and build every
+curve from the one survival matrix exp(-hazard * t).
 """
 
 from __future__ import annotations
@@ -13,25 +15,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import Network, forward_batch
-
 
 class DomainError(ValueError):
     """Argument outside the mathematical domain of the function."""
 
 
-def hazard(G: float) -> float:
-    """Constant event rate exp(G); overflows to +inf without raising."""
+def hazard(G):
+    """Constant event rate exp(G), elementwise; overflows to +inf without
+    raising."""
     with np.errstate(over="ignore"):
-        return float(np.exp(G))
+        return np.exp(G)
 
 
 def log_survival(G: float, t: float) -> float:
     """log S(t) = -exp(G) * t for t >= 0."""
     if t < 0:
         raise DomainError(f"survival requires t >= 0, got {t}")
-    with np.errstate(over="ignore"):
-        return float(-np.exp(G) * t)
+    return float(-hazard(G) * t)
 
 
 def survival(G: float, t: float) -> float:
@@ -43,8 +43,7 @@ def log_pdf(G: float, t: float) -> float:
     """log f(t) = G - exp(G) * t for t > 0 (never exponentiate-then-log)."""
     if t <= 0:
         raise DomainError(f"event density requires t > 0, got {t}")
-    with np.errstate(over="ignore"):
-        return float(G - np.exp(G) * t)
+    return float(G - hazard(G) * t)
 
 
 @dataclass
@@ -100,61 +99,50 @@ def km_estimator(times, events) -> StepCurve:
                      np.cumprod(1.0 - deaths[drop] / at_risk[drop]))
 
 
-def scores_for(net: Network, X) -> np.ndarray:
-    """Model scores G(x_i) for each row of X."""
-    G, _ = forward_batch(net, np.asarray(X, dtype=float))
-    return G
-
-
-def survival_matrix(G: np.ndarray, grid) -> np.ndarray:
-    """S(t|x_i) for every instance (rows) at every grid time (columns)."""
+def survival_matrix(hazards, grid) -> np.ndarray:
+    """S(t|x_i) = exp(-hazard_i * t) for every record (rows) at every grid
+    time (columns).  S(0) = 1 in every row, also where a hazard is +inf."""
     grid = np.asarray(grid, dtype=float)
-    if np.any(grid < 0):
+    if (grid < 0).any():
         raise DomainError("time grid must be nonnegative")
-    with np.errstate(over="ignore"):
-        lam = np.exp(np.asarray(G, dtype=float))
-    return np.exp(-np.outer(lam, grid))
+    with np.errstate(invalid="ignore", over="ignore"):
+        minus_lam_t = np.outer(-np.asarray(hazards, dtype=float), grid)
+    # an infinite hazard makes inf * 0 = nan at t = 0
+    minus_lam_t[:, grid == 0] = 0.0
+    return np.exp(minus_lam_t, out=minus_lam_t)
 
 
-def population_curve(net: Network, X, grid) -> np.ndarray:
-    """Dataset average of instance survival curves on the grid."""
-    X = np.asarray(X, dtype=float)
-    if X.size == 0:
-        raise DomainError("population curve needs at least one instance")
-    return survival_matrix(scores_for(net, X), grid).mean(axis=0)
-
-
-def population_curve_from_hazards(hazards, grid) -> np.ndarray:
-    """Average survival curve from explicit per-instance hazard rates."""
+def population_curve(hazards, grid) -> np.ndarray:
+    """Dataset average of the records' survival curves on the grid."""
     hazards = np.asarray(hazards, dtype=float)
     if hazards.size == 0:
         raise DomainError("population curve needs at least one instance")
-    grid = np.asarray(grid, dtype=float)
-    with np.errstate(invalid="ignore"):
-        return np.exp(-np.outer(hazards, grid)).mean(axis=0)
+    return survival_matrix(hazards, grid).mean(axis=0)
 
 
-def survival_quantiles(net: Network, X, grid, q_lo: float = 0.05,
-                       q_hi: float = 0.95):
+def survival_quantiles(hazards, grid, q_lo: float = 0.05, q_hi: float = 0.95):
     """Pointwise survival-band curves at the q_lo and q_hi levels.
 
-    Survival is strictly decreasing in the score, so the q-quantile of the
-    instance survival values equals the curve at the (1-q) order-statistic
-    quantile of G (method "higher", matching method "lower" in S-space).
+    Survival is strictly decreasing in the hazard, so the q-quantile of the
+    record survival values equals the curve at the (1-q) order-statistic
+    quantile of the hazards (method "higher", matching method "lower" in
+    S-space).
     """
-    X = np.asarray(X, dtype=float)
-    if X.size == 0:
+    hazards = np.asarray(hazards, dtype=float)
+    if hazards.size == 0:
         raise DomainError("quantile curves need at least one instance")
-    G = scores_for(net, X)
-    g_for_lo = np.quantile(G, 1.0 - q_lo, method="higher")
-    g_for_hi = np.quantile(G, 1.0 - q_hi, method="higher")
-    lo = survival_matrix(np.array([g_for_lo]), grid)[0]
-    hi = survival_matrix(np.array([g_for_hi]), grid)[0]
+    lo, hi = survival_matrix(
+        np.quantile(hazards, [1.0 - q_lo, 1.0 - q_hi], method="higher"), grid)
     return lo, hi
 
 
-def default_time_grid(times, n_points: int = 100) -> np.ndarray:
-    """Evenly spaced evaluation grid from 0 to the maximum observed time."""
-    tmax = float(np.max(times))
-    return np.linspace(0.0, tmax, n_points)
+def default_time_grid(times) -> np.ndarray:
+    """100 evenly spaced curve times from 0 to the maximum observed time."""
+    # curves start at t = 0, where every survival curve reads 1
+    return np.linspace(0.0, float(np.max(times)), 100)
 
+
+def evaluation_grid(times) -> np.ndarray:
+    """100 positive Brier horizons spanning (0, max observed time]."""
+    # Brier horizons leave out t = 0: adding it would move every ibs value
+    return np.linspace(0.0, float(np.max(times)), 101)[1:]

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -217,6 +218,27 @@ class TestTrainCommand:
         assert resolved["max_epochs"] == 7      # flag beats file
         assert resolved["batch_size"] == 16     # file beats default
 
+    def test_method_from_config_file_alone(self, toy_csv, tmp_path):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("[train]\nmethod = noise\nmax_epochs = 2\n"
+                       "warmup_epochs = 0\nramp_epochs = 1\n")
+        out = tmp_path / "o3"
+        code = run_cli(["train", "--dataset", toy_csv, "--config", cfg,
+                        "--out", out])
+        assert code == 0
+        doc = json.loads((out / "checkpoint.ckpt.json").read_text())
+        assert doc["config"]["method"] == "noise"
+
+    def test_no_method_anywhere_exits_2(self, toy_csv, tmp_path, capsys):
+        cfg = tmp_path / "cfg.ini"
+        cfg.write_text("[train]\nmax_epochs = 2\n")
+        for extra in ([], ["--config", cfg]):
+            code = run_cli(["train", "--dataset", toy_csv,
+                            "--out", tmp_path / "o4", *extra])
+            assert code == 2
+            assert "--method" in capsys.readouterr().err
+            assert not os.path.exists(tmp_path / "o4")
+
 
 class TestEvaluateCommand:
     def test_default_grid_has_twelve_points(self, trained_dir, toy_csv,
@@ -362,19 +384,29 @@ class TestEvaluateCommand:
             outs.append(file_digest(out / "metrics.csv"))
         assert outs[0] == outs[1]
 
-    def test_parallel_jobs_match_sequential(self, trained_dir, toy_csv,
-                                            tmp_path):
-        texts = []
-        for sub, jobs in (("j1", "1"), ("j2", "2")):
-            out = tmp_path / sub
-            code = run_cli(["evaluate", "--model",
-                            os.path.join(trained_dir, "checkpoint.ckpt.json"),
-                            "--dataset", toy_csv, "--attack", "worstcase",
-                            "--eps-grid", "0,0.3,0.6", "--out", out,
-                            "--jobs", jobs])
-            assert code == 0
-            texts.append((out / "metrics.csv").read_text())
-        assert texts[0] == texts[1]
+    def test_overflowed_hazard_curves_start_at_one(self, trained_dir, toy_csv,
+                                                   tmp_path):
+        # an output bias of 800 overflows every record's hazard to +inf
+        with open(os.path.join(trained_dir, "checkpoint.ckpt.json")) as fh:
+            doc = json.load(fh)
+        doc["biases"][-1] = [800.0]
+        ck = tmp_path / "huge.ckpt.json"
+        ck.write_text(json.dumps(doc))
+        out = tmp_path / "e_inf"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli(["evaluate", "--model", ck, "--dataset", toy_csv,
+                            "--attack", "worstcase", "--eps-grid", "0,0.5",
+                            "--out", out])
+        assert code == 0
+        names = sorted(n for n in os.listdir(out / "curves")
+                       if n.startswith(("population_", "quantile_")))
+        assert len(names) == 5
+        for name in names:
+            with open(out / "curves" / name, newline="") as fh:
+                rows = list(csv.reader(fh))
+            assert float(rows[1][0]) == 0.0
+            assert float(rows[1][1]) == 1.0, name
 
 
 class TestReportCommand:

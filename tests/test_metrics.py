@@ -21,8 +21,7 @@ from certsurv.metrics import (AggregationError, DEFAULT_EPS_GRID,
                               write_metrics_csv)
 from certsurv.bounds import worst_case_log_hazard_batch
 from certsurv.network import forward_batch
-from certsurv.survival import (StepCurve, km_estimator,
-                               population_curve_from_hazards)
+from certsurv.survival import StepCurve, km_estimator, population_curve
 from certsurv.training import TrainConfig
 
 from conftest import random_net
@@ -30,7 +29,7 @@ from conftest import random_net
 
 def _worst_case_curve(net, X, eps, grid):
     """Population curve under per-record certified-maximum hazards."""
-    return population_curve_from_hazards(
+    return population_curve(
         np.exp(worst_case_log_hazard_batch(net, X, eps)), grid)
 
 
@@ -348,7 +347,7 @@ class TestAttackSweep:
         assert sorted(seen) == [0.0, 0.5, 1.0]
         for eps, hazards in seen.items():
             np.testing.assert_array_equal(
-                population_curve_from_hazards(hazards, grid),
+                population_curve(hazards, grid),
                 _worst_case_curve(net, test.X, eps, grid))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])

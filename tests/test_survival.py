@@ -1,17 +1,23 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from certsurv.network import Network
+from certsurv.network import Network, forward_batch
 from certsurv.survival import (DomainError, StepCurve, hazard, km_estimator,
                                log_pdf, log_survival, population_curve,
-                               scores_for, survival, survival_matrix,
-                               survival_quantiles)
+                               survival, survival_matrix, survival_quantiles)
 
 
 def linear_net(weight, bias=0.0):
     return Network([1, 1], [np.array([[float(weight)]])],
                    [np.array([float(bias)])])
+
+
+def hazards_of(net, X):
+    """The net's per-record hazards exp(G(x)) on the rows of X."""
+    return np.exp(forward_batch(net, np.asarray(X, dtype=float))[0])
 
 
 class TestPointwiseFunctions:
@@ -71,34 +77,33 @@ class TestPopulationCurve:
     def test_single_instance_is_instance_curve(self):
         net = linear_net(0.0, 0.0)
         grid = np.array([0.0, 1.0, 2.0])
-        pc = population_curve(net, np.zeros((1, 1)), grid)
+        pc = population_curve(hazards_of(net, np.zeros((1, 1))), grid)
         assert np.allclose(pc, np.exp(-grid))
 
     def test_identical_instances(self):
         net = linear_net(0.0, 0.0)
         grid = np.linspace(0, 3, 7)
-        pc = population_curve(net, np.zeros((2, 1)), grid)
+        pc = population_curve(hazards_of(net, np.zeros((2, 1))), grid)
         assert np.allclose(pc, np.exp(-grid))
 
     def test_hand_average(self):
         # scores 0 and ln 2 at t=1: (e^-1 + e^-2) / 2
         net = linear_net(np.log(2.0), 0.0)
         X = np.array([[0.0], [1.0]])
-        pc = population_curve(net, X, np.array([1.0]))
+        pc = population_curve(hazards_of(net, X), np.array([1.0]))
         assert pc[0] == pytest.approx(0.5 * (np.exp(-1) + np.exp(-2)), abs=1e-6)
 
     def test_empty_rejected(self):
-        net = linear_net(1.0)
         with pytest.raises(DomainError):
-            population_curve(net, np.zeros((0, 1)), [0.0, 1.0])
+            population_curve(np.zeros(0), [0.0, 1.0])
 
     def test_equals_mean_of_instance_curves(self):
         rng = np.random.default_rng(1)
         net = linear_net(1.3, -0.2)
         X = rng.normal(size=(20, 1))
         grid = np.linspace(0, 5, 11)
-        pc = population_curve(net, X, grid)
-        inst = survival_matrix(scores_for(net, X), grid)
+        pc = population_curve(hazards_of(net, X), grid)
+        inst = survival_matrix(hazards_of(net, X), grid)
         assert np.allclose(pc, inst.mean(axis=0), atol=1e-12)
 
 
@@ -107,8 +112,8 @@ class TestSurvivalQuantiles:
         net = linear_net(0.0, 0.7)
         X = np.zeros((10, 1))
         grid = np.linspace(0, 2, 5)
-        lo, hi = survival_quantiles(net, X, grid)
-        pc = population_curve(net, X, grid)
+        lo, hi = survival_quantiles(hazards_of(net, X), grid)
+        pc = population_curve(hazards_of(net, X), grid)
         assert np.allclose(lo, pc)
         assert np.allclose(hi, pc)
 
@@ -117,8 +122,8 @@ class TestSurvivalQuantiles:
         net = linear_net(1.0, 0.0)
         X = np.linspace(-2, 2, 100)[:, None]
         grid = np.array([1.0])
-        lo, hi = survival_quantiles(net, X, grid, 0.05, 0.95)
-        G = scores_for(net, X)
+        lo, hi = survival_quantiles(hazards_of(net, X), grid, 0.05, 0.95)
+        G = forward_batch(net, X)[0]
         g_hi = np.quantile(G, 0.95, method="higher")
         assert lo[0] == pytest.approx(np.exp(-np.exp(g_hi) * 1.0), rel=1e-12)
 
@@ -126,10 +131,41 @@ class TestSurvivalQuantiles:
         net = linear_net(1.0, 0.2)
         X = np.array([[-1.0], [0.3], [0.9]])
         grid = np.linspace(0.1, 4.0, 6)
-        lo, hi = survival_quantiles(net, X, grid, 0.05, 0.95)
-        surv = survival_matrix(scores_for(net, X), grid)
+        lo, hi = survival_quantiles(hazards_of(net, X), grid, 0.05, 0.95)
+        surv = survival_matrix(hazards_of(net, X), grid)
         assert np.allclose(lo, np.quantile(surv, 0.05, axis=0, method="lower"))
         assert np.allclose(hi, np.quantile(surv, 0.95, axis=0, method="lower"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 200),
+       st.sampled_from(["spread", "tied", "extreme"]))
+def test_curves_equal_exp_of_scores_bit_for_bit(seed, n, scores):
+    """The hazard-keyed curves give the bits of the score-keyed formulas."""
+    rng = np.random.default_rng(seed)
+    G = {"spread": lambda: rng.normal(0.0, 3.0, size=n),
+         "tied": lambda: rng.choice([-2.0, 0.0, 0.5, 3.0], size=n),
+         "extreme": lambda: rng.uniform(-700.0, 700.0, size=n)}[scores]()
+    grid = np.linspace(0.0, rng.uniform(0.1, 20.0), 100)
+    got = population_curve(np.exp(G), grid)
+    assert got.tobytes() == np.exp(-np.outer(np.exp(G), grid)).mean(0).tobytes()
+    for curve, q in zip(survival_quantiles(np.exp(G), grid), (0.05, 0.95)):
+        g = np.quantile(G, 1.0 - q, method="higher")
+        assert curve.tobytes() == np.exp(-np.exp(g) * grid).tobytes()
+
+
+def test_infinite_hazard_survives_to_time_zero_quietly():
+    grid = np.array([0.0, 0.5, 1.0])
+    hazards = np.array([np.inf, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        S = survival_matrix(hazards, grid)
+        pc = population_curve(hazards, grid)
+        lo, hi = survival_quantiles(hazards, grid)
+    np.testing.assert_array_equal(S[:, 0], [1.0, 1.0])
+    np.testing.assert_array_equal(S[0, 1:], [0.0, 0.0])
+    assert pc[0] == lo[0] == hi[0] == 1.0
+    assert not np.isnan(np.concatenate([pc, lo, hi])).any()
 
 
 class TestKaplanMeier:
