@@ -16,11 +16,11 @@ from .bounds import (LayerBounds, PerturbationSet, ScalarBounds,
                      crown_ibp_bounds, ibp_bounds, worst_case_hazard)
 from .survival import (StepCurve, hazard, km_estimator, log_pdf, log_survival,
                        population_curve, survival, survival_quantiles)
-from .losses import (Batch, LossBreakdown, certified_upper_loss,
-                     combined_loss, fgsm_perturb, loglik, noise_perturb,
-                     pgd_perturb, rank_loss, sawar_loss)
-from .data import (FeatureCodec, RawDataset, SplitDataset, SurvivalDataset,
-                   apply_codec, fit_codec, load_csv, stratified_split)
+from .losses import (LossBreakdown, certified_upper_loss, combined_loss,
+                     fgsm_perturb, loglik, noise_perturb, pgd_perturb,
+                     rank_loss, sawar_loss)
+from .data import (Batch, FeatureCodec, RawDataset, SplitDataset, apply_codec,
+                   fit_codec, load_csv, split_indices, stratified_split)
 from .training import (TrainConfig, TrainReport, eps_schedule,
                        load_checkpoint, save_checkpoint, train)
 from .metrics import (MetricRecord, RankTable, attack_sweep, average_ranks,

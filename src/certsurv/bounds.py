@@ -30,7 +30,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .network import Network, ParamGrads, ShapeError, leaky_relu, leaky_relu_grad
+from .network import (Network, ParamGrads, _check_batch, leaky_relu,
+                      leaky_relu_grad)
 from .survival import hazard
 
 
@@ -206,9 +207,7 @@ def _backward_pass(net: Network, X, eps, up_slope, up_icpt, low_slope):
 
 def crown_ibp_batch_tape(net: Network, X, eps: float):
     """Refined bounds for every row of X, plus the full adjoint tape."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != net.input_dim:
-        raise ShapeError(f"expected (batch, {net.input_dim}), got {X.shape}")
+    X = _check_batch(net, X)
     eps = float(eps)
     _check_radius(eps)
     lows, ups, centers, radii = _interval_forward(net, X, eps)
@@ -335,9 +334,7 @@ def crown_ibp_batch_vjp(net: Network, tape: BoundTape, dlb, dub):
 
 def ibp_bounds(net: Network, pset: PerturbationSet):
     """Interval output bounds plus all pre-activation layer bounds."""
-    X = pset.center[None, :]
-    if X.shape[1] != net.input_dim:
-        raise ShapeError(f"center has dim {X.shape[1]}, net expects {net.input_dim}")
+    X = _check_batch(net, pset.center[None, :])
     lows, ups, _, _ = _interval_forward(net, X, pset.eps)
     layer = LayerBounds([l[0] for l in lows], [u[0] for u in ups])
     return ScalarBounds(float(lows[-1][0, 0]), float(ups[-1][0, 0])), layer

@@ -22,11 +22,12 @@ import sys
 import numpy as np
 
 from . import __version__
-from .data import (CodecError, FormatError, RowError, atomic_open, load_csv,
-                   stratified_split, write_csv)
+from .data import (CodecError, FormatError, RowError, apply_codec,
+                   atomic_open, load_csv, split_indices, stratified_split,
+                   write_csv)
 from .metrics import (ATTACKS, DEFAULT_EPS_GRID, AggregationError,
-                      attack_sweep, censoring_km, emit_report,
-                      read_metrics_csv, report_tables)
+                      attack_sweep, emit_report, read_metrics_csv,
+                      report_tables)
 from .network import TrainingDivergenceError, forward_batch
 from .survival import (default_time_grid, hazard, km_estimator,
                        population_curve, survival_quantiles)
@@ -116,15 +117,6 @@ def _resolve_train_config(args: argparse.Namespace) -> TrainConfig:
         raise CliError(f"invalid configuration: {exc}", EXIT_CONFIG) from exc
 
 
-def _load_split(dataset_path: str, seed: int, normalize_onehot: bool = False):
-    try:
-        raw = load_csv(dataset_path)
-        return raw, stratified_split(raw, seed=seed,
-                                     normalize_onehot=normalize_onehot)
-    except (FormatError, RowError, CodecError, OSError) as exc:
-        raise CliError(f"data error: {exc}", EXIT_DATA) from exc
-
-
 def cmd_train(args: argparse.Namespace) -> int:
     config = _resolve_train_config(args)
     name = os.path.splitext(os.path.basename(args.dataset))[0]
@@ -132,7 +124,8 @@ def cmd_train(args: argparse.Namespace) -> int:
         _out_root(), f"train_{name}_{config.method}_s{config.seed}"
     )
     _write_manifest(out_dir, "train", args, config, [args.dataset])
-    raw, split = _load_split(args.dataset, config.seed, config.normalize_onehot)
+    split = stratified_split(load_csv(args.dataset), config.seed,
+                             config.normalize_onehot)
     try:
         net, report = train(config, split)
     except TrainingDivergenceError as exc:
@@ -169,27 +162,19 @@ def _parse_eps_grid(raw: str | None):
 def cmd_evaluate(args: argparse.Namespace) -> int:
     eps_grid = _parse_eps_grid(args.eps_grid)
     net, codec, config = load_checkpoint(args.model)
+    if codec is None:
+        raise CliError(f"data error: checkpoint {args.model} has no feature "
+                       "codec", EXIT_DATA)
     name = os.path.splitext(os.path.basename(args.dataset))[0]
     out_dir = args.out or os.path.join(
         _out_root(), f"eval_{name}_{config.method}_{args.attack}_s{config.seed}"
     )
     _write_manifest(out_dir, "evaluate", args, config, [args.dataset])
-    raw, split = _load_split(args.dataset, config.seed, config.normalize_onehot)
-    if codec is not None:
-        same_cols = (codec.fac_levels.keys() <= raw.fac.keys()
-                     and codec.num_stats.keys() <= raw.num.keys())
-        if not same_cols or codec.dim != net.input_dim:
-            raise CliError(
-                "data error: checkpoint codec does not match the dataset "
-                f"(codec dim {codec.dim}, net input {net.input_dim})",
-                EXIT_DATA,
-            )
-        if split.codec.dim != codec.dim:
-            raise CliError(
-                f"data error: dataset encodes to {split.codec.dim} features "
-                f"but the checkpoint expects {codec.dim}", EXIT_DATA)
-    test = split.test
-    ckm = censoring_km(split.train)
+    raw = load_csv(args.dataset)
+    train_idx, _, test_idx = split_indices(raw, config.seed)
+    test = apply_codec(codec, raw.take(test_idx))
+    # censoring distribution of the training rows (events flipped)
+    ckm = km_estimator(raw.time[train_idx], 1 - raw.event[train_idx])
     curve_grid = default_time_grid(test.t)
     clean_hazards = hazard(forward_batch(net, test.X)[0])
     lo, hi = survival_quantiles(clean_hazards, curve_grid)

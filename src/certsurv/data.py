@@ -7,16 +7,22 @@ prefixed `fac_`; other columns are ignored with a warning.  `load_csv`
 converts each column once into a `RawDataset`: float arrays for `time` and
 each `num_*` column (NaN where missing), an int `event` array, and per
 `fac_*` column a string array whose missing-value spellings are already
-`__missing__`, so no other code knows them.  Encoding is one binary column
-per observed level plus numeric columns standardized with training-row
-statistics.  Output files are written through `atomic_open`, so a failed
-write never leaves a partial file.
+`__missing__`, so no other code knows them.  A `FeatureCodec`, fitted on a
+split's training rows and saved in the checkpoint, is the model's one
+encoding: one binary column per training level of a factor (an unseen level
+encodes as zeros) and numeric columns standardized with the training mean
+and std, a missing value taking the training median.  It ignores columns it
+does not name; a column it names that the data lacks is a `CodecError`, and
+`FeatureCodec.from_dict` refuses a codec that `fit_codec` could not make.
+Encoded rows are a `Batch`.  Output files are written through `atomic_open`,
+so a failed write never leaves a partial file.
 """
 
 from __future__ import annotations
 
 import csv
 import logging
+import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -93,16 +99,27 @@ class RawDataset:
 
 
 @dataclass
-class SurvivalDataset:
-    """Dense encoded design matrix with outcomes."""
+class Batch:
+    """Covariate rows with observed times and event indicators."""
 
     X: np.ndarray
     t: np.ndarray
     e: np.ndarray
-    feature_names: list[str]
+
+    def __post_init__(self):
+        self.X = np.asarray(self.X, dtype=float)
+        self.t = np.asarray(self.t, dtype=float)
+        self.e = np.asarray(self.e, dtype=int)
+        if self.X.ndim != 2 or len(self.X) == 0:
+            raise ValueError("batch must be a nonempty 2-d covariate matrix")
+        if not (len(self.X) == len(self.t) == len(self.e)):
+            raise ValueError("X, t, e must have equal length")
 
     def __len__(self) -> int:
         return len(self.X)
+
+    def with_X(self, X: np.ndarray) -> "Batch":
+        return Batch(X, self.t, self.e)
 
 
 @dataclass
@@ -112,9 +129,17 @@ class FeatureCodec:
     fac_levels: dict[str, list[str]]
     num_stats: dict[str, tuple[float, float]]   # column -> (mean, std)
     num_medians: dict[str, float]
-    feature_names: list[str] = field(default_factory=list)
     normalize_onehot: bool = False
     onehot_stats: dict[str, tuple[float, float]] = field(default_factory=dict)
+
+    @property
+    def onehot_names(self) -> list[str]:
+        return [f"{c}={lv}" for c, levels in self.fac_levels.items()
+                for lv in levels]
+
+    @property
+    def feature_names(self) -> list[str]:
+        return self.onehot_names + list(self.num_stats)
 
     @property
     def dim(self) -> int:
@@ -132,15 +157,30 @@ class FeatureCodec:
 
     @staticmethod
     def from_dict(d: dict) -> "FeatureCodec":
-        return FeatureCodec(
+        """Inverse of to_dict; ValueError for a codec fit_codec cannot make."""
+        codec = FeatureCodec(
             {k: list(v) for k, v in d["fac_levels"].items()},
             {k: (float(v[0]), float(v[1])) for k, v in d["num_stats"].items()},
             {k: float(v) for k, v in d["num_medians"].items()},
-            list(d["feature_names"]),
             bool(d.get("normalize_onehot", False)),
             {k: (float(v[0]), float(v[1]))
              for k, v in d.get("onehot_stats", {}).items()},
         )
+        if not all(isinstance(lv, str) for lvs in codec.fac_levels.values()
+                   for lv in lvs):
+            raise ValueError("codec levels must be strings")
+        if list(d["feature_names"]) != codec.feature_names:
+            raise ValueError("codec feature_names must list its levels and "
+                             "numeric columns in order")
+        onehot = [codec.onehot_stats.get(name, (0.0, math.nan))
+                  for name in codec.onehot_names if codec.normalize_onehot]
+        for mean, std in (*codec.num_stats.values(), *onehot):
+            if not (math.isfinite(mean) and math.isfinite(std) and std > 0.0):
+                raise ValueError("codec needs finite means and stds, stds > 0")
+        if not all(math.isfinite(codec.num_medians.get(c, math.nan))
+                   for c in codec.num_stats):
+            raise ValueError("codec needs a finite median per numeric column")
+        return codec
 
 
 def _floats(cells):
@@ -176,6 +216,8 @@ def load_csv(path, name: str | None = None) -> RawDataset:
             lines = list(reader)
     except UnicodeDecodeError as exc:
         raise FormatError(f"{name}: not UTF-8 ({exc.reason})") from None
+    except OSError as exc:
+        raise FormatError(f"{name}: cannot read ({exc.strerror})") from None
     except csv.Error as exc:
         raise FormatError(f"{name}: line {reader.line_num}: {exc}") from None
     if not lines:
@@ -250,7 +292,6 @@ def load_csv(path, name: str | None = None) -> RawDataset:
 
 
 def _onehot(col: np.ndarray, levels: list[str]) -> np.ndarray:
-    # unseen levels encode as an all-zero row
     return (col[:, None] == np.array(levels, dtype=object)).astype(float)
 
 
@@ -273,12 +314,9 @@ def fit_codec(raw: RawDataset, normalize_onehot: bool = False) -> FeatureCodec:
             continue
         num_stats[c] = (mean, std)
         num_medians[c] = med
-    names = [f"{c}={lv}" for c, levels in fac_levels.items() for lv in levels]
-    names.extend(num_stats)
-    if not names:
+    codec = FeatureCodec(fac_levels, num_stats, num_medians, normalize_onehot)
+    if not codec.dim:
         raise CodecError("no usable feature columns after fitting")
-    codec = FeatureCodec(fac_levels, num_stats, num_medians, names,
-                         normalize_onehot)
     if normalize_onehot:
         for c, levels in fac_levels.items():
             block = _onehot(raw.fac[c], levels)
@@ -289,10 +327,17 @@ def fit_codec(raw: RawDataset, normalize_onehot: bool = False) -> FeatureCodec:
     return codec
 
 
-def apply_codec(codec: FeatureCodec, raw: RawDataset) -> SurvivalDataset:
-    """Encode records with a fitted codec (train statistics, never refitted)."""
+def apply_codec(codec: FeatureCodec, raw: RawDataset) -> Batch:
+    """Encode records with a fitted codec: its levels and training
+    statistics, never refitted.  Columns the codec does not name are
+    ignored and a level it has not seen encodes as zeros in its factor's
+    indicators; a codec column missing from raw raises CodecError."""
     if codec.dim == 0:
         raise CodecError("codec has no features")
+    missing = [c for c in codec.fac_levels if c not in raw.fac]
+    missing += [c for c in codec.num_stats if c not in raw.num]
+    if missing:
+        raise CodecError(f"{raw.name}: lacks codec column(s) {missing}")
     blocks = []
     for c, levels in codec.fac_levels.items():
         block = _onehot(raw.fac[c], levels)
@@ -305,15 +350,17 @@ def apply_codec(codec: FeatureCodec, raw: RawDataset) -> SurvivalDataset:
         vals = raw.num[c]
         vals = np.where(np.isnan(vals), codec.num_medians[c], vals)
         blocks.append(((vals - mean) / std)[:, None])
-    return SurvivalDataset(np.hstack(blocks), raw.time, raw.event,
-                           list(codec.feature_names))
+    X = np.hstack(blocks)
+    if not np.isfinite(X).all():
+        raise CodecError(f"{raw.name}: a value overflows when standardized")
+    return Batch(X, raw.time, raw.event)
 
 
 @dataclass
 class SplitDataset:
-    train: SurvivalDataset
-    validation: SurvivalDataset
-    test: SurvivalDataset
+    train: Batch
+    validation: Batch
+    test: Batch
     codec: FeatureCodec
     seed: int
     train_idx: np.ndarray = None
@@ -321,15 +368,9 @@ class SplitDataset:
     test_idx: np.ndarray = None
 
 
-def _allocate(n: int) -> tuple[int, int]:
-    n_train = int(round(0.6 * n))
-    n_val = int(round(0.2 * n))
-    return n_train, n_val
-
-
-def stratified_split(raw: RawDataset, seed: int = 0,
-                     normalize_onehot: bool = False) -> SplitDataset:
-    """Event-stratified 60/20/20 split; the codec is fitted on train only."""
+def split_indices(raw: RawDataset, seed: int = 0):
+    """(train, validation, test) row indices of an event-stratified
+    60/20/20 split."""
     if len(raw) < 10:
         raise FormatError(f"{raw.name}: need at least 10 rows to split")
     rng = np.random.default_rng(seed)
@@ -337,20 +378,21 @@ def stratified_split(raw: RawDataset, seed: int = 0,
     if classes.size < 2:
         log.warning("%s: single event class; falling back to a plain shuffle",
                     raw.name)
-        idx = rng.permutation(len(raw))
-        n_tr, n_va = _allocate(len(raw))
-        parts = (idx[:n_tr], idx[n_tr:n_tr + n_va], idx[n_tr + n_va:])
-    else:
-        tr, va, te = [], [], []
-        for cls in classes:
-            cls_idx = np.flatnonzero(raw.event == cls)
-            cls_idx = cls_idx[rng.permutation(cls_idx.size)]
-            n_tr, n_va = _allocate(cls_idx.size)
-            tr.append(cls_idx[:n_tr])
-            va.append(cls_idx[n_tr:n_tr + n_va])
-            te.append(cls_idx[n_tr + n_va:])
-        parts = (np.sort(np.concatenate(tr)), np.sort(np.concatenate(va)),
-                 np.sort(np.concatenate(te)))
+    cuts = []
+    for cls in classes:
+        idx = np.flatnonzero(raw.event == cls)
+        idx = idx[rng.permutation(idx.size)]
+        n_tr = round(0.6 * idx.size)
+        cuts.append(np.split(idx, [n_tr, n_tr + round(0.2 * idx.size)]))
+    # a stratified part lists its rows in file order, a plain shuffle not
+    order = np.sort if classes.size > 1 else np.asarray
+    return tuple(order(np.concatenate(part)) for part in zip(*cuts))
+
+
+def stratified_split(raw: RawDataset, seed: int = 0,
+                     normalize_onehot: bool = False) -> SplitDataset:
+    """The split_indices split, encoded by a codec fitted on train only."""
+    parts = split_indices(raw, seed)
     codec = fit_codec(raw.take(parts[0]), normalize_onehot)
     return SplitDataset(*(apply_codec(codec, raw.take(p)) for p in parts),
                         codec, seed, *parts)

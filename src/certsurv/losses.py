@@ -38,6 +38,7 @@ import numpy as np
 
 from .bounds import (_check_radius, crown_ibp_batch_tape,
                      crown_ibp_batch_vjp)
+from .data import Batch
 from .network import (Network, ParamGrads, backward_batch, forward_batch,
                       input_grads_batch)
 
@@ -51,33 +52,6 @@ log = logging.getLogger(__name__)
 # for pgd training (2,944 with the full pair matrix in a reused buffer), and
 # 802 against 127,426 for sawar training, which is then 13% slower.
 np.empty(1 << 20)
-
-
-@dataclass
-class Batch:
-    """Covariate rows with observed times and event indicators."""
-
-    X: np.ndarray
-    t: np.ndarray
-    e: np.ndarray
-    indices: np.ndarray | None = None
-
-    def __post_init__(self):
-        self.X = np.asarray(self.X, dtype=float)
-        self.t = np.asarray(self.t, dtype=float)
-        self.e = np.asarray(self.e, dtype=int)
-        if self.X.ndim != 2 or len(self.X) == 0:
-            raise ValueError("batch must be a nonempty 2-d covariate matrix")
-        if not (len(self.X) == len(self.t) == len(self.e)):
-            raise ValueError("X, t, e must have equal length")
-        if self.indices is None:
-            self.indices = np.arange(len(self.X))
-
-    def __len__(self) -> int:
-        return len(self.X)
-
-    def with_X(self, X: np.ndarray) -> "Batch":
-        return Batch(X, self.t, self.e, self.indices)
 
 
 @dataclass

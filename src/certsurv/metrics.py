@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import worst_case_log_hazard_batch
-from .data import FormatError, SurvivalDataset, atomic_open, write_csv
-from .losses import Batch, fgsm_perturb
+from .data import Batch, FormatError, atomic_open, write_csv
+from .losses import fgsm_perturb
 from .network import Network, forward_batch
 from .survival import (StepCurve, evaluation_grid, hazard, km_estimator,
                        survival_matrix)
@@ -196,13 +196,13 @@ def read_metrics_csv(path) -> list[MetricRecord]:
     return records
 
 
-def censoring_km(train: SurvivalDataset) -> StepCurve:
+def censoring_km(train: Batch) -> StepCurve:
     """Kaplan-Meier curve of the censoring distribution (events flipped)."""
     return km_estimator(train.t, 1 - train.e)
 
 
-def _metrics_from_hazards(hazards, test: SurvivalDataset,
-                          censor_km: StepCurve, grid) -> tuple:
+def _metrics_from_hazards(hazards, test: Batch, censor_km: StepCurve,
+                          grid) -> tuple:
     hazards = np.asarray(hazards, dtype=float)
     # overflowed (+inf) or undefined (NaN) hazards flag every metric
     nonfinite = not bool(np.isfinite(hazards).all())
@@ -219,12 +219,11 @@ def _metrics_from_hazards(hazards, test: SurvivalDataset,
     return ci, ibs, negll, ci_flag, ibs_flag, negll_flag
 
 
-def attack_hazards(net: Network, test: SurvivalDataset, attack: str,
-                   eps: float, config: TrainConfig) -> np.ndarray:
+def attack_hazards(net: Network, test: Batch, attack: str, eps: float,
+                   config: TrainConfig) -> np.ndarray:
     """Per-record hazard rates under the chosen evaluation attack."""
     if attack == "fgsm":
-        batch = Batch(test.X, test.t, test.e)
-        perturbed = fgsm_perturb(net, batch, eps, config.w, config.sigma,
+        perturbed = fgsm_perturb(net, test, eps, config.w, config.sigma,
                                  config.fgsm_sign_mode)
         G, _ = forward_batch(net, perturbed.X)
     elif attack == "worstcase":
@@ -234,7 +233,7 @@ def attack_hazards(net: Network, test: SurvivalDataset, attack: str,
     return hazard(G)
 
 
-def attack_sweep(net: Network, test: SurvivalDataset, attack: str, eps_grid,
+def attack_sweep(net: Network, test: Batch, attack: str, eps_grid,
                  config: TrainConfig, censor_km: StepCurve,
                  dataset_name: str = "", method_name: str = "",
                  seed: int = 0, on_hazards=None) -> list[MetricRecord]:

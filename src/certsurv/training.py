@@ -18,8 +18,8 @@ from dataclasses import asdict, astuple, dataclass, field, fields
 
 import numpy as np
 
-from .data import FeatureCodec, SplitDataset, atomic_open, write_csv
-from .losses import (Batch, LossBreakdown, _clean_engine, _comparable_pairs,
+from .data import Batch, FeatureCodec, SplitDataset, atomic_open, write_csv
+from .losses import (LossBreakdown, _clean_engine, _comparable_pairs,
                      _resolve_w, combined_loss, fgsm_perturb, noise_perturb,
                      pgd_perturb, sawar_loss_grads)
 from .network import (Network, TrainingDivergenceError, adam_step,
@@ -251,8 +251,6 @@ def train(config: TrainConfig, split: SplitDataset):
     best_epoch = -1
     stale = 0
     n = len(tr.X)
-    val = split.validation
-    val_batch = Batch(val.X, val.t, val.e)
     last_good = net
     for epoch in range(config.max_epochs):
         eps = eps_schedule(config, epoch)
@@ -263,7 +261,7 @@ def train(config: TrainConfig, split: SplitDataset):
         epoch_finite = False
         for b0 in range(0, n, config.batch_size):
             idx = order[b0:b0 + config.batch_size]
-            batch = Batch(tr.X[idx], tr.t[idx], tr.e[idx], idx)
+            batch = Batch(tr.X[idx], tr.t[idx], tr.e[idx])
             breakdown, pgrads = _batch_loss_grads(net, batch, config, eps,
                                                   epoch, n_batches)
             try:
@@ -283,7 +281,8 @@ def train(config: TrainConfig, split: SplitDataset):
             raise TrainingDivergenceError(
                 f"no finite training loss in epoch {epoch}", last_good=last_good
             )
-        val_loss = _validation_loss(net, val_batch, config, eps, epoch)
+        val_loss = _validation_loss(net, split.validation, config, eps,
+                                    epoch)
         avg = sums / n_batches
         report.rows.append(EpochRow(epoch, eps, *avg, val_loss))
         if epoch >= guard:
@@ -363,4 +362,7 @@ def load_checkpoint(path):
                               f"match layer_dims {dims}")
     if not all(np.isfinite(p).all() for p in (*net.weights, *net.biases)):
         raise CheckpointError(f"checkpoint {path} has non-finite parameters")
+    if codec is not None and codec.dim != net.input_dim:
+        raise CheckpointError(f"checkpoint {path}: codec encodes {codec.dim} "
+                              f"features but layer_dims[0] is {net.input_dim}")
     return net, codec, config

@@ -31,6 +31,29 @@ def cli_env():
     return env
 
 
+def _drop_last_numeric(codec):
+    name = codec["feature_names"].pop()
+    del codec["num_stats"][name], codec["num_medians"][name]
+
+
+def _int_level(codec):
+    # the feature names follow, so only the level's type is wrong
+    codec["fac_levels"]["fac_grade"][0] = 1
+    codec["feature_names"][0] = "fac_grade=1"
+
+
+# Edits to the saved codec (a dict) of a model fitted on data/stagec.csv
+# that make it unusable; each must be refused when the checkpoint loads.
+BAD_CODEC_EDITS = {
+    "width": _drop_last_numeric,
+    "std_zero": lambda c: c["num_stats"]["num_age"].__setitem__(1, 0.0),
+    "std_nan": lambda c: c["num_stats"]["num_age"].__setitem__(1, np.nan),
+    "median_nan": lambda c: c["num_medians"].__setitem__("num_age", np.nan),
+    "int_level": _int_level,
+    "reordered_names": lambda c: c["feature_names"].reverse(),
+}
+
+
 def random_net(rng, dims, slope=0.01, scale=1.0):
     """Network with uniform weights in [-scale, scale] and small biases."""
     net = init_network(dims, slope, seed=int(rng.integers(0, 2 ** 31)))

@@ -7,12 +7,13 @@ from hypothesis import given, settings, strategies as st
 from certsurv.bounds import (PerturbationSet, ScalarBounds,
                              _interval_forward, _relaxation, crown_ibp_batch,
                              crown_ibp_batch_tape, crown_ibp_batch_vjp,
-                             crown_ibp_bounds, ibp_bounds, worst_case_hazard)
+                             crown_ibp_bounds, ibp_bounds, worst_case_hazard,
+                             worst_case_log_hazard_batch)
 from certsurv.losses import (Batch, _certified_terms, certified_upper_loss,
                              certified_upper_loss_grads, fgsm_perturb,
                              noise_perturb, pgd_perturb, sawar_loss)
-from certsurv.network import (Network, ParamGrads, forward, forward_batch,
-                              leaky_relu_grad)
+from certsurv.network import (InputError, Network, ParamGrads, forward,
+                              forward_batch, leaky_relu_grad)
 
 from conftest import random_batch, random_net
 
@@ -155,6 +156,17 @@ class TestCrownIbp:
             cb = crown_ibp_bounds(net, PerturbationSet(X[i], 0.2))
             assert cb.lb == pytest.approx(lb[i], abs=1e-12)
             assert cb.ub == pytest.approx(ub[i], abs=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("bound", [crown_ibp_batch,
+                                       worst_case_log_hazard_batch])
+    def test_non_finite_row_raises(self, bound, bad):
+        # as forward_batch does, instead of returning NaN bounds
+        X = np.random.default_rng(0).normal(size=(4, 3))
+        X[2, 1] = bad
+        net = random_net(np.random.default_rng(1), [3, 5, 1])
+        with pytest.raises(InputError):
+            bound(net, X, 0.1)
 
 
 class TestWorstCaseHazard:

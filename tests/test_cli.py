@@ -6,11 +6,12 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 from certsurv.cli import main
 
-from conftest import cli_env, planted_linear_csv
+from conftest import BAD_CODEC_EDITS, DATA_DIR, cli_env, planted_linear_csv
 
 
 def run_cli(args, **kw):
@@ -407,6 +408,135 @@ class TestEvaluateCommand:
                 rows = list(csv.reader(fh))
             assert float(rows[1][0]) == 0.0
             assert float(rows[1][1]) == 1.0, name
+
+
+def _edit_csv(src, dst_dir, edit):
+    """Copy a CSV under its own name into dst_dir, so it names the same
+    dataset, passing each row (a dict) through edit(row index, row)."""
+    dst = dst_dir / os.path.basename(src)
+    dst_dir.mkdir()
+    with open(src, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    for i, row in enumerate(rows):
+        edit(i, row)
+    with open(dst, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+    return dst
+
+
+# Runs `certsurv evaluate` (argv[2:]) and saves the covariate matrix of the
+# first forward pass, the clean one on the encoded test rows, to argv[1].
+_RECORD_TEST_MATRIX = """
+import sys
+import numpy as np
+from certsurv import cli
+seen, forward = [], cli.forward_batch
+def recording(net, X):
+    seen.append(np.array(X))
+    return forward(net, X)
+cli.forward_batch = recording
+code = cli.main(sys.argv[2:])
+np.save(sys.argv[1], seen[0])
+sys.exit(code)
+"""
+
+
+class TestEvaluateEncoding:
+    """`evaluate` encodes with the checkpoint's codec, never a refitted one."""
+
+    STAGEC = os.path.join(DATA_DIR, "stagec.csv")
+
+    @pytest.fixture(scope="class")
+    def model(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("stagec") / "m"
+        assert run_cli(["train", "--dataset", self.STAGEC, "--method",
+                        "baseline", "--max-epochs", 3, "--warmup-epochs", 0,
+                        "--ramp-epochs", 1, "--out", out]) == 0
+        return out / "checkpoint.ckpt.json"
+
+    def _evaluate(self, model, dataset, out, cwd):
+        code = run_child(["evaluate", "--model", model, "--dataset", dataset,
+                          "--attack", "worstcase", "--eps-grid", "0,0.5",
+                          "--out", out], cwd=cwd)
+        return code, out / "metrics.csv"
+
+    def test_foreign_scale_is_standardized_with_training_statistics(
+            self, model, tmp_path):
+        def times_ten(_, row):
+            row["num_age"] = repr(float(row["num_age"]) * 10)
+        scaled = _edit_csv(self.STAGEC, tmp_path / "scaled", times_ten)
+        code, ref = self._evaluate(model, self.STAGEC, tmp_path / "a",
+                                   tmp_path)
+        assert code == 0
+        code, got = self._evaluate(model, scaled, tmp_path / "b", tmp_path)
+        assert code == 0
+        assert got.read_bytes() != ref.read_bytes()
+
+    def test_unseen_level_sets_no_indicator(self, model, tmp_path):
+        from certsurv.data import apply_codec, load_csv, stratified_split
+        from certsurv.training import load_checkpoint
+
+        def rename(_, row):
+            if row["fac_grade"] == "g1":
+                row["fac_grade"] = "g9"
+        renamed = _edit_csv(self.STAGEC, tmp_path / "g9", rename)
+        matrix = tmp_path / "X.npy"
+        proc = subprocess.run(
+            [sys.executable, "-c", _RECORD_TEST_MATRIX, str(matrix),
+             "evaluate", "--model", str(model), "--dataset", str(renamed),
+             "--attack", "worstcase", "--eps-grid", "0",
+             "--out", str(tmp_path / "e")],
+            capture_output=True, text=True, cwd=tmp_path, env=cli_env())
+        assert proc.returncode == 0, proc.stderr
+        _, codec, config = load_checkpoint(model)
+        raw = load_csv(str(renamed))
+        test = raw.take(stratified_split(raw, config.seed).test_idx)
+        X = np.load(matrix)
+        assert np.array_equal(X, apply_codec(codec, test).X)
+        block = [j for j, name in enumerate(codec.feature_names)
+                 if name.startswith("fac_grade=")]
+        unseen = test.fac["fac_grade"] == "g9"
+        assert unseen.any()
+        assert not X[np.ix_(unseen, block)].any()
+        assert (X[np.ix_(~unseen, block)].sum(axis=1) == 1).all()
+
+    def test_extra_column_is_ignored(self, model, tmp_path):
+        def add(i, row):
+            row["num_extra"] = f"{i % 7}.5"
+        extra = _edit_csv(self.STAGEC, tmp_path / "extra", add)
+        code, ref = self._evaluate(model, self.STAGEC, tmp_path / "a",
+                                   tmp_path)
+        assert code == 0
+        code, got = self._evaluate(model, extra, tmp_path / "b", tmp_path)
+        assert code == 0
+        assert got.read_bytes() == ref.read_bytes()
+
+    @pytest.mark.parametrize("edit", [
+        *BAD_CODEC_EDITS.values(), None], ids=[*BAD_CODEC_EDITS, "no_codec"])
+    def test_bad_codec_exits_3(self, model, tmp_path, edit):
+        doc = json.loads(model.read_text())
+        if edit is None:
+            doc["codec"] = None
+        else:
+            edit(doc["codec"])
+        ck = tmp_path / "edited.ckpt.json"
+        ck.write_text(json.dumps(doc))
+        code, got = self._evaluate(ck, self.STAGEC, tmp_path / "e", tmp_path)
+        assert code == 3
+        assert not got.exists()
+
+    def test_evaluate_fits_no_codec(self, model, tmp_path, monkeypatch):
+        from certsurv import data
+        calls = []
+        fit = data.fit_codec
+        monkeypatch.setattr(data, "fit_codec",
+                            lambda *a, **kw: calls.append(a) or fit(*a, **kw))
+        assert run_cli(["evaluate", "--model", model, "--dataset",
+                        self.STAGEC, "--attack", "fgsm", "--eps-grid", "0",
+                        "--out", tmp_path / "e"]) == 0
+        assert calls == []
 
 
 class TestReportCommand:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from certsurv.data import (CodecError, FormatError, RowError, apply_codec,
-                           fit_codec, load_csv, stratified_split)
+                           fit_codec, load_csv, split_indices,
+                           stratified_split)
 
 
 @pytest.fixture
@@ -277,6 +278,14 @@ class TestCodec:
         apply_codec(codec, raw.take(np.arange(6, len(raw))))
         assert codec.to_dict() == before
 
+    @pytest.mark.parametrize("column", ["fac_color", "num_b"])
+    def test_missing_codec_column_raises(self, small_csv, column):
+        raw = load_csv(small_csv)
+        codec = fit_codec(raw)
+        (raw.fac if column.startswith("fac_") else raw.num).pop(column)
+        with pytest.raises(CodecError, match=column):
+            apply_codec(codec, raw)
+
     def test_encoding_reproducible(self, small_csv):
         raw = load_csv(small_csv)
         codec = fit_codec(raw)
@@ -340,6 +349,16 @@ class TestStratifiedSplit:
         split = stratified_split(raw, seed=1)
         for part in (split.train, split.validation, split.test):
             assert abs(part.e.mean() - overall) <= 0.05
+
+    @pytest.mark.parametrize("events", [40, 0])
+    def test_rows_come_from_split_indices(self, tmp_path, events):
+        raw = self._toy(tmp_path, events=events)
+        split = stratified_split(raw, seed=4)
+        parts = split_indices(raw, seed=4)
+        for got, want in zip((split.train_idx, split.val_idx,
+                              split.test_idx), parts):
+            assert np.array_equal(got, want)
+        assert np.array_equal(split.test.t, raw.time[parts[2]])
 
     def test_codec_fitted_on_train_only(self, tmp_path):
         raw = self._toy(tmp_path)

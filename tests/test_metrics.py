@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from certsurv import data as data_module
-from certsurv.data import SurvivalDataset
+from certsurv.data import Batch
 from certsurv.metrics import (AggregationError, DEFAULT_EPS_GRID,
                               METRIC_DIRECTIONS, MetricRecord,
                               UndefinedMetricError, _metrics_from_hazards,
@@ -299,7 +299,7 @@ def _dataset(rng, n=30, d=2):
     t = rng.uniform(0.2, 5.0, size=n)
     e = (rng.random(n) < 0.6).astype(int)
     e[0] = 1
-    return SurvivalDataset(X, t, e, [f"f{i}" for i in range(d)])
+    return Batch(X, t, e)
 
 
 class TestAttackSweep:
@@ -653,8 +653,8 @@ class TestEmitReport:
 
 class TestCensoringKm:
     def test_flips_event_indicator(self):
-        ds = SurvivalDataset(np.zeros((3, 1)), np.array([1.0, 2.0, 3.0]),
-                             np.array([0, 0, 1]), ["f0"])
+        ds = Batch(np.zeros((3, 1)), np.array([1.0, 2.0, 3.0]),
+                   np.array([0, 0, 1]))
         ckm = censoring_km(ds)
         direct = km_estimator(ds.t, 1 - ds.e)
         grid = np.linspace(0, 4, 9)

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from certsurv.training import (CheckpointError, TrainConfig,
                                eps_schedule, load_checkpoint, save_checkpoint,
                                train)
 
-from conftest import planted_linear_csv
+from conftest import BAD_CODEC_EDITS, DATA_DIR, planted_linear_csv
 
 
 @pytest.fixture(scope="module")
@@ -292,4 +293,37 @@ class TestCheckpoint:
         flat[0] = value
         path.write_text(json.dumps(doc))
         with pytest.raises(CheckpointError, match="non-finite"):
+            load_checkpoint(path)
+
+    @pytest.fixture(scope="class")
+    def stagec_doc(self, tmp_path_factory):
+        """A saved checkpoint dict whose codec standardizes every column."""
+        split = stratified_split(load_csv(os.path.join(DATA_DIR,
+                                                       "stagec.csv")),
+                                 seed=0, normalize_onehot=True)
+        path = tmp_path_factory.mktemp("ck") / "m.ckpt.json"
+        save_checkpoint(init_network([split.codec.dim, 4, 1], seed=0),
+                        split.codec, TrainConfig(hidden_dims=(4,)), path)
+        return json.loads(path.read_text())
+
+    def test_stagec_codec_loads(self, stagec_doc, tmp_path):
+        path = tmp_path / "m.ckpt.json"
+        path.write_text(json.dumps(stagec_doc))
+        net, codec, _ = load_checkpoint(path)
+        assert codec.dim == net.input_dim
+        assert codec.to_dict() == stagec_doc["codec"]
+
+    @pytest.mark.parametrize("edit", [
+        *BAD_CODEC_EDITS.values(),
+        lambda c: c["onehot_stats"]["fac_grade=g2"].__setitem__(1, 0.0),
+        lambda c: c["onehot_stats"]["fac_grade=g2"].__setitem__(0, np.inf),
+        lambda c: c["onehot_stats"].pop("fac_grade=g2"),
+    ], ids=[*BAD_CODEC_EDITS, "onehot_std_zero", "onehot_mean_inf",
+            "onehot_missing"])
+    def test_bad_codec_raises(self, stagec_doc, tmp_path, edit):
+        doc = json.loads(json.dumps(stagec_doc))
+        edit(doc["codec"])
+        path = tmp_path / "m.ckpt.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError, match=r"\.json: codec "):
             load_checkpoint(path)
