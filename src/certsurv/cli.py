@@ -156,6 +156,9 @@ def _parse_eps_grid(raw: str | None):
     if not grid or not all(np.isfinite(e) and e >= 0 for e in grid):
         raise CliError("--eps-grid must list finite nonnegative radii",
                        EXIT_CONFIG)
+    if len({f"{abs(e):g}" for e in grid}) < len(grid):  # -0.0 is 0.0
+        raise CliError(f"--eps-grid radii must differ under %g (each names a "
+                       f"curve file and a report cell): {raw}", EXIT_CONFIG)
     return grid
 
 

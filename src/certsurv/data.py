@@ -306,9 +306,12 @@ def fit_codec(raw: RawDataset, normalize_onehot: bool = False) -> FeatureCodec:
         if present.size == 0:
             log.warning("numeric column %s has no observed values; dropped", c)
             continue
-        med = float(np.median(present))
-        filled = np.where(np.isnan(vals), med, vals)
-        mean, std = float(filled.mean()), float(filled.std())
+        with np.errstate(over="ignore", invalid="ignore"):
+            med = float(np.median(present))
+            filled = np.where(np.isnan(vals), med, vals)
+            mean, std = float(filled.mean()), float(filled.std())
+        if not np.isfinite([med, mean, std]).all():
+            raise CodecError(f"numeric column {c} overflows its statistics")
         if std <= 0.0:
             log.warning("numeric column %s is constant on train; dropped", c)
             continue

@@ -5,10 +5,14 @@ them and a single linear output unit.  Everything is float64 numpy; there is
 no computation graph.  Gradients with respect to parameters and inputs are
 produced by an explicit reverse pass so that they can be checked against
 finite differences.
+
+`Network` checks its own structure whenever one is built, loaded or updated,
+and `adam_step` never writes into its inputs.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,13 +44,20 @@ class Network:
 
     weights[k] has shape (layer_dims[k+1], layer_dims[k]); biases[k] has
     shape (layer_dims[k+1],).  leaky_slope is the negative-side slope of the
-    activation, in (0, 1).
+    activation, in (0, 1).  Construction checks all of this.
     """
 
     layer_dims: list[int]
     weights: list[np.ndarray]
     biases: list[np.ndarray]
     leaky_slope: float = 0.01
+
+    def __post_init__(self):
+        dims = self.layer_dims
+        _check_architecture(dims, self.leaky_slope)
+        if ([w.shape for w in self.weights] != list(zip(dims[1:], dims[:-1]))
+                or [b.shape for b in self.biases] != list(zip(dims[1:]))):
+            raise ShapeError(f"parameter shapes do not match layer_dims {dims}")
 
     @property
     def n_layers(self) -> int:
@@ -56,13 +67,10 @@ class Network:
     def input_dim(self) -> int:
         return self.layer_dims[0]
 
-    def copy(self) -> "Network":
-        return Network(
-            list(self.layer_dims),
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-            self.leaky_slope,
-        )
+    @property
+    def params(self) -> list[np.ndarray]:
+        """Every parameter in the one order: [*weights, *biases]."""
+        return [*self.weights, *self.biases]
 
 
 @dataclass
@@ -85,16 +93,25 @@ class ParamGrads:
         return self
 
     def add_scaled(self, other: "ParamGrads", scale: float = 1.0) -> "ParamGrads":
-        for w, ow in zip(self.weights, other.weights):
-            w += scale * ow
-        for b, ob in zip(self.biases, other.biases):
-            b += scale * ob
+        for a, o in zip((*self.weights, *self.biases),
+                        (*other.weights, *other.biases)):
+            a += scale * o
         return self
 
     def is_finite(self) -> bool:
-        return all(np.all(np.isfinite(w)) for w in self.weights) and all(
-            np.all(np.isfinite(b)) for b in self.biases
-        )
+        return all(np.isfinite(a).all() for a in (*self.weights, *self.biases))
+
+
+def _check_architecture(dims, leaky_slope) -> None:
+    """The rules of every Network's dims and slope, which the bounds in
+    `bounds` need: a scalar output and a convex activation.  NaN fails."""
+    if len(dims) < 2 or dims[-1] != 1 or not all(
+            isinstance(d, numbers.Integral) and not isinstance(d, bool)
+            and d > 0 for d in dims):
+        raise ConfigurationError(f"layer dims must be two or more positive "
+                                 f"integers ending in 1 (scalar model), got {dims}")
+    if not (0.0 < leaky_slope < 1.0):
+        raise ConfigurationError(f"leaky_slope must lie in (0, 1), got {leaky_slope}")
 
 
 def init_network(layer_dims, leaky_slope: float = 0.01, seed: int = 0) -> Network:
@@ -104,14 +121,7 @@ def init_network(layer_dims, leaky_slope: float = 0.01, seed: int = 0) -> Networ
     bitwise-identical parameters.
     """
     dims = [int(d) for d in layer_dims]
-    if len(dims) < 2:
-        raise ConfigurationError("need at least an input and an output layer")
-    if any(d <= 0 for d in dims):
-        raise ConfigurationError(f"layer dims must be positive, got {dims}")
-    if dims[-1] != 1:
-        raise ConfigurationError("output dimension must be 1 (scalar model)")
-    if not (0.0 < leaky_slope < 1.0):
-        raise ConfigurationError(f"leaky_slope must lie in (0, 1), got {leaky_slope}")
+    _check_architecture(dims, leaky_slope)
     rng = np.random.default_rng(seed)
     weights, biases = [], []
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
@@ -207,28 +217,23 @@ def backward(net: Network, x, upstream: float = 1.0):
 
 @dataclass
 class AdamState:
-    """Adam accumulators (bias-corrected update)."""
+    """Adam accumulators (bias-corrected update); the moments m and v follow
+    `Network.params`, [*weights, *biases]."""
 
     lr: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     step: int = 0
-    m_w: list[np.ndarray] = field(default_factory=list)
-    v_w: list[np.ndarray] = field(default_factory=list)
-    m_b: list[np.ndarray] = field(default_factory=list)
-    v_b: list[np.ndarray] = field(default_factory=list)
+    m: list[np.ndarray] = field(default_factory=list)
+    v: list[np.ndarray] = field(default_factory=list)
 
 
 def init_adam(net: Network, lr: float = 1e-3, beta1: float = 0.9,
               beta2: float = 0.999, eps: float = 1e-8) -> AdamState:
-    return AdamState(
-        lr=lr, beta1=beta1, beta2=beta2, eps=eps, step=0,
-        m_w=[np.zeros_like(w) for w in net.weights],
-        v_w=[np.zeros_like(w) for w in net.weights],
-        m_b=[np.zeros_like(b) for b in net.biases],
-        v_b=[np.zeros_like(b) for b in net.biases],
-    )
+    # adam_step never writes into its state, so m and v share the zeros
+    zeros = [np.zeros_like(p) for p in net.params]
+    return AdamState(lr, beta1, beta2, eps, 0, zeros, list(zeros))
 
 
 def adam_step(state: AdamState, net: Network, grads: ParamGrads):
@@ -236,24 +241,17 @@ def adam_step(state: AdamState, net: Network, grads: ParamGrads):
     if not grads.is_finite():
         raise TrainingDivergenceError("non-finite gradient in optimizer step")
     t = state.step + 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2, lr, eps = state.beta1, state.beta2, state.lr, state.eps
     corr1 = 1.0 - b1 ** t
     corr2 = 1.0 - b2 ** t
-    new_net = Network(list(net.layer_dims), [], [], net.leaky_slope)
-    new_state = AdamState(state.lr, b1, b2, state.eps, t, [], [], [], [])
-    for k in range(net.n_layers):
-        for params, new_params, g, m_list, v_list, nm, nv in (
-            (net.weights, new_net.weights, grads.weights[k], state.m_w,
-             state.v_w, new_state.m_w, new_state.v_w),
-            (net.biases, new_net.biases, grads.biases[k], state.m_b,
-             state.v_b, new_state.m_b, new_state.v_b),
-        ):
-            m = b1 * m_list[k] + (1.0 - b1) * g
-            v = b2 * v_list[k] + (1.0 - b2) * g * g
-            m_hat = m / corr1
-            v_hat = v / corr2
-            new_params.append(
-                params[k] - state.lr * m_hat / (np.sqrt(v_hat) + state.eps))
-            nm.append(m)
-            nv.append(v)
-    return new_net, new_state
+    params, ms, vs = [], [], []
+    for p, g, m, v in zip(net.params, [*grads.weights, *grads.biases],
+                          state.m, state.v):
+        m = b1 * m + (1.0 - b1) * g
+        v = b2 * v + (1.0 - b2) * g * g
+        params.append(p - lr * (m / corr1) / (np.sqrt(v / corr2) + eps))
+        ms.append(m)
+        vs.append(v)
+    n = net.n_layers
+    new_net = Network(net.layer_dims, params[:n], params[n:], net.leaky_slope)
+    return new_net, AdamState(lr, b1, b2, eps, t, ms, vs)

@@ -20,10 +20,10 @@ import numpy as np
 
 from .data import Batch, FeatureCodec, SplitDataset, atomic_open, write_csv
 from .losses import (LossBreakdown, _clean_engine, _comparable_pairs,
-                     _resolve_w, combined_loss, fgsm_perturb, noise_perturb,
-                     pgd_perturb, sawar_loss_grads)
-from .network import (Network, TrainingDivergenceError, adam_step,
-                      init_adam, init_network)
+                     _resolve_w, fgsm_perturb, noise_perturb, pgd_perturb,
+                     sawar_loss_grads)
+from .network import (Network, TrainingDivergenceError, _check_architecture,
+                      adam_step, init_adam, init_network)
 
 log = logging.getLogger(__name__)
 
@@ -57,7 +57,8 @@ FIELD_TYPES = {
         lambda text: tuple(int(v) for v in text.replace(",", " ").split()),
         lambda v: _of(tuple)(v) and all(map(_of(numbers.Integral), v))),
 }
-# (fields, predicate, rule) for TrainConfig; NaN fails every predicate
+# (fields, predicate, rule) for TrainConfig; NaN fails every predicate.  The
+# network's rules check hidden_dims and leaky_slope.
 _CONFIG_RULES = (
     ("method", lambda v: v in METHODS, f"must be one of {METHODS}"),
     ("val_monitor", lambda v: v in ("objective", "clean"),
@@ -69,8 +70,6 @@ _CONFIG_RULES = (
      "must be >= 1"),
     ("learning_rate sigma adam_eps", lambda v: v > 0, "must be positive"),
     ("adam_beta1 adam_beta2", lambda v: 0.0 <= v < 1.0, "must lie in [0, 1)"),
-    ("leaky_slope", lambda v: 0.0 < v < 1.0, "must lie in (0, 1)"),
-    ("hidden_dims", lambda v: all(h >= 1 for h in v), "must be widths >= 1"),
     ("w", lambda v: v is None or 0.0 <= v < math.inf,
      "must be None or a finite nonnegative weight"),
 )
@@ -112,6 +111,7 @@ class TrainConfig:
                 value = getattr(self, name)
                 if not ok(value):
                     raise ValueError(f"{name} {rule}, got {value!r}")
+        _check_architecture([1, *self.hidden_dims, 1], self.leaky_slope)
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -218,13 +218,12 @@ def _validation_loss(net: Network, batch: Batch, config: TrainConfig,
     robustness gained after the radius ramp (the certified term keeps
     falling while the clean term is flat), so the default evaluates the
     training objective itself, through the code that trains it;
-    val_monitor="clean" restores the plain combined loss.  `batch` is the
-    whole validation split.
+    val_monitor="clean" evaluates it at radius 0, the plain combined loss.
+    `batch` is the whole validation split.
     """
-    if config.val_monitor == "clean":
-        return combined_loss(net, batch, config.w, config.sigma)
     # the noise stream is distinct from the training batches'
-    breakdown, _ = _objective(net, batch, config, eps,
+    breakdown, _ = _objective(net, batch, config,
+                              0.0 if config.val_monitor == "clean" else eps,
                               (config.seed, epoch, 10_000_019),
                               need_grads=False)
     return breakdown.total
@@ -288,7 +287,7 @@ def train(config: TrainConfig, split: SplitDataset):
         if epoch >= guard:
             if val_loss < best_val:
                 best_val = val_loss
-                best_net = net.copy()
+                best_net = net
                 best_epoch = epoch
                 stale = 0
             else:
@@ -301,7 +300,7 @@ def train(config: TrainConfig, split: SplitDataset):
         # weights rather than returning an ineligible checkpoint.
         log.warning("training ended before the radius ramp completed; "
                     "returning final weights")
-        best_net = net.copy()
+        best_net = net
         best_epoch = report.stopped_epoch
     report.best_epoch = best_epoch
     report.wall_time_s = time.perf_counter() - start
@@ -342,27 +341,23 @@ def load_checkpoint(path):
             f"unsupported checkpoint schema {doc.get('schema_version')!r}"
         )
     try:
-        net = Network(
-            [int(d) for d in doc["layer_dims"]],
-            [np.array(w, dtype=float) for w in doc["weights"]],
-            [np.array(b, dtype=float) for b in doc["biases"]],
-            float(doc["leaky_slope"]),
-        )
         codec = (FeatureCodec.from_dict(doc["codec"])
                  if doc.get("codec") is not None else None)
         config = TrainConfig.from_dict(doc["config"])
+        # layer_dims and leaky_slope repeat the codec width and the config
+        dims = [codec.dim if codec is not None else doc["layer_dims"][0],
+                *config.hidden_dims, 1]
+        if (doc["layer_dims"] != dims
+                or doc["leaky_slope"] != config.leaky_slope):
+            raise ValueError(f"codec and config give layer_dims {dims} and "
+                             f"leaky_slope {config.leaky_slope}, which the "
+                             "checkpoint's own copies contradict")
+        net = Network(dims, [np.array(w, dtype=float) for w in doc["weights"]],
+                      [np.array(b, dtype=float) for b in doc["biases"]],
+                      config.leaky_slope)
     except (AttributeError, LookupError, OverflowError, TypeError,
             ValueError) as exc:  # a value of the wrong type, size or range
         raise CheckpointError(f"malformed checkpoint {path}: {exc}") from exc
-    dims = net.layer_dims
-    shapes = [(o, i) for i, o in zip(dims[:-1], dims[1:])]
-    if ([w.shape for w in net.weights] != shapes
-            or [b.shape for b in net.biases] != [(o,) for o, _ in shapes]):
-        raise CheckpointError(f"checkpoint {path}: parameter shapes do not "
-                              f"match layer_dims {dims}")
-    if not all(np.isfinite(p).all() for p in (*net.weights, *net.biases)):
+    if not all(np.isfinite(p).all() for p in net.params):
         raise CheckpointError(f"checkpoint {path} has non-finite parameters")
-    if codec is not None and codec.dim != net.input_dim:
-        raise CheckpointError(f"checkpoint {path}: codec encodes {codec.dim} "
-                              f"features but layer_dims[0] is {net.input_dim}")
     return net, codec, config

@@ -284,6 +284,17 @@ class TestEvaluateCommand:
         assert code == 2
         assert not (tmp_path / "e" / "metrics.csv").exists()
 
+    @pytest.mark.parametrize("grid", ["0.1,0.1000001", "0.5,0.5", "0,-0"])
+    def test_colliding_grid_exits_2(self, trained_dir, toy_csv, tmp_path,
+                                    grid):
+        # equal under %g, the radii would share a curve file and a report cell
+        code = run_cli(["evaluate", "--model",
+                        os.path.join(trained_dir, "checkpoint.ckpt.json"),
+                        "--dataset", toy_csv, "--attack", "worstcase",
+                        "--eps-grid", grid, "--out", tmp_path / "e"])
+        assert code == 2
+        assert not (tmp_path / "e" / "metrics.csv").exists()
+
     def test_checkpoint_dataset_mismatch_exits_3(self, trained_dir, tmp_path):
         other = planted_linear_csv(str(tmp_path / "other.csv"), n=40, seed=1)
         # different numeric column names break the codec contract
@@ -349,6 +360,25 @@ class TestEvaluateCommand:
             doc["weights"][0][0][0] = float("nan")
         assert self._evaluate_edited_checkpoint(trained_dir, toy_csv,
                                                 tmp_path, set_nan) == 3
+
+    @pytest.mark.parametrize("edit", [
+        lambda d: d.__setitem__("leaky_slope", 5.0),
+        lambda d: d.__setitem__("leaky_slope", -1.0),
+        lambda d: d.__setitem__("leaky_slope", float("nan")),
+        lambda d: d.__setitem__("leaky_slope", 0.02),   # config has 0.01
+        lambda d: (d["layer_dims"].__setitem__(-1, 2),  # shapes still match
+                   d["weights"][-1].append(d["weights"][-1][0]),
+                   d["biases"][-1].append(0.0)),
+        lambda d: d["config"].__setitem__("hidden_dims", [7]),
+        lambda d: d["layer_dims"].__setitem__(1, 50.5),
+    ], ids=["slope_5", "slope_negative", "slope_nan", "slope_not_config",
+            "two_outputs", "config_hidden_dims", "fractional_dim"])
+    def test_checkpoint_architecture_exits_3(self, trained_dir, toy_csv,
+                                             tmp_path, edit):
+        # the CROWN-IBP bounds are sound only for a scalar output and a
+        # slope in (0, 1), and both copies of the architecture must agree
+        assert self._evaluate_edited_checkpoint(trained_dir, toy_csv,
+                                                tmp_path, edit) == 3
 
     @pytest.mark.parametrize("key,value", [
         ("seed", 1.5), ("seed", True), ("batch_size", 2.5),

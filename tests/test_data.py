@@ -1,4 +1,5 @@
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -269,6 +270,18 @@ class TestCodec:
         raw = load_csv(str(path))
         with pytest.raises(CodecError):
             fit_codec(raw)
+
+    def test_overflowing_statistics_name_the_column(self, tmp_path):
+        path = tmp_path / "huge.csv"
+        rows = ["time,event,num_a,num_b"] + [
+            f"{i + 1}.0,{i % 2},{1.6e308 if i % 2 else 1.7e308},{i / 7}"
+            for i in range(30)]
+        path.write_text("\n".join(rows) + "\n")
+        raw = load_csv(str(path))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning on the way
+            with pytest.raises(CodecError, match="num_a"):
+                fit_codec(raw)
 
     def test_no_leakage(self, small_csv):
         import copy

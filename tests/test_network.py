@@ -39,10 +39,41 @@ class TestInit:
         with pytest.raises(ConfigurationError):
             init_network(dims)
 
-    @pytest.mark.parametrize("slope", [0.0, 1.0, -0.1, 1.5])
+    @pytest.mark.parametrize("slope", [0.0, 1.0, -0.1, 1.5, np.nan])
     def test_invalid_slope(self, slope):
         with pytest.raises(ConfigurationError):
             init_network([2, 1], leaky_slope=slope)
+
+
+class TestStructure:
+    """Network checks every built, loaded and updated model."""
+
+    @staticmethod
+    def _params(dims):
+        return ([np.zeros((o, i)) for i, o in zip(dims[:-1], dims[1:])],
+                [np.zeros(o) for o in dims[1:]])
+
+    @pytest.mark.parametrize("dims", [[3], [3, 0, 1], [3, 4, 2]])
+    def test_invalid_dims(self, dims):
+        with pytest.raises(ConfigurationError):
+            Network(dims, *self._params(dims))
+
+    @pytest.mark.parametrize("slope", [0.0, 1.0, 1.5, -0.1, np.nan])
+    def test_invalid_slope(self, slope):
+        with pytest.raises(ConfigurationError):
+            Network([3, 4, 1], *self._params([3, 4, 1]), slope)
+
+    def test_short_weight_row(self):
+        weights, biases = self._params([3, 4, 1])
+        weights[0] = weights[0][:, :2]
+        with pytest.raises(ShapeError):
+            Network([3, 4, 1], weights, biases)
+
+    def test_long_bias(self):
+        weights, biases = self._params([3, 4, 1])
+        biases[1] = np.zeros(2)
+        with pytest.raises(ShapeError):
+            Network([3, 4, 1], weights, biases)
 
 
 class TestForward:
@@ -184,6 +215,19 @@ class TestAdam:
         tail = losses[10:]
         assert all(b <= a + 1e-12 for a, b in zip(tail, tail[1:]))
 
+    def test_inputs_unchanged(self):
+        # train() keeps a network as its best without a copy
+        rng = np.random.default_rng(5)
+        net = random_net(rng, [3, 4, 1])
+        grads = ParamGrads([rng.normal(size=w.shape) for w in net.weights],
+                           [rng.normal(size=b.shape) for b in net.biases])
+        state = adam_step(init_adam(net), net, grads)[1]
+        arrays = (*net.params, *state.m, *state.v, *grads.weights,
+                  *grads.biases)
+        before = [a.tobytes() for a in arrays]
+        adam_step(state, net, grads)
+        assert [a.tobytes() for a in arrays] == before
+
     def test_nonfinite_gradient_raises(self):
         net = init_network([2, 1], seed=0)
         state = init_adam(net)
@@ -191,3 +235,60 @@ class TestAdam:
         bad.weights[0][0, 0] = np.nan
         with pytest.raises(TrainingDivergenceError):
             adam_step(state, net, bad)
+
+
+
+def _four_list_adam_step(t, lr, b1, b2, eps, weights, biases, grads,
+                         m_w, v_w, m_b, v_b):
+    """Adam with separate weight and bias moment lists, layer by layer: the
+    oracle adam_step must match bit for bit.  Returns the new (weights,
+    biases, m_w, v_w, m_b, v_b)."""
+    corr1 = 1.0 - b1 ** t
+    corr2 = 1.0 - b2 ** t
+    out = ([], [], [], [], [], [])
+    for k in range(len(weights)):
+        for params, g, m_list, v_list, new_p, nm, nv in (
+                (weights, grads.weights[k], m_w, v_w, out[0], out[2], out[3]),
+                (biases, grads.biases[k], m_b, v_b, out[1], out[4], out[5])):
+            m = b1 * m_list[k] + (1.0 - b1) * g
+            v = b2 * v_list[k] + (1.0 - b2) * g * g
+            m_hat = m / corr1
+            v_hat = v / corr2
+            new_p.append(params[k] - lr * m_hat / (np.sqrt(v_hat) + eps))
+            nm.append(m)
+            nv.append(v)
+    return out
+
+
+def _same_bytes(xs, ys):
+    return len(xs) == len(ys) and all(
+        x.shape == y.shape and x.tobytes() == y.tobytes() for x, y in zip(xs, ys))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2 ** 31 - 1), d=st.integers(1, 5),
+       hidden=st.lists(st.integers(1, 6), max_size=3),
+       steps=st.integers(1, 6), lr=st.sampled_from([1e-3, 2e-2]),
+       log_scales=st.lists(st.floats(-8.0, 8.0), min_size=6, max_size=6))
+def test_adam_step_matches_four_list_update(seed, d, hidden, steps, lr,
+                                            log_scales):
+    # one moment list in parameter order changes no bit of the update
+    rng = np.random.default_rng(seed)
+    net = random_net(rng, [d, *hidden, 1])
+    state = init_adam(net, lr=lr)
+    ref = (net.weights, net.biases,
+           *([np.zeros_like(p) for p in params]
+             for params in (net.weights, net.weights, net.biases, net.biases)))
+    for t, log_scale in zip(range(1, steps + 1), log_scales):
+        scale = 10.0 ** log_scale
+        grads = ParamGrads([rng.normal(size=w.shape) * scale for w in net.weights],
+                           [rng.normal(size=b.shape) * scale for b in net.biases])
+        net, state = adam_step(state, net, grads)
+        ref = _four_list_adam_step(t, lr, 0.9, 0.999, 1e-8, *ref[:2], grads,
+                                   *ref[2:])
+        weights, biases, m_w, v_w, m_b, v_b = ref
+        assert state.step == t
+        assert _same_bytes(net.weights, weights)
+        assert _same_bytes(net.biases, biases)
+        assert _same_bytes(state.m, [*m_w, *m_b])
+        assert _same_bytes(state.v, [*v_w, *v_b])
