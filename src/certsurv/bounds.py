@@ -109,14 +109,14 @@ def _relaxation(net: Network, lows, ups):
     (up_slope, up_icpt, low_slope, crossing, width, chord, base), one array
     per layer each: `width` is u - l on crossing neurons and 1 elsewhere
     (the chord's denominator), and `base` is the slope of an exact neuron,
-    1 where l >= 0 and the leaky slope elsewhere, which is also the
-    activation's derivative at l.
+    the activation's derivative at l (1 where l >= 0, else the leaky
+    slope).
     """
     alpha = net.leaky_slope
     pieces = tuple([] for _ in range(7))
     for k in range(net.n_layers - 1):
         l, u = lows[k], ups[k]
-        base = np.where(l >= 0.0, 1.0, alpha)
+        base = leaky_relu_grad(l, alpha)
         cross = (l < 0.0) & (u > 0.0)
         width = np.where(cross, u - l, 1.0)
         chord = np.where(cross, (u - alpha * l) / width, 1.0)

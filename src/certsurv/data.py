@@ -14,8 +14,10 @@ encodes as zeros) and numeric columns standardized with the training mean
 and std, a missing value taking the training median.  It ignores columns it
 does not name; a column it names that the data lacks is a `CodecError`, and
 `FeatureCodec.from_dict` refuses a codec that `fit_codec` could not make.
-Encoded rows are a `Batch`.  Output files are written through `atomic_open`,
-so a failed write never leaves a partial file.
+Encoded rows are an immutable `Batch`; `Batch.pairs`, its comparable pairs
+built once by `comparable_pairs`, is the one plan of every ranking term and
+attack, and concordance counts over the same rule.  Output files are
+written through `atomic_open`, so a failed write never leaves a partial file.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -98,18 +102,41 @@ class RawDataset:
                           self.n_dropped_nonpositive)
 
 
-@dataclass
+class Pairs(NamedTuple):
+    """A sample's comparable pairs, kept on the rows that have one.
+
+    `rows` are the records with an event and a later time in the sample;
+    `A[r, j]` is True when t[rows[r]] < t[j].  Every other record's row of
+    the (n x n) pair matrix is all False.
+    """
+
+    rows: np.ndarray
+    A: np.ndarray
+
+
+def comparable_pairs(t, e) -> Pairs:
+    """The pairs (i, j) with t_i < t_j where record i had an observed event
+    (Harrell's rule); a NaN time pairs with nothing."""
+    t, e = np.asarray(t, dtype=float), np.asarray(e, dtype=int)
+    rows = np.flatnonzero((e == 1) & (t < np.fmax.reduce(t, initial=-np.inf)))
+    return Pairs(rows, t[rows, None] < t[None, :])
+
+
+@dataclass(frozen=True)
 class Batch:
-    """Covariate rows with observed times and event indicators."""
+    """Covariate rows with observed times and event indicators; frozen, and
+    `t` and `e` are read-only copies, so the cached `pairs` stays valid."""
 
     X: np.ndarray
     t: np.ndarray
     e: np.ndarray
 
     def __post_init__(self):
-        self.X = np.asarray(self.X, dtype=float)
-        self.t = np.asarray(self.t, dtype=float)
-        self.e = np.asarray(self.e, dtype=int)
+        t, e = np.array(self.t, dtype=float), np.array(self.e, dtype=int)
+        t.flags.writeable = e.flags.writeable = False
+        object.__setattr__(self, "X", np.asarray(self.X, dtype=float))
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "e", e)
         if self.X.ndim != 2 or len(self.X) == 0:
             raise ValueError("batch must be a nonempty 2-d covariate matrix")
         if not (len(self.X) == len(self.t) == len(self.e)):
@@ -118,8 +145,16 @@ class Batch:
     def __len__(self) -> int:
         return len(self.X)
 
+    @cached_property
+    def pairs(self) -> Pairs:
+        """The batch's comparable pairs, built on first use."""
+        return comparable_pairs(self.t, self.e)
+
     def with_X(self, X: np.ndarray) -> "Batch":
-        return Batch(X, self.t, self.e)
+        """The records at covariates X, sharing times, events and pairs."""
+        moved = Batch(X, self.t, self.e)
+        object.__setattr__(moved, "pairs", self.pairs)
+        return moved
 
 
 @dataclass

@@ -20,19 +20,18 @@ parameters and inputs (the certified one via the bound-engine adjoint).
 training read its fields, so they agree bit for bit.
 
 Only a record with an event and a later time in its batch can be the
-earlier member of a pair.  `_comparable_pairs` lists those rows once per
-batch, and the kernel computes its (batch x batch) terms on them alone; the
-other rows are zero.  Row and column sums come out the same bit for bit,
-but numpy sums a whole array pairwise, so every sum of the ranking terms
-over all pairs, clean and certified, is `_whole_sum`: a full-size matrix
-with the zero rows put back.
+earlier member of a pair.  `Batch.pairs`, the one plan, lists those rows
+once per batch and is shared by its perturbed copies; the kernel computes
+its (batch x batch) terms on them alone, the other rows being zero.  Row
+and column sums come out the same bit for bit, but numpy sums a whole array
+pairwise, so every sum of the ranking terms over all pairs, clean and
+certified, is `_whole_sum`: a full-size matrix with the zero rows put back.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -70,26 +69,6 @@ def _resolve_w(w, batch: Batch) -> float:
     return 1.0 / len(batch) if w is None else float(w)
 
 
-class Pairs(NamedTuple):
-    """A batch's comparable pairs, kept on the rows that have one.
-
-    `rows` are the records with an event and a later time in the batch;
-    `A[r, j]` is True when t[rows[r]] < t[j].  Every other record's row of
-    the (batch x batch) pair matrix is all False.
-    """
-
-    rows: np.ndarray
-    A: np.ndarray
-
-
-def _comparable_pairs(batch: Batch) -> Pairs:
-    """The pairs (i, j) with t_i < t_j where instance i had an observed
-    event; times and events fix them, so one plan serves a whole batch."""
-    t, e = batch.t, batch.e
-    rows = np.flatnonzero((e == 1) & (t < np.fmax.reduce(t)))
-    return Pairs(rows, t[rows, None] < t[None, :])
-
-
 def _ll_term(G, t, e):
     # Per-record negative log likelihood contribution, as a function of G.
     with np.errstate(over="ignore"):
@@ -101,9 +80,9 @@ def _ll_term_grad(G, t, e):
         return -np.asarray(e, dtype=float) + np.exp(G) * t
 
 
-def _pair_terms(G_own, G_cross, t, pairs: Pairs, sigma, need_grads=True):
+def _pair_terms(G_own, G_cross, batch: Batch, sigma, need_grads=True):
     """(eta, D_own, row_sums, cross_sums) at scores G_own for each pair's
-    earlier record and G_cross for its later one.
+    earlier record and G_cross for its later one, over `batch.pairs`.
 
     eta[r, j] is the ranking term of pair (rows[r], j) where A[r, j], else
     0.  Only the plan's rows are computed; every other row of the full
@@ -118,15 +97,15 @@ def _pair_terms(G_own, G_cross, t, pairs: Pairs, sigma, need_grads=True):
     stands in for every record that is not.  The last three are None
     without need_grads.
     """
-    rows = pairs.rows
+    t, (rows, A) = batch.t, batch.pairs
     with np.errstate(over="ignore"):
         lam_own = np.exp(G_own)
         lam_cross = np.exp(G_cross)
         tl = np.outer(t[rows], lam_cross)
         S_own = np.exp(-lam_own * t)  # S(t_i | G_own_i)
         S = np.exp(-tl)               # S[r, j] = S(t_rows[r] | G_cross_j)
-    eta = np.where(pairs.A, np.exp(-((1.0 - S_own[rows])[:, None]
-                                     - (1.0 - S)) / sigma), 0.0)
+    eta = np.where(A, np.exp(-((1.0 - S_own[rows])[:, None]
+                               - (1.0 - S)) / sigma), 0.0)
     if not need_grads:
         return eta, None, None, None
     row_sums = np.zeros(len(t))
@@ -138,13 +117,13 @@ def _pair_terms(G_own, G_cross, t, pairs: Pairs, sigma, need_grads=True):
         return eta, t * lam_own * S_own, row_sums, cross_sums
 
 
-def _whole_sum(eta: np.ndarray, pairs: Pairs) -> float:
+def _whole_sum(eta: np.ndarray, rows: np.ndarray) -> float:
     """eta.sum() of the full (batch x batch) matrix, the one sum order of
     the ranking term in every clean and certified value.  numpy sums a
     whole array pairwise, so its rounding depends on where the zero rows
     sit: eta is put back into a full-size zero matrix before the sum."""
     full = np.zeros((eta.shape[1], eta.shape[1]))
-    full[pairs.rows] = eta
+    full[rows] = eta
     return float(full.sum())
 
 
@@ -163,42 +142,33 @@ def rank_loss(net: Network, batch: Batch, sigma: float = 1.0) -> float:
 
 
 def combined_loss(net: Network, batch: Batch, w: float | None = None,
-                  sigma: float = 1.0, pairs: Pairs | None = None) -> float:
-    """Negative log likelihood plus w times the ranking penalty.
-
-    `pairs` is the batch's `_comparable_pairs`, built here when None.
-    """
+                  sigma: float = 1.0) -> float:
+    """Negative log likelihood plus w times the ranking penalty."""
     return _clean_engine(net, batch, _resolve_w(w, batch), sigma,
-                         need_grads=False, pairs=pairs)[2]
+                         need_grads=False)[2]
 
 
-def _loss_grad(G: np.ndarray, t: np.ndarray, e: np.ndarray, pairs: Pairs,
-               w_val: float, sigma: float):
+def _loss_grad(G: np.ndarray, batch: Batch, w_val: float, sigma: float):
     """(eta, dG): `_pair_terms` at (G, G) and the gradient of neg_ll +
     w_val * (sum of eta) with respect to G."""
-    eta, D_own, row_sums, cross_sums = _pair_terms(G, G, t, pairs, sigma)
+    eta, D_own, row_sums, cross_sums = _pair_terms(G, G, batch, sigma)
     with np.errstate(invalid="ignore", over="ignore"):
-        dG = _ll_term_grad(G, t, e) + (w_val / sigma) * (
+        dG = _ll_term_grad(G, batch.t, batch.e) + (w_val / sigma) * (
             cross_sums - D_own * row_sums)
     return eta, dG
 
 
 def _clean_engine(net: Network, batch: Batch, w_val: float, sigma: float,
-                  need_grads: bool, pairs: Pairs | None = None):
+                  need_grads: bool):
     """The clean loss: (neg_ll, rank, value, pgrads, igrads), the last two
-    None without need_grads.  Every clean value is read from here.
-
-    `pairs` is the batch's `_comparable_pairs`, built here when None.
-    """
+    None without need_grads.  Every clean value is read from here."""
     G, caches = forward_batch(net, batch.X)
-    pairs = _comparable_pairs(batch) if pairs is None else pairs
-    t, e = batch.t, batch.e
     if need_grads:
-        eta, dG = _loss_grad(G, t, e, pairs, w_val, sigma)
+        eta, dG = _loss_grad(G, batch, w_val, sigma)
     else:
-        eta = _pair_terms(G, G, t, pairs, sigma, need_grads=False)[0]
-    neg_ll = float(_ll_term(G, t, e).sum())
-    rank = _whole_sum(eta, pairs)
+        eta = _pair_terms(G, G, batch, sigma, need_grads=False)[0]
+    neg_ll = float(_ll_term(G, batch.t, batch.e).sum())
+    rank = _whole_sum(eta, batch.pairs.rows)
     grads = backward_batch(net, caches, dG) if need_grads else (None, None)
     return neg_ll, rank, neg_ll + w_val * rank, *grads
 
@@ -216,7 +186,7 @@ def _project_ball(X_new: np.ndarray, X0: np.ndarray, eps: float) -> np.ndarray:
 
 def pgd_perturb(net: Network, batch: Batch, eps: float, steps: int,
                 w: float | None = None, sigma: float = 1.0,
-                sign_mode: bool = False, pairs: Pairs | None = None) -> Batch:
+                sign_mode: bool = False) -> Batch:
     """Iterated projected gradient ascent on the combined loss.
 
     Step size is eps/steps.  By default the raw input gradient is used as
@@ -224,7 +194,7 @@ def pgd_perturb(net: Network, batch: Batch, eps: float, steps: int,
     Times and event indicators are never touched.  Each step computes only
     the input gradient, not the loss.  A row whose gradient is non-finite
     at a step skips that step (logged) and keeps what earlier steps moved
-    it.  `pairs` is the batch's `_comparable_pairs`, built here when None.
+    it.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -235,11 +205,10 @@ def pgd_perturb(net: Network, batch: Batch, eps: float, steps: int,
     X = X0.copy()
     alpha = eps / steps
     # times and events never change, so neither do the pairs and the weight
-    pairs = _comparable_pairs(batch) if pairs is None else pairs
     w_val = _resolve_w(w, batch)
     for _ in range(steps):
         G, caches = forward_batch(net, X)
-        _, dG = _loss_grad(G, batch.t, batch.e, pairs, w_val, sigma)
+        _, dG = _loss_grad(G, batch, w_val, sigma)
         igrads = input_grads_batch(net, caches, dG)
         bad = ~np.all(np.isfinite(igrads), axis=1)
         if bad.any():
@@ -253,9 +222,9 @@ def pgd_perturb(net: Network, batch: Batch, eps: float, steps: int,
 
 def fgsm_perturb(net: Network, batch: Batch, eps: float,
                  w: float | None = None, sigma: float = 1.0,
-                 sign_mode: bool = False, pairs: Pairs | None = None) -> Batch:
+                 sign_mode: bool = False) -> Batch:
     """Single-step gradient perturbation (the steps=1 special case)."""
-    return pgd_perturb(net, batch, eps, 1, w, sigma, sign_mode, pairs)
+    return pgd_perturb(net, batch, eps, 1, w, sigma, sign_mode)
 
 
 def noise_perturb(batch: Batch, eps: float, rng_seed) -> Batch:
@@ -271,24 +240,23 @@ def noise_perturb(batch: Batch, eps: float, rng_seed) -> Batch:
 
 
 def _certified_terms(lb, ub, batch: Batch, w_val: float, sigma: float,
-                     need_grads: bool = True, pairs: Pairs | None = None):
+                     need_grads: bool = True):
     """Endpoint maxima of every loss term given per-record score bounds.
 
     Returns the bound value plus the sensitivities (dlb, dub) of that value
-    to each record's bounds (None without need_grads).  `pairs` is the
-    batch's `_comparable_pairs`, built here when None.
+    to each record's bounds (None without need_grads).
     """
     t, e = batch.t, batch.e
     ll_lb = _ll_term(lb, t, e)
     ll_ub = _ll_term(ub, t, e)
     take_ub = ll_ub >= ll_lb  # ties go to the upper endpoint
     value = float(np.where(take_ub, ll_ub, ll_lb).sum())
-    pairs = _comparable_pairs(batch) if pairs is None else pairs
-    paired = pairs.rows.size > 0
+    rows = batch.pairs.rows
+    paired = rows.size > 0
     if paired:
-        eta, D_own, row_sums, cross_sums = _pair_terms(lb, ub, t, pairs,
-                                                       sigma, need_grads)
-        value += w_val * _whole_sum(eta, pairs)
+        eta, D_own, row_sums, cross_sums = _pair_terms(lb, ub, batch, sigma,
+                                                       need_grads)
+        value += w_val * _whole_sum(eta, rows)
     if not need_grads:
         return value, None, None
     dlb = np.where(take_ub, 0.0, _ll_term_grad(lb, t, e))
@@ -310,17 +278,13 @@ def certified_upper_loss(net: Network, batch: Batch, eps: float,
 
 def certified_upper_loss_grads(net: Network, batch: Batch, eps: float,
                                w: float | None = None, sigma: float = 1.0,
-                               need_grads: bool = True,
-                               pairs: Pairs | None = None):
+                               need_grads: bool = True):
     """Certified loss bound with gradients through the bound computation:
-    (value, pgrads, igrads), the last two None without need_grads.
-
-    `pairs` is the batch's `_comparable_pairs`, built here when None.
-    """
+    (value, pgrads, igrads), the last two None without need_grads."""
     _check_radius(eps)
     lb, ub, tape = crown_ibp_batch_tape(net, batch.X, eps)
     value, dlb, dub = _certified_terms(lb, ub, batch, _resolve_w(w, batch),
-                                       sigma, need_grads, pairs)
+                                       sigma, need_grads)
     grads = (crown_ibp_batch_vjp(net, tape, dlb, dub) if need_grads
              else (None, None))
     return value, *grads
@@ -344,16 +308,15 @@ def sawar_loss_grads(net: Network, batch: Batch, eps: float,
     if not (0.0 <= kappa <= 1.0):
         raise ValueError(f"kappa must lie in [0, 1], got {kappa}")
     w_val = _resolve_w(w, batch)
-    pairs = _comparable_pairs(batch)
     neg_ll, rank, clean, clean_pg, clean_ig = _clean_engine(
-        net, batch, w_val, sigma, need_grads, pairs
+        net, batch, w_val, sigma, need_grads
     )
     if eps == 0.0:
         # Zero-width bounds make the certified term the clean loss itself;
         # reuse it so the warmup trajectory matches plain training bitwise.
         return LossBreakdown(neg_ll, rank, clean, clean, clean), clean_pg, clean_ig
     cert, cert_pg, cert_ig = certified_upper_loss_grads(
-        net, batch, eps, w_val, sigma, need_grads and kappa != 1.0, pairs
+        net, batch, eps, w_val, sigma, need_grads and kappa != 1.0
     )
     # A term of weight 0 is left out: 0 * inf is NaN.
     total = (clean if kappa == 1.0 else cert if kappa == 0.0

@@ -1,7 +1,7 @@
 """Survival metrics, adversarial evaluation sweeps, and the report tables.
 
-Concordance is Harrell's C over comparable pairs (earlier time had an
-event), with half credit for risk ties.  The Brier score uses the
+Concordance is Harrell's C over `data.comparable_pairs` (earlier time had
+an event), with half credit for risk ties.  The Brier score uses the
 inverse-probability-of-censoring weighting with the censoring curve fitted
 on the training split, integrated by the trapezoid rule.  Hazards that
 overflow float64 are carried as +inf sentinels and surfaced as flags on the
@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import worst_case_log_hazard_batch
-from .data import Batch, FormatError, atomic_open, write_csv
+from .data import (Batch, FormatError, atomic_open, comparable_pairs,
+                   write_csv)
 from .losses import fgsm_perturb
 from .network import Network, forward_batch
 from .survival import (StepCurve, evaluation_grid, hazard, km_estimator,
@@ -44,19 +45,20 @@ class AggregationError(ValueError):
 
 
 def concordance_index(risks, times, events) -> float:
-    """Harrell's C: concordant fraction over comparable pairs."""
+    """Harrell's C: concordant fraction over `comparable_pairs`; undefined
+    without a pair or with a NaN risk, which has no order."""
     risks = np.asarray(risks, dtype=float)
-    times = np.asarray(times, dtype=float)
-    events = np.asarray(events, dtype=int)
     if not (len(risks) == len(times) == len(events)):
         raise ValueError("risks, times, events must have equal length")
-    comparable = (times[:, None] < times[None, :]) & (events[:, None] == 1)
-    n_pairs = int(comparable.sum())
+    if np.isnan(risks).any():
+        raise UndefinedMetricError("a risk is NaN")
+    rows, A = comparable_pairs(times, events)
+    n_pairs = int(A.sum())
     if n_pairs == 0:
         raise UndefinedMetricError("no comparable pairs")
-    ri, rj = risks[:, None], risks[None, :]
-    concordant = comparable & (ri > rj)
-    tied = comparable & (ri == rj)
+    ri, rj = risks[rows, None], risks[None, :]
+    concordant = A & (ri > rj)
+    tied = A & (ri == rj)
     return float((concordant.sum() + 0.5 * tied.sum()) / n_pairs)
 
 

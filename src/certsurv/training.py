@@ -19,9 +19,8 @@ from dataclasses import asdict, astuple, dataclass, field, fields
 import numpy as np
 
 from .data import Batch, FeatureCodec, SplitDataset, atomic_open, write_csv
-from .losses import (LossBreakdown, _clean_engine, _comparable_pairs,
-                     _resolve_w, fgsm_perturb, noise_perturb, pgd_perturb,
-                     sawar_loss_grads)
+from .losses import (LossBreakdown, _clean_engine, _resolve_w, fgsm_perturb,
+                     noise_perturb, pgd_perturb, sawar_loss_grads)
 from .network import (Network, TrainingDivergenceError, _check_architecture,
                       adam_step, init_adam, init_network)
 
@@ -170,19 +169,18 @@ def _guard_epoch(config: TrainConfig) -> int:
 
 
 def _perturbed(net: Network, batch: Batch, config: TrainConfig, eps: float,
-               noise_seed, pairs) -> Batch:
-    """The batch a baseline, noise, fgsm or pgd model is scored on at eps.
-    `pairs` is the batch's `_comparable_pairs`, which no perturbation
-    changes."""
+               noise_seed) -> Batch:
+    """The batch a baseline, noise, fgsm or pgd model is scored on at eps;
+    it shares `batch.pairs`, which no perturbation changes."""
     if config.method == "baseline" or eps == 0.0:
         return batch
     if config.method == "noise":
         return noise_perturb(batch, eps, noise_seed)
     if config.method == "fgsm":
         return fgsm_perturb(net, batch, eps, config.w, config.sigma,
-                            config.fgsm_sign_mode, pairs)
+                            config.fgsm_sign_mode)
     return pgd_perturb(net, batch, eps, config.pgd_steps, config.w,
-                       config.sigma, config.fgsm_sign_mode, pairs)
+                       config.sigma, config.fgsm_sign_mode)
 
 
 def _objective(net: Network, batch: Batch, config: TrainConfig, eps: float,
@@ -195,10 +193,9 @@ def _objective(net: Network, batch: Batch, config: TrainConfig, eps: float,
         breakdown, pgrads, _ = sawar_loss_grads(net, batch, eps, config.kappa,
                                                 w, sigma, need_grads)
         return breakdown, pgrads
-    pairs = _comparable_pairs(batch)
-    perturbed = _perturbed(net, batch, config, eps, noise_seed, pairs)
+    perturbed = _perturbed(net, batch, config, eps, noise_seed)
     neg_ll, rank, value, pgrads, _ = _clean_engine(
-        net, perturbed, _resolve_w(w, perturbed), sigma, need_grads, pairs
+        net, perturbed, _resolve_w(w, perturbed), sigma, need_grads
     )
     return LossBreakdown(neg_ll, rank, value, value, value), pgrads
 

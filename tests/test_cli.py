@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 from certsurv.cli import main
+from certsurv.metrics import ATTACKS
 
 from conftest import BAD_CODEC_EDITS, DATA_DIR, cli_env, planted_linear_csv
 
@@ -414,6 +416,27 @@ class TestEvaluateCommand:
             assert code == 0
             outs.append(file_digest(out / "metrics.csv"))
         assert outs[0] == outs[1]
+
+    def test_nan_risks_write_undefined_concordance(self, trained_dir, toy_csv,
+                                                   tmp_path):
+        # first-layer weights scaled by 1e308 overflow to NaN scores: no
+        # record can be ranked, so every ci is nan and flagged
+        with open(os.path.join(trained_dir, "checkpoint.ckpt.json")) as fh:
+            doc = json.load(fh)
+        doc["weights"][0] = (np.array(doc["weights"][0]) * 1e308).tolist()
+        ck = tmp_path / "scaled.ckpt.json"
+        ck.write_text(json.dumps(doc))
+        for attack in ATTACKS:
+            out = tmp_path / attack
+            assert run_child(["evaluate", "--model", ck, "--dataset", toy_csv,
+                              "--attack", attack, "--eps-grid", "0,0.5",
+                              "--out", out], cwd=tmp_path) == 0
+            with open(out / "metrics.csv", newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            assert len(rows) == 2
+            for row in rows:
+                assert math.isnan(float(row["ci"])), (attack, row)
+                assert row["ci_flag"] == "1"
 
     def test_overflowed_hazard_curves_start_at_one(self, trained_dir, toy_csv,
                                                    tmp_path):

@@ -1,12 +1,14 @@
+import dataclasses
 import os
 import warnings
 
 import numpy as np
 import pytest
 
-from certsurv.data import (CodecError, FormatError, RowError, apply_codec,
-                           fit_codec, load_csv, split_indices,
-                           stratified_split)
+from certsurv import data
+from certsurv.data import (Batch, CodecError, FormatError, RowError,
+                           apply_codec, comparable_pairs, fit_codec, load_csv,
+                           split_indices, stratified_split)
 
 
 @pytest.fixture
@@ -378,3 +380,44 @@ class TestStratifiedSplit:
         split = stratified_split(raw, seed=2)
         refit = fit_codec(raw.take(split.train_idx))
         assert refit.num_stats == split.codec.num_stats
+
+
+class TestBatch:
+    @staticmethod
+    def batch():
+        return Batch(np.zeros((4, 2)), [2.0, 1.0, 3.0, 1.0], [1, 1, 0, 0])
+
+    def test_plan_is_built_once_and_shared_by_moved_copies(self, monkeypatch):
+        calls = []
+
+        def counted(t, e):
+            calls.append(len(t))
+            return comparable_pairs(t, e)
+
+        monkeypatch.setattr(data, "comparable_pairs", counted)
+        batch = self.batch()
+        moved = batch.with_X(np.ones((4, 2)))
+        assert moved.pairs is batch.pairs
+        assert batch.with_X(np.zeros((4, 2))).pairs is batch.pairs
+        assert calls == [4]
+
+    def test_fields_cannot_change(self):
+        batch = self.batch()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            batch.t = np.ones(4)
+        with pytest.raises(ValueError, match="read-only"):
+            batch.t[0] = 5.0
+        with pytest.raises(ValueError, match="read-only"):
+            batch.e[0] = 0
+
+    def test_caller_arrays_stay_writable(self):
+        t, e = np.array([2.0, 1.0]), np.array([1, 0])
+        Batch(np.zeros((2, 1)), t, e)
+        t[0], e[0] = 0.5, 0
+        assert t.flags.writeable and e.flags.writeable
+
+    def test_empty_and_nan_times_give_no_pairs(self):
+        rows, A = comparable_pairs([], [])
+        assert rows.size == 0 and A.shape == (0, 0)
+        rows, A = comparable_pairs([np.nan, np.nan], [1, 1])
+        assert rows.size == 0 and A.shape == (0, 2)

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from certsurv.losses import (Batch, _clean_engine, _comparable_pairs,
-                             _loss_grad,
+from certsurv.losses import (Batch, _clean_engine, _loss_grad,
                              certified_upper_loss,
                              certified_upper_loss_grads, combined_loss,
                              combined_loss_grads, fgsm_perturb, loglik,
@@ -276,8 +275,7 @@ class TestAttackPath:
         with np.errstate(all="ignore"):
             G, caches = forward_batch(net, batch.X)
             w_val = 1.0 / len(batch) if w is None else w
-            _, dG = _loss_grad(G, batch.t, batch.e,
-                               _comparable_pairs(batch), w_val, sigma)
+            _, dG = _loss_grad(G, batch, w_val, sigma)
             got = input_grads_batch(net, caches, dG)
             full = combined_loss_grads(net, batch, w, sigma)[2]
             spelled = _written_out_input_grads(net, batch, w, sigma)
@@ -388,7 +386,7 @@ def test_pair_plan_holds_the_nonzero_rows_of_the_pair_matrix(case):
     _, batch, _, _ = case
     t, e = batch.t, batch.e
     A = (t[:, None] < t[None, :]) & (e[:, None] == 1)
-    pairs = _comparable_pairs(batch)
+    pairs = batch.pairs
     assert np.array_equal(pairs.rows, np.flatnonzero(A.any(axis=1)))
     assert np.array_equal(pairs.A, A[pairs.rows])
 

@@ -53,6 +53,15 @@ class TestConcordance:
         with pytest.raises(UndefinedMetricError):
             concordance_index([1, 2], [1, 2], [0, 0])
 
+    def test_empty_sample_is_undefined(self):
+        with pytest.raises(UndefinedMetricError):
+            concordance_index([], [], [])
+
+    def test_nan_risk_is_undefined(self):
+        # a NaN has no order: it is neither concordant, tied nor discordant
+        with pytest.raises(UndefinedMetricError, match="NaN"):
+            concordance_index([3.0, np.nan, 1.0], [1, 2, 3], [1, 1, 1])
+
     def test_negation_flips(self):
         rng = np.random.default_rng(0)
         risks = rng.normal(size=30)
@@ -81,6 +90,56 @@ class TestConcordance:
             if comparable == 0:
                 continue
             assert concordance_index(risks, times, events) == score / comparable
+
+
+def _full_matrix_concordance(risks, times, events):
+    """Harrell's C counted over the whole (n x n) comparable-pair matrix."""
+    risks = np.asarray(risks, dtype=float)
+    times = np.asarray(times, dtype=float)
+    events = np.asarray(events, dtype=int)
+    comparable = (times[:, None] < times[None, :]) & (events[:, None] == 1)
+    n_pairs = int(comparable.sum())
+    if n_pairs == 0:
+        raise UndefinedMetricError("no comparable pairs")
+    ri, rj = risks[:, None], risks[None, :]
+    concordant = comparable & (ri > rj)
+    tied = comparable & (ri == rj)
+    return float((concordant.sum() + 0.5 * tied.sum()) / n_pairs)
+
+
+@st.composite
+def concordance_cases(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.sampled_from([0, 1]) | st.integers(0, 200))
+    risks = (rng.choice([-1.0, 0.0, 0.5, 2.0], size=n) if draw(st.booleans())
+             else rng.normal(size=n))
+    if draw(st.booleans()):
+        risks[rng.random(n) < 0.1] = np.inf
+        risks[rng.random(n) < 0.1] = -np.inf
+    times = (rng.choice([0.5, 1.0, 2.0], size=n) if draw(st.booleans())
+             else rng.uniform(0.1, 5.0, size=n))
+    if draw(st.booleans()):
+        times[rng.random(n) < 0.2] = np.nan
+    events = draw(st.sampled_from(["mixed", "all", "none", "one"]))
+    e = {"mixed": (rng.random(n) < 0.5).astype(int),
+         "all": np.ones(n, dtype=int), "none": np.zeros(n, dtype=int),
+         "one": (np.arange(n) == rng.integers(max(n, 1))).astype(int)}[events]
+    return risks, times, e
+
+
+@settings(max_examples=200, deadline=None)
+@given(concordance_cases())
+def test_concordance_equals_full_matrix_count(case):
+    # The plan's rows hold every comparable pair, so the counts and the
+    # ratio are the full matrix's, bit for bit, undefined where it is.
+    try:
+        want = _full_matrix_concordance(*case)
+    except UndefinedMetricError:
+        with pytest.raises(UndefinedMetricError):
+            concordance_index(*case)
+        return
+    got = concordance_index(*case)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 class TestBrier:
@@ -360,6 +419,17 @@ class TestAttackSweep:
         _, _, _, ci_flag, ibs_flag, negll_flag = _metrics_from_hazards(
             hazards, test, NO_CENSOR, grid)
         assert ci_flag and ibs_flag and negll_flag
+
+    def test_nan_hazard_leaves_concordance_undefined(self):
+        # a NaN risk is written as ci = nan, which report skips and flags,
+        # not as a finite score that counts the NaN as discordant
+        rng = np.random.default_rng(8)
+        test = _dataset(rng)
+        hazards = rng.uniform(0.1, 2.0, size=len(test.t))
+        hazards[5] = np.nan
+        ci, _, _, ci_flag, _, _ = _metrics_from_hazards(
+            hazards, test, NO_CENSOR, np.linspace(0.1, 4.0, 10))
+        assert math.isnan(ci) and ci_flag
 
     def test_default_grid_matches_report_columns(self):
         assert len(DEFAULT_EPS_GRID) == 12

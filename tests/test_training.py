@@ -132,25 +132,28 @@ class TestTrain:
 
     @pytest.mark.parametrize("method", ["fgsm", "pgd"])
     def test_attack_training_builds_one_pair_plan_per_batch(
-            self, planted_split, monkeypatch, method):
+            self, tmp_path, monkeypatch, method):
         # The attack and the loss share the batch's comparable pairs: one
-        # plan per training batch and one per validation pass.
-        from certsurv import losses, training
-        build = losses._comparable_pairs
+        # plan per training batch, and one for the validation split, which
+        # is the same Batch in every epoch.  The split is built here: a
+        # shared one may already hold its validation plan.
+        from certsurv import data
+        split = stratified_split(load_csv(planted_linear_csv(
+            str(tmp_path / "toy.csv"), n=40, seed=3)), seed=0)
+        build = data.comparable_pairs
         sizes = []
 
-        def counted(batch):
-            sizes.append(len(batch))
-            return build(batch)
+        def counted(t, e):
+            sizes.append(len(t))
+            return build(t, e)
 
-        monkeypatch.setattr(losses, "_comparable_pairs", counted)
-        monkeypatch.setattr(training, "_comparable_pairs", counted)
+        monkeypatch.setattr(data, "comparable_pairs", counted)
         cfg = fast_config(method=method, max_epochs=4, warmup_epochs=1,
                           ramp_epochs=1)
-        train(cfg, planted_split)
-        n, bs = len(planted_split.train), cfg.batch_size
+        train(cfg, split)
+        n, bs = len(split.train), cfg.batch_size
         epoch = [min(bs, n - b0) for b0 in range(0, n, bs)]
-        assert sizes == (epoch + [len(planted_split.validation)]) * 4
+        assert sizes == epoch + [len(split.validation)] + epoch * 3
 
     @pytest.mark.parametrize("eps", [0.0, 0.3])
     @pytest.mark.parametrize("method", ["baseline", "fgsm", "pgd", "sawar"])
