@@ -25,6 +25,6 @@ from .training import (TrainConfig, TrainReport, eps_schedule,
                        load_checkpoint, save_checkpoint, train)
 from .metrics import (MetricRecord, RankTable, attack_sweep, average_ranks,
                       brier_ipcw, concordance_index, friedman_test,
-                      integrated_brier, negll_metric, relative_percent_change)
+                      integrated_brier, relative_percent_change)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -179,25 +179,26 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     # censoring distribution of the training rows (events flipped)
     ckm = km_estimator(raw.time[train_idx], 1 - raw.event[train_idx])
     curve_grid = default_time_grid(test.t)
-    clean_hazards = hazard(forward_batch(net, test.X)[0])
-    lo, hi = survival_quantiles(clean_hazards, curve_grid)
-    curve_payload = {
-        "km_test": (curve_grid, km_estimator(test.t, test.e)(curve_grid)),
-        "population_clean": (curve_grid,
-                             population_curve(clean_hazards, curve_grid)),
-        "quantile_lo05": (curve_grid, lo),
-        "quantile_hi95": (curve_grid, hi),
-    }
+    with np.errstate(over="ignore", invalid="ignore"):  # as in attack_sweep
+        clean_hazards = hazard(forward_batch(net, test.X)[0])
+        lo, hi = survival_quantiles(clean_hazards, curve_grid)
+        curve_payload = {
+            "km_test": (curve_grid, km_estimator(test.t, test.e)(curve_grid)),
+            "population_clean": (curve_grid,
+                                 population_curve(clean_hazards, curve_grid)),
+            "quantile_lo05": (curve_grid, lo),
+            "quantile_hi95": (curve_grid, hi),
+        }
 
-    def worst_case_curve(eps, hazards):
-        # the sweep's certified hazards give the worst-case population curve
+    def worst_case_curve(eps, G):
+        # the sweep's certified scores give the worst-case population curve
         curve_payload[f"population_worstcase_eps{eps:g}"] = (
-            curve_grid, population_curve(hazards, curve_grid))
+            curve_grid, population_curve(hazard(G), curve_grid))
 
     records = attack_sweep(
         net, test, args.attack, sorted(eps_grid), config, ckm,
         dataset_name=name, method_name=config.method, seed=config.seed,
-        on_hazards=worst_case_curve if args.attack == "worstcase" else None)
+        on_scores=worst_case_curve if args.attack == "worstcase" else None)
     summary = {
         "dataset": name,
         "method": config.method,
@@ -206,8 +207,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         "seed": config.seed,
         "config": config.to_dict(),
         "rows_dropped_nonpositive_time": raw.n_dropped_nonpositive,
-        "overflow_cells": sum(r.negll_flag or r.ibs_flag or r.ci_flag
-                              for r in records),
+        "flagged_cells": sum(r.negll_flag or r.ibs_flag or r.ci_flag
+                             for r in records),
         "tool_version": __version__,
     }
     emit_report(records, out_dir, curves=curve_payload, summary=summary)

@@ -1,11 +1,13 @@
 """Survival metrics, adversarial evaluation sweeps, and the report tables.
 
-Concordance is Harrell's C over `data.comparable_pairs` (earlier time had
-an event), with half credit for risk ties.  The Brier score uses the
-inverse-probability-of-censoring weighting with the censoring curve fitted
-on the training split, integrated by the trapezoid rule.  Hazards that
-overflow float64 are carried as +inf sentinels and surfaced as flags on the
-metric records instead of being dropped.
+The sweep measures the network's scores G.  Concordance is Harrell's C on
+G over the test batch's comparable pairs (earlier time had an event), with
+half credit for ties, so scores whose hazards exp(G) round alike still rank
+apart; the negative log likelihood is the training term `losses._ll_term`.
+The Brier score uses the inverse-probability-of-censoring weighting with
+the censoring curve fitted on the training split, integrated by the
+trapezoid rule.  A score that is not finite or whose hazard overflows
+flags every metric of its cell instead of being dropped.
 """
 
 from __future__ import annotations
@@ -20,9 +22,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import worst_case_log_hazard_batch
-from .data import (Batch, FormatError, atomic_open, comparable_pairs,
+from .data import (Batch, FormatError, Pairs, atomic_open, comparable_pairs,
                    write_csv)
-from .losses import fgsm_perturb
+from .losses import _ll_term, fgsm_perturb
 from .network import Network, forward_batch
 from .survival import (StepCurve, evaluation_grid, hazard, km_estimator,
                        survival_matrix)
@@ -44,15 +46,12 @@ class AggregationError(ValueError):
     """Rank aggregation input is incomplete or inconsistent."""
 
 
-def concordance_index(risks, times, events) -> float:
-    """Harrell's C: concordant fraction over `comparable_pairs`; undefined
+def _concordance(risks: np.ndarray, pairs: Pairs) -> float:
+    """Harrell's C: concordant fraction over the pair plan; undefined
     without a pair or with a NaN risk, which has no order."""
-    risks = np.asarray(risks, dtype=float)
-    if not (len(risks) == len(times) == len(events)):
-        raise ValueError("risks, times, events must have equal length")
     if np.isnan(risks).any():
         raise UndefinedMetricError("a risk is NaN")
-    rows, A = comparable_pairs(times, events)
+    rows, A = pairs
     n_pairs = int(A.sum())
     if n_pairs == 0:
         raise UndefinedMetricError("no comparable pairs")
@@ -60,6 +59,14 @@ def concordance_index(risks, times, events) -> float:
     concordant = A & (ri > rj)
     tied = A & (ri == rj)
     return float((concordant.sum() + 0.5 * tied.sum()) / n_pairs)
+
+
+def concordance_index(risks, times, events) -> float:
+    """Harrell's C over `comparable_pairs(times, events)`."""
+    risks = np.asarray(risks, dtype=float)
+    if not (len(risks) == len(times) == len(events)):
+        raise ValueError("risks, times, events must have equal length")
+    return _concordance(risks, comparable_pairs(times, events))
 
 
 def _brier_scores(surv, times, events, censor_km: StepCurve, grid):
@@ -121,21 +128,6 @@ def integrated_brier(surv_over_grid, times, events, censor_km: StepCurve,
                                      grid)
     value = float(np.trapezoid(scores, grid) / (grid[-1] - grid[0]))
     return value, excluded
-
-
-def negll_metric(hazards, times, events) -> float:
-    """Negative right-censored log likelihood from explicit hazard rates.
-
-    Infinite hazards propagate to an infinite value (flag upstream) rather
-    than raising.
-    """
-    lam = np.asarray(hazards, dtype=float)
-    times = np.asarray(times, dtype=float)
-    events = np.asarray(events, dtype=int)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        ll = np.where(events == 1, np.log(lam) - lam * times, -lam * times)
-    total = -float(np.sum(ll))
-    return total
 
 
 @dataclass
@@ -203,60 +195,62 @@ def censoring_km(train: Batch) -> StepCurve:
     return km_estimator(train.t, 1 - train.e)
 
 
-def _metrics_from_hazards(hazards, test: Batch, censor_km: StepCurve,
-                          grid) -> tuple:
-    hazards = np.asarray(hazards, dtype=float)
-    # overflowed (+inf) or undefined (NaN) hazards flag every metric
-    nonfinite = not bool(np.isfinite(hazards).all())
-    surv = survival_matrix(hazards, grid)
+def _metrics_from_scores(G, test: Batch, censor_km: StepCurve, grid) -> tuple:
+    hazards = hazard(G)
+    # a score that is not finite or whose hazard overflows flags every metric
+    nonfinite = not (np.isfinite(G).all() and np.isfinite(hazards).all())
     try:
-        ci = concordance_index(hazards, test.t, test.e)
+        ci = _concordance(G, test.pairs)
         ci_flag = nonfinite
     except UndefinedMetricError:
         ci, ci_flag = float("nan"), True
-    ibs, excluded = integrated_brier(surv, test.t, test.e, censor_km, grid)
+    ibs, excluded = integrated_brier(survival_matrix(hazards, grid), test.t,
+                                     test.e, censor_km, grid)
     ibs_flag = bool(not np.isfinite(ibs) or excluded > 0 or nonfinite)
-    negll = negll_metric(hazards, test.t, test.e)
+    negll = float(_ll_term(G, test.t, test.e).sum())
     negll_flag = bool(not np.isfinite(negll) or nonfinite)
     return ci, ibs, negll, ci_flag, ibs_flag, negll_flag
 
 
-def attack_hazards(net: Network, test: Batch, attack: str, eps: float,
-                   config: TrainConfig) -> np.ndarray:
-    """Per-record hazard rates under the chosen evaluation attack."""
+def attack_scores(net: Network, test: Batch, attack: str, eps: float,
+                  config: TrainConfig) -> np.ndarray:
+    """Per-record scores G under the chosen evaluation attack."""
     if attack == "fgsm":
         perturbed = fgsm_perturb(net, test, eps, config.w, config.sigma,
                                  config.fgsm_sign_mode)
-        G, _ = forward_batch(net, perturbed.X)
-    elif attack == "worstcase":
-        G = worst_case_log_hazard_batch(net, test.X, eps)
-    else:
-        raise ValueError(f"unknown attack {attack!r}; expected one of {ATTACKS}")
-    return hazard(G)
+        return forward_batch(net, perturbed.X)[0]
+    if attack == "worstcase":
+        return worst_case_log_hazard_batch(net, test.X, eps)
+    raise ValueError(f"unknown attack {attack!r}; expected one of {ATTACKS}")
+
+
+def attack_hazards(net: Network, test: Batch, attack: str, eps: float,
+                   config: TrainConfig) -> np.ndarray:
+    """Per-record hazard rates exp(G) under the chosen evaluation attack."""
+    return hazard(attack_scores(net, test, attack, eps, config))
 
 
 def attack_sweep(net: Network, test: Batch, attack: str, eps_grid,
                  config: TrainConfig, censor_km: StepCurve,
                  dataset_name: str = "", method_name: str = "",
-                 seed: int = 0, on_hazards=None) -> list[MetricRecord]:
+                 seed: int = 0, on_scores=None) -> list[MetricRecord]:
     """Concordance / integrated Brier / negative log likelihood per radius.
 
-    on_hazards, if given, is called as on_hazards(eps, hazards) for every
-    radius, so callers can reuse the attacked hazards without recomputing
-    them.
+    on_scores, if given, is called as on_scores(eps, G) for every radius,
+    so callers can reuse the attacked scores without recomputing them.
+    Overflow in the scoring, the metrics and the hook raises no warning;
+    it reaches the flags.
     """
     grid = evaluation_grid(test.t)
     records = []
-    for eps in eps_grid:
-        hazards = attack_hazards(net, test, attack, float(eps), config)
-        if on_hazards is not None:
-            on_hazards(float(eps), hazards)
-        ci, ibs, negll, cf, bf, nf = _metrics_from_hazards(
-            hazards, test, censor_km, grid
-        )
-        records.append(MetricRecord(dataset_name, method_name, attack,
-                                    float(eps), ci, ibs, negll, cf, bf, nf,
-                                    seed))
+    for eps in map(float, eps_grid):
+        with np.errstate(over="ignore", invalid="ignore"):
+            G = attack_scores(net, test, attack, eps, config)
+            if on_scores is not None:
+                on_scores(eps, G)
+            cells = _metrics_from_scores(G, test, censor_km, grid)
+        records.append(MetricRecord(dataset_name, method_name, attack, eps,
+                                    *cells, seed))
     return records
 
 

@@ -10,7 +10,9 @@ import warnings
 import numpy as np
 import pytest
 
+from certsurv import data, metrics
 from certsurv.cli import main
+from certsurv.data import comparable_pairs
 from certsurv.metrics import ATTACKS
 
 from conftest import BAD_CODEC_EDITS, DATA_DIR, cli_env, planted_linear_csv
@@ -39,9 +41,12 @@ def trained_dir(tmp_path_factory, toy_csv):
 
 
 def run_child(args, cwd):
-    """`python -m certsurv.cli` in a child process; returns the exit code."""
+    """`python -m certsurv.cli` in a child process; returns the exit code.
+    A RuntimeWarning is an error in the child, as in the tests' own
+    process."""
     proc = subprocess.run(
-        [sys.executable, "-m", "certsurv.cli", *[str(a) for a in args]],
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "certsurv.cli",
+         *[str(a) for a in args]],
         capture_output=True, text=True, cwd=cwd, env=cli_env(),
     )
     assert "Traceback" not in proc.stderr, proc.stderr
@@ -437,6 +442,54 @@ class TestEvaluateCommand:
             for row in rows:
                 assert math.isnan(float(row["ci"])), (attack, row)
                 assert row["ci_flag"] == "1"
+            summary = json.loads((out / "summary.json").read_text())
+            assert summary["flagged_cells"] == 2
+            assert "overflow_cells" not in summary
+
+    def test_underflowed_hazards_keep_concordance(self, trained_dir, toy_csv,
+                                                  tmp_path):
+        # an output bias 800 lower underflows every hazard to 0, but the
+        # scores keep their order: ci is the unshifted one, and negll is
+        # the finite likelihood of the shifted scores
+        with open(os.path.join(trained_dir, "checkpoint.ckpt.json")) as fh:
+            doc = json.load(fh)
+        doc["biases"][-1] = [doc["biases"][-1][0] - 800.0]
+        ck = tmp_path / "shifted.ckpt.json"
+        ck.write_text(json.dumps(doc))
+        for attack in ATTACKS:
+            cells = {}
+            for model in (os.path.join(trained_dir, "checkpoint.ckpt.json"),
+                          ck):
+                out = tmp_path / f"{attack}_{len(cells)}"
+                assert run_cli(["evaluate", "--model", model, "--dataset",
+                                toy_csv, "--attack", attack, "--eps-grid", "0",
+                                "--out", out]) == 0
+                with open(out / "metrics.csv", newline="") as fh:
+                    cells[model] = next(csv.DictReader(fh))
+            clean, shifted = cells.values()
+            assert shifted["ci"] == clean["ci"], attack
+            assert shifted["ci_flag"] == "0"
+            assert math.isfinite(float(shifted["negll"]))
+            assert shifted["negll_flag"] == "0"
+
+    def test_one_pair_build_per_evaluate(self, trained_dir, toy_csv,
+                                         tmp_path, monkeypatch):
+        # every radius counts Harrell's C over the test batch's one plan
+        builds = []
+
+        def counting(t, e):
+            builds.append(len(t))
+            return comparable_pairs(t, e)
+        monkeypatch.setattr(data, "comparable_pairs", counting)
+        monkeypatch.setattr(metrics, "comparable_pairs", counting)
+        for attack in ATTACKS:
+            builds.clear()
+            assert run_cli(["evaluate", "--model",
+                            os.path.join(trained_dir, "checkpoint.ckpt.json"),
+                            "--dataset", toy_csv, "--attack", attack,
+                            "--eps-grid", "0,0.5,1", "--out",
+                            tmp_path / attack]) == 0
+            assert len(builds) == 1, attack
 
     def test_overflowed_hazard_curves_start_at_one(self, trained_dir, toy_csv,
                                                    tmp_path):

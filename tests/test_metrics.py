@@ -12,16 +12,17 @@ from certsurv import data as data_module
 from certsurv.data import Batch
 from certsurv.metrics import (AggregationError, DEFAULT_EPS_GRID,
                               METRIC_DIRECTIONS, MetricRecord,
-                              UndefinedMetricError, _metrics_from_hazards,
+                              UndefinedMetricError, _metrics_from_scores,
                               attack_sweep, average_ranks, brier_ipcw,
                               censoring_km, chi2_sf, concordance_index,
                               emit_report, friedman_test, integrated_brier,
-                              negll_metric, read_metrics_csv,
+                              read_metrics_csv,
                               relative_percent_change, report_tables,
                               write_metrics_csv)
 from certsurv.bounds import worst_case_log_hazard_batch
 from certsurv.network import forward_batch
-from certsurv.survival import StepCurve, km_estimator, population_curve
+from certsurv.survival import (StepCurve, hazard, km_estimator,
+                               population_curve)
 from certsurv.training import TrainConfig
 
 from conftest import random_net
@@ -333,24 +334,43 @@ class TestBrierOracle:
                              NO_CENSOR, [0.5, 1.5, 2.5])
 
 
+def _scored_metrics(G, test):
+    """(ci, ibs, negll, ci_flag, ibs_flag, negll_flag) of scores G, under
+    the errstate that attack_sweep scores and measures each radius in."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _metrics_from_scores(np.asarray(G, dtype=float), test,
+                                    NO_CENSOR, np.linspace(0.1, 4.0, 10))
+
+
 class TestNegll:
+    """negll is the training likelihood term on the scores G = log(hazard)."""
+
+    @staticmethod
+    def _negll(G, t, e):
+        test = Batch(np.zeros((len(t), 1)), t, e)
+        _, _, negll, _, _, negll_flag = _scored_metrics(G, test)
+        return negll, negll_flag
+
     def test_unit_hazard_single_event(self):
-        assert negll_metric([1.0], [1.0], [1]) == pytest.approx(1.0)
+        negll, flag = self._negll([0.0], [1.0], [1])
+        assert negll == pytest.approx(1.0) and not flag
 
     def test_all_censored_unit_hazard(self):
         t = np.array([0.5, 1.5, 2.0])
-        assert negll_metric(np.ones(3), t, np.zeros(3, int)) == pytest.approx(t.sum())
+        negll, _ = self._negll(np.zeros(3), t, np.zeros(3, int))
+        assert negll == pytest.approx(t.sum())
 
     def test_three_record_hand_sum(self):
         lam = np.array([0.5, 2.0, 1.5])
         t = np.array([1.0, 0.5, 2.0])
         e = np.array([1, 0, 1])
         expected = -((np.log(0.5) - 0.5) + (-1.0) + (np.log(1.5) - 3.0))
-        assert negll_metric(lam, t, e) == pytest.approx(expected, rel=1e-12)
+        negll, _ = self._negll(np.log(lam), t, e)
+        assert negll == pytest.approx(expected, rel=1e-12)
 
     def test_infinite_hazard_flags_not_raises(self):
-        val = negll_metric([np.inf], [1.0], [0])
-        assert np.isinf(val)
+        negll, flag = self._negll([np.inf], [1.0], [0])
+        assert not np.isfinite(negll) and flag
 
 
 def _dataset(rng, n=30, d=2):
@@ -370,8 +390,7 @@ class TestAttackSweep:
         ckm = NO_CENSOR
         recs = attack_sweep(net, test, "fgsm", [0.0], cfg, ckm, "d", "m")
         G, _ = forward_batch(net, test.X)
-        clean = np.exp(G)
-        assert recs[0].ci == concordance_index(clean, test.t, test.e)
+        assert recs[0].ci == concordance_index(G, test.t, test.e)
 
     def test_zero_radius_worstcase_close_to_clean(self):
         rng = np.random.default_rng(3)
@@ -394,7 +413,7 @@ class TestAttackSweep:
             assert np.all(cur <= prev + 1e-12)
             prev = cur
 
-    def test_hazard_hook_gives_worst_case_curve(self):
+    def test_score_hook_gives_worst_case_curve(self):
         rng = np.random.default_rng(6)
         net = random_net(rng, [2, 5, 1])
         test = _dataset(rng)
@@ -402,33 +421,31 @@ class TestAttackSweep:
         seen = {}
         attack_sweep(net, test, "worstcase", [0.0, 0.5, 1.0], TrainConfig(),
                      NO_CENSOR, "d", "m",
-                     on_hazards=lambda eps, h: seen.setdefault(eps, h))
+                     on_scores=lambda eps, G: seen.setdefault(eps, G))
         assert sorted(seen) == [0.0, 0.5, 1.0]
-        for eps, hazards in seen.items():
+        for eps, G in seen.items():
             np.testing.assert_array_equal(
-                population_curve(hazards, grid),
+                population_curve(hazard(G), grid),
                 _worst_case_curve(net, test.X, eps, grid))
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    # -inf has hazard 0 and 800 a finite score whose hazard overflows
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 800.0])
     def test_nonfinite_hazard_flags_every_metric(self, bad):
         rng = np.random.default_rng(7)
         test = _dataset(rng)
-        hazards = rng.uniform(0.1, 2.0, size=len(test.t))
-        hazards[3] = bad
-        grid = np.linspace(0.1, 4.0, 10)
-        _, _, _, ci_flag, ibs_flag, negll_flag = _metrics_from_hazards(
-            hazards, test, NO_CENSOR, grid)
+        G = np.log(rng.uniform(0.1, 2.0, size=len(test.t)))
+        G[3] = bad
+        _, _, _, ci_flag, ibs_flag, negll_flag = _scored_metrics(G, test)
         assert ci_flag and ibs_flag and negll_flag
 
     def test_nan_hazard_leaves_concordance_undefined(self):
-        # a NaN risk is written as ci = nan, which report skips and flags,
+        # a NaN score is written as ci = nan, which report skips and flags,
         # not as a finite score that counts the NaN as discordant
         rng = np.random.default_rng(8)
         test = _dataset(rng)
-        hazards = rng.uniform(0.1, 2.0, size=len(test.t))
-        hazards[5] = np.nan
-        ci, _, _, ci_flag, _, _ = _metrics_from_hazards(
-            hazards, test, NO_CENSOR, np.linspace(0.1, 4.0, 10))
+        G = np.log(rng.uniform(0.1, 2.0, size=len(test.t)))
+        G[5] = np.nan
+        ci, _, _, ci_flag, _, _ = _scored_metrics(G, test)
         assert math.isnan(ci) and ci_flag
 
     def test_default_grid_matches_report_columns(self):
