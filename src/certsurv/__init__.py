@@ -24,7 +24,7 @@ from .data import (Batch, FeatureCodec, RawDataset, SplitDataset, apply_codec,
 from .training import (TrainConfig, TrainReport, eps_schedule,
                        load_checkpoint, save_checkpoint, train)
 from .metrics import (MetricRecord, RankTable, attack_sweep, average_ranks,
-                      brier_ipcw, concordance_index, friedman_test,
-                      integrated_brier, relative_percent_change)
+                      brier_ipcw, censoring_km, concordance_index,
+                      friedman_test, integrated_brier, relative_percent_change)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

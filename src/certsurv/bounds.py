@@ -233,8 +233,7 @@ def crown_ibp_batch_tape(net: Network, X, eps: float):
 
 
 def crown_ibp_batch(net: Network, X, eps: float):
-    lb, ub, _ = crown_ibp_batch_tape(net, X, eps)
-    return lb, ub
+    return crown_ibp_batch_tape(net, X, eps)[:2]
 
 
 def crown_ibp_batch_vjp(net: Network, tape: BoundTape, dlb, dub):
@@ -352,6 +351,12 @@ def worst_case_hazard(net: Network, pset: PerturbationSet) -> float:
 
 
 def worst_case_log_hazard_batch(net: Network, X, eps: float) -> np.ndarray:
-    """Certified per-row upper bounds on G, for evaluation sweeps."""
-    _, ub = crown_ibp_batch(net, X, eps)
-    return ub
+    """Certified per-row upper bounds on G: crown_ibp_batch's, bit for bit."""
+    X = _check_batch(net, X)
+    eps = float(eps)
+    _check_radius(eps)
+    lows, ups, _, _ = _interval_forward(net, X, eps)
+    lines = _relaxation(net, lows, ups)[:3]  # up_slope, up_icpt, low_slope
+    crown_ub = _upper_chain(net, X, eps, net.weights[-1][0],
+                            net.biases[-1][0], *lines)[0]
+    return np.where(crown_ub <= ups[-1][:, 0], crown_ub, ups[-1][:, 0])

@@ -182,18 +182,17 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     with np.errstate(over="ignore", invalid="ignore"):  # as in attack_sweep
         clean_hazards = hazard(forward_batch(net, test.X)[0])
         lo, hi = survival_quantiles(clean_hazards, curve_grid)
-        curve_payload = {
-            "km_test": (curve_grid, km_estimator(test.t, test.e)(curve_grid)),
-            "population_clean": (curve_grid,
-                                 population_curve(clean_hazards, curve_grid)),
-            "quantile_lo05": (curve_grid, lo),
-            "quantile_hi95": (curve_grid, hi),
+        curves = {
+            "km_test": km_estimator(test.t, test.e)(curve_grid),
+            "population_clean": population_curve(clean_hazards, curve_grid),
+            "quantile_lo05": lo,
+            "quantile_hi95": hi,
         }
 
     def worst_case_curve(eps, G):
         # the sweep's certified scores give the worst-case population curve
-        curve_payload[f"population_worstcase_eps{eps:g}"] = (
-            curve_grid, population_curve(hazard(G), curve_grid))
+        curves[f"population_worstcase_eps{eps:g}"] = population_curve(
+            hazard(G), curve_grid)
 
     records = attack_sweep(
         net, test, args.attack, sorted(eps_grid), config, ckm,
@@ -211,7 +210,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                              for r in records),
         "tool_version": __version__,
     }
-    emit_report(records, out_dir, curves=curve_payload, summary=summary)
+    emit_report(records, out_dir, curves=(curve_grid, curves), summary=summary)
     print(f"evaluated {config.method} on {name} under {args.attack}: "
           f"{len(records)} cells -> {out_dir}/metrics.csv")
     return EXIT_OK

@@ -201,23 +201,29 @@ def pgd_perturb(net: Network, batch: Batch, eps: float, steps: int,
     _check_radius(eps)
     if eps == 0.0:
         return batch
-    X0 = batch.X
-    X = X0.copy()
+    X0 = X = batch.X
     alpha = eps / steps
     # times and events never change, so neither do the pairs and the weight
     w_val = _resolve_w(w, batch)
     for _ in range(steps):
-        G, caches = forward_batch(net, X)
-        _, dG = _loss_grad(G, batch, w_val, sigma)
-        igrads = input_grads_batch(net, caches, dG)
-        bad = ~np.all(np.isfinite(igrads), axis=1)
-        if bad.any():
-            log.warning("skipping perturbation for %d record(s) with "
-                        "non-finite input gradient", int(bad.sum()))
-            igrads[bad] = 0.0
-        step = np.sign(igrads) if sign_mode else igrads
+        step = _ascent_step(net, X, batch, w_val, sigma, sign_mode)[1]
         X = _project_ball(X + alpha * step, X0, eps)
     return batch.with_X(X)
+
+
+def _ascent_step(net: Network, X: np.ndarray, batch: Batch, w_val: float,
+                 sigma: float, sign_mode: bool):
+    """(G, step): the scores at X and the ascent direction of the combined
+    loss on `batch`'s times and pairs there (zero on a non-finite row)."""
+    G, caches = forward_batch(net, X)
+    dG = _loss_grad(G, batch, w_val, sigma)[1]
+    igrads = input_grads_batch(net, caches, dG)
+    bad = ~np.all(np.isfinite(igrads), axis=1)
+    if bad.any():
+        log.warning("skipping perturbation for %d record(s) with "
+                    "non-finite input gradient", int(bad.sum()))
+        igrads[bad] = 0.0
+    return G, np.sign(igrads) if sign_mode else igrads
 
 
 def fgsm_perturb(net: Network, batch: Batch, eps: float,

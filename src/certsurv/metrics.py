@@ -8,6 +8,9 @@ The Brier score uses the inverse-probability-of-censoring weighting with
 the censoring curve fitted on the training split, integrated by the
 trapezoid rule.  A score that is not finite or whose hazard overflows
 flags every metric of its cell instead of being dropped.
+Work no radius changes (the Brier plan; FGSM's ascent direction at the
+clean covariates, whose forward pass gives the radius-0 scores) is done
+once per sweep, so a non-finite input gradient is logged once.
 """
 
 from __future__ import annotations
@@ -21,10 +24,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import worst_case_log_hazard_batch
+from .bounds import _check_radius, worst_case_log_hazard_batch
 from .data import (Batch, FormatError, Pairs, atomic_open, comparable_pairs,
                    write_csv)
-from .losses import _ll_term, fgsm_perturb
+from .losses import _ascent_step, _ll_term, _project_ball, _resolve_w
 from .network import Network, forward_batch
 from .survival import (StepCurve, evaluation_grid, hazard, km_estimator,
                        survival_matrix)
@@ -69,39 +72,49 @@ def concordance_index(risks, times, events) -> float:
     return _concordance(risks, comparable_pairs(times, events))
 
 
-def _brier_scores(surv, times, events, censor_km: StepCurve, grid):
-    """IPCW Brier score at every horizon of the grid, in one array pass.
+class _BrierPlan:
+    """IPCW Brier work no survival matrix enters, once per (records, censoring
+    curve, horizons); `excluded` counts terms with a zero censoring weight."""
 
-    surv is (records x horizons).  Returns (scores per horizon, excluded
-    count over all horizons): a record whose censoring weight hits an
-    estimated zero is excluded from the sum but kept in the denominator.
-    Terms are added over records in index order (cumsum, not the pairwise
-    np.sum), so each score is the sequential sum of its terms.
-    """
-    surv = np.asarray(surv, dtype=float)
-    times = np.asarray(times, dtype=float)
-    events = np.asarray(events, dtype=int)
-    n = len(times)
-    if n == 0:
-        raise UndefinedMetricError("empty sample")
-    if surv.shape != (n, len(grid)):
-        raise ValueError(f"survival matrix has shape {surv.shape}, "
-                         f"expected {(n, len(grid))}")
-    g_at_t = censor_km.at_left(times)[:, None]
-    g_at_tau = censor_km(grid)[None, :]
-    t = times[:, None]
-    event_before = (events == 1)[:, None] & (t <= grid[None, :])
-    still_at_risk = t > grid[None, :]
-    # censored at or before tau is in neither mask and contributes zero
-    zero_t = event_before & (g_at_t <= 0.0)
-    zero_tau = still_at_risk & (g_at_tau <= 0.0)
-    # entries outside the masks may divide by a zero weight; they are dropped
-    with np.errstate(all="ignore"):
-        term = np.where(event_before & ~zero_t, surv ** 2 / g_at_t, 0.0)
-        term += np.where(still_at_risk & ~zero_tau,
-                         (1.0 - surv) ** 2 / g_at_tau, 0.0)
-    scores = np.cumsum(term, axis=0)[-1] / n
-    return scores, int(zero_t.sum() + zero_tau.sum())
+    def __init__(self, times, events, censor_km: StepCurve, grid):
+        self.grid = grid = np.asarray(grid, dtype=float)
+        if grid.ndim != 1 or np.any(np.diff(grid) <= 0):
+            raise ValueError("grid must be strictly increasing")
+        times = np.asarray(times, dtype=float)
+        if len(times) == 0:
+            raise UndefinedMetricError("empty sample")
+        self.g_at_t = censor_km.at_left(times)[:, None]
+        self.g_at_tau = censor_km(grid)[None, :]
+        t, e = times[:, None], np.asarray(events, dtype=int)[:, None]
+        event_before = (e == 1) & (t <= grid[None, :])
+        still_at_risk = t > grid[None, :]
+        # censored at or before tau is in neither mask and contributes zero
+        zero_t = event_before & (self.g_at_t <= 0.0)
+        zero_tau = still_at_risk & (self.g_at_tau <= 0.0)
+        self.event_terms = event_before & ~zero_t
+        self.risk_terms = still_at_risk & ~zero_tau
+        self.excluded = int(zero_t.sum() + zero_tau.sum())
+
+    def scores(self, surv) -> np.ndarray:
+        """Score per horizon of a (records x horizons) survival matrix: the
+        sequential sum of its terms in record order (cumsum, not np.sum)."""
+        surv = np.asarray(surv, dtype=float)
+        if surv.shape != self.event_terms.shape:
+            raise ValueError(f"survival matrix has shape {surv.shape}, "
+                             f"expected {self.event_terms.shape}")
+        # entries outside the masks may divide by a zero weight; dropped
+        with np.errstate(all="ignore"):
+            term = np.where(self.event_terms, surv ** 2 / self.g_at_t, 0.0)
+            term += np.where(self.risk_terms,
+                             (1.0 - surv) ** 2 / self.g_at_tau, 0.0)
+        return np.cumsum(term, axis=0)[-1] / len(surv)
+
+    def integrated(self, surv) -> float:
+        """Trapezoidal integral of the scores, span-normalized."""
+        g = self.grid
+        if g.size < 2:
+            raise ValueError("grid must contain at least two points")
+        return float(np.trapezoid(self.scores(surv), g) / (g[-1] - g[0]))
 
 
 def brier_ipcw(surv_at_tau, times, events, censor_km: StepCurve, tau: float):
@@ -111,23 +124,15 @@ def brier_ipcw(surv_at_tau, times, events, censor_km: StepCurve, tau: float):
     estimated zero are excluded from the sum but kept in the denominator.
     """
     s = np.asarray(surv_at_tau, dtype=float)
-    scores, excluded = _brier_scores(s[:, None], times, events, censor_km,
-                                     np.array([float(tau)]))
-    return float(scores[0]), excluded
+    plan = _BrierPlan(times, events, censor_km, np.array([float(tau)]))
+    return float(plan.scores(s[:, None])[0]), plan.excluded
 
 
 def integrated_brier(surv_over_grid, times, events, censor_km: StepCurve,
                      grid):
     """Trapezoidal integral of the Brier score over the grid, span-normalized."""
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 1 or grid.size < 2:
-        raise ValueError("grid must contain at least two points")
-    if np.any(np.diff(grid) <= 0):
-        raise ValueError("grid must be strictly increasing")
-    scores, excluded = _brier_scores(surv_over_grid, times, events, censor_km,
-                                     grid)
-    value = float(np.trapezoid(scores, grid) / (grid[-1] - grid[0]))
-    return value, excluded
+    plan = _BrierPlan(times, events, censor_km, grid)
+    return plan.integrated(surv_over_grid), plan.excluded
 
 
 @dataclass
@@ -195,7 +200,7 @@ def censoring_km(train: Batch) -> StepCurve:
     return km_estimator(train.t, 1 - train.e)
 
 
-def _metrics_from_scores(G, test: Batch, censor_km: StepCurve, grid) -> tuple:
+def _metrics_from_scores(G, test: Batch, brier: _BrierPlan) -> tuple:
     hazards = hazard(G)
     # a score that is not finite or whose hazard overflows flags every metric
     nonfinite = not (np.isfinite(G).all() and np.isfinite(hazards).all())
@@ -204,24 +209,37 @@ def _metrics_from_scores(G, test: Batch, censor_km: StepCurve, grid) -> tuple:
         ci_flag = nonfinite
     except UndefinedMetricError:
         ci, ci_flag = float("nan"), True
-    ibs, excluded = integrated_brier(survival_matrix(hazards, grid), test.t,
-                                     test.e, censor_km, grid)
-    ibs_flag = bool(not np.isfinite(ibs) or excluded > 0 or nonfinite)
+    ibs = brier.integrated(survival_matrix(hazards, brier.grid))
+    ibs_flag = bool(not np.isfinite(ibs) or brier.excluded > 0 or nonfinite)
     negll = float(_ll_term(G, test.t, test.e).sum())
     negll_flag = bool(not np.isfinite(negll) or nonfinite)
     return ci, ibs, negll, ci_flag, ibs_flag, negll_flag
 
 
+def _sweep_scores(net: Network, test: Batch, attack: str, eps_grid,
+                  config: TrainConfig) -> list[np.ndarray]:
+    """Scores G under the attack at every radius of the grid."""
+    if attack == "worstcase":
+        return [worst_case_log_hazard_batch(net, test.X, e) for e in eps_grid]
+    if attack != "fgsm":
+        raise ValueError(f"unknown attack {attack!r}; expected one of "
+                         f"{ATTACKS}")
+    for eps in eps_grid:
+        _check_radius(eps)
+    X0 = test.X
+    if any(eps != 0.0 for eps in eps_grid):
+        G0, step = _ascent_step(net, X0, test, _resolve_w(config.w, test),
+                                config.sigma, config.fgsm_sign_mode)
+    else:
+        G0 = forward_batch(net, X0)[0]
+    return [forward_batch(net, _project_ball(X0 + eps * step, X0, eps))[0]
+            if eps != 0.0 else G0 for eps in eps_grid]
+
+
 def attack_scores(net: Network, test: Batch, attack: str, eps: float,
                   config: TrainConfig) -> np.ndarray:
     """Per-record scores G under the chosen evaluation attack."""
-    if attack == "fgsm":
-        perturbed = fgsm_perturb(net, test, eps, config.w, config.sigma,
-                                 config.fgsm_sign_mode)
-        return forward_batch(net, perturbed.X)[0]
-    if attack == "worstcase":
-        return worst_case_log_hazard_batch(net, test.X, eps)
-    raise ValueError(f"unknown attack {attack!r}; expected one of {ATTACKS}")
+    return _sweep_scores(net, test, attack, [eps], config)[0]
 
 
 def attack_hazards(net: Network, test: Batch, attack: str, eps: float,
@@ -241,17 +259,16 @@ def attack_sweep(net: Network, test: Batch, attack: str, eps_grid,
     Overflow in the scoring, the metrics and the hook raises no warning;
     it reaches the flags.
     """
-    grid = evaluation_grid(test.t)
-    records = []
-    for eps in map(float, eps_grid):
-        with np.errstate(over="ignore", invalid="ignore"):
-            G = attack_scores(net, test, attack, eps, config)
+    eps_grid = [float(eps) for eps in eps_grid]
+    with np.errstate(over="ignore", invalid="ignore"):
+        brier = _BrierPlan(test.t, test.e, censor_km, evaluation_grid(test.t))
+        scores = _sweep_scores(net, test, attack, eps_grid, config)
+        for eps, G in zip(eps_grid, scores):
             if on_scores is not None:
                 on_scores(eps, G)
-            cells = _metrics_from_scores(G, test, censor_km, grid)
-        records.append(MetricRecord(dataset_name, method_name, attack, eps,
-                                    *cells, seed))
-    return records
+        return [MetricRecord(dataset_name, method_name, attack, eps,
+                             *_metrics_from_scores(G, test, brier), seed)
+                for eps, G in zip(eps_grid, scores)]
 
 
 @dataclass
@@ -452,24 +469,27 @@ def report_tables(records: list[MetricRecord]) -> dict:
     }
 
 
-def emit_report(records, out_dir, curves: dict | None = None,
+def emit_report(records, out_dir, curves: tuple | None = None,
                 summary: dict | None = None):
-    """Write metrics.csv, the curve CSVs, and summary.json, each atomically."""
+    """Write metrics.csv, curves = (grid, {name: values}) and summary.json."""
     if not records:
         raise ValueError("nothing to report")
     os.makedirs(out_dir, exist_ok=True)
     paths = {"metrics": os.path.join(out_dir, "metrics.csv")}
     write_metrics_csv(paths["metrics"], records)
     if curves:
+        grid, named = curves
         cdir = os.path.join(out_dir, "curves")
         os.makedirs(cdir, exist_ok=True)
-        for name, (grid, values) in curves.items():
+        # the bytes np.savetxt writes; each time is formatted once
+        times = ["%.18e," % x for x in np.asarray(grid, dtype=float).tolist()]
+        for name, values in named.items():
             cpath = os.path.join(cdir, f"{name}.csv")
-            rows = np.column_stack([grid, values]).tolist()
+            values = np.asarray(values, dtype=float).tolist()
             with atomic_open(cpath) as fh:
-                # the bytes np.savetxt writes, formatted in one join
-                fh.write("time,survival\n" + "".join(
-                    "%.18e,%.18e\n" % (x, y) for x, y in rows))
+                fh.write("time,survival\n" + "".join([
+                    x + "%.18e\n" % y
+                    for x, y in zip(times, values, strict=True)]))
             paths[f"curve:{name}"] = cpath
     if summary is not None:
         paths["summary"] = os.path.join(out_dir, "summary.json")

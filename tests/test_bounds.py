@@ -470,6 +470,32 @@ class TestBoundEngineProperties:
             fd = (f_plus - f_minus) / (2 * h)
             assert abs(fd - g[at]) <= 1e-5 * (1.0 + abs(g[at])) + 1e-8 * size
 
+    @settings(max_examples=150, deadline=None)
+    @given(bound_cases(), st.sampled_from([1.0, 1e300, 1e308]))
+    def test_worst_case_equals_crown_ibp_ub(self, case, weight_scale):
+        # Scaled first-layer weights overflow the interval arithmetic
+        # (inf - inf), so NaN rows must land in the same places too.
+        net, X, eps, _ = case
+        with np.errstate(all="ignore"):
+            net.weights[0] *= weight_scale
+            got = worst_case_log_hazard_batch(net, X, eps)
+            want = crown_ibp_batch(net, X, eps)[1]
+        np.testing.assert_array_equal(got, want)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("eps", [0.0, 0.5])
+    def test_worst_case_keeps_the_nan_rows_of_an_overflow(self, eps):
+        rng = np.random.default_rng(12)
+        net = random_net(rng, [3, 6, 6, 1])
+        net.weights[0] *= 1e308  # finite weights; the products overflow
+        X = rng.normal(size=(8, 3))
+        with np.errstate(all="ignore"):
+            got = worst_case_log_hazard_batch(net, X, eps)
+            want = crown_ibp_batch(net, X, eps)[1]
+        assert np.isnan(want).any()
+        np.testing.assert_array_equal(got, want)
+        assert got.tobytes() == want.tobytes()
+
     def test_zero_output_weight_takes_the_upper_line_in_both_chains(self):
         # Every hidden neuron crosses zero and the output ignores the first.
         # The other two nearly cancel, so the linear lower bound beats the

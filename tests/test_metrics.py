@@ -9,20 +9,24 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from certsurv import data as data_module
+from certsurv import losses as losses_module
 from certsurv.data import Batch
+from certsurv.losses import _ll_term, fgsm_perturb
 from certsurv.metrics import (AggregationError, DEFAULT_EPS_GRID,
                               METRIC_DIRECTIONS, MetricRecord,
-                              UndefinedMetricError, _metrics_from_scores,
+                              UndefinedMetricError, _BrierPlan, _concordance,
+                              _metrics_from_scores, attack_scores,
                               attack_sweep, average_ranks, brier_ipcw,
                               censoring_km, chi2_sf, concordance_index,
                               emit_report, friedman_test, integrated_brier,
                               read_metrics_csv,
                               relative_percent_change, report_tables,
                               write_metrics_csv)
-from certsurv.bounds import worst_case_log_hazard_batch
+from certsurv.bounds import crown_ibp_batch, worst_case_log_hazard_batch
 from certsurv.network import forward_batch
-from certsurv.survival import (StepCurve, hazard, km_estimator,
-                               population_curve)
+from certsurv.survival import (StepCurve, evaluation_grid, hazard,
+                               km_estimator, population_curve,
+                               survival_matrix)
 from certsurv.training import TrainConfig
 
 from conftest import random_net
@@ -224,6 +228,13 @@ class TestIntegratedBrier:
         with pytest.raises(ValueError):
             integrated_brier(np.zeros((1, 1)), [1.0], [1], NO_CENSOR, [1.0])
 
+    @pytest.mark.parametrize("grid", [1.0, [], [[0.5, 1.5]], [[0.5], [1.5]],
+                                      [1.5, 0.5], [0.5, 0.5]])
+    def test_malformed_grid_raises_value_error(self, grid):
+        with pytest.raises(ValueError, match="grid must"):
+            integrated_brier(np.zeros((2, 2)), [1.0, 2.0], [1, 1], NO_CENSOR,
+                             grid)
+
     def test_monotone_under_worse_calibration(self):
         # moving the perfect predictor toward 0.5 everywhere can only hurt
         times = np.array([1.0, 2.0, 3.0])
@@ -333,13 +344,50 @@ class TestBrierOracle:
             integrated_brier(np.zeros((2, 3)), [1.0, 2.0, 3.0], [1, 1, 1],
                              NO_CENSOR, [0.5, 1.5, 2.5])
 
+    @settings(max_examples=150, deadline=None)
+    @given(brier_cases(min_horizons=2), st.integers(0, 2 ** 32 - 1))
+    def test_one_plan_serves_many_survival_matrices(self, case, seed):
+        surv, times, events, censor_km, grid = case
+        rng = np.random.default_rng(seed)
+        plan = _BrierPlan(times, events, censor_km, grid)
+        for m in (surv, rng.uniform(size=surv.shape), surv ** 3,
+                  np.round(surv)):
+            want, excluded = _one_pass_brier_scores(m, times, events,
+                                                    censor_km, grid)
+            assert plan.scores(m).tobytes() == want.tobytes()
+            assert plan.excluded == excluded
+            ibs = float(np.trapezoid(want, grid) / (grid[-1] - grid[0]))
+            assert plan.integrated(m) == ibs
+            assert integrated_brier(m, times, events, censor_km,
+                                    grid) == (ibs, excluded)
+
+
+def _one_pass_brier_scores(surv, times, events, censor_km, grid):
+    """The IPCW Brier score per horizon as one function, with every
+    operation in the order the plan splits it into (bitwise reference)."""
+    n = len(times)
+    g_at_t = censor_km.at_left(times)[:, None]
+    g_at_tau = censor_km(grid)[None, :]
+    t = times[:, None]
+    event_before = (events == 1)[:, None] & (t <= grid[None, :])
+    still_at_risk = t > grid[None, :]
+    zero_t = event_before & (g_at_t <= 0.0)
+    zero_tau = still_at_risk & (g_at_tau <= 0.0)
+    with np.errstate(all="ignore"):
+        term = np.where(event_before & ~zero_t, surv ** 2 / g_at_t, 0.0)
+        term += np.where(still_at_risk & ~zero_tau,
+                         (1.0 - surv) ** 2 / g_at_tau, 0.0)
+    scores = np.cumsum(term, axis=0)[-1] / n
+    return scores, int(zero_t.sum() + zero_tau.sum())
+
 
 def _scored_metrics(G, test):
     """(ci, ibs, negll, ci_flag, ibs_flag, negll_flag) of scores G, under
     the errstate that attack_sweep scores and measures each radius in."""
     with np.errstate(over="ignore", invalid="ignore"):
         return _metrics_from_scores(np.asarray(G, dtype=float), test,
-                                    NO_CENSOR, np.linspace(0.1, 4.0, 10))
+                                    _BrierPlan(test.t, test.e, NO_CENSOR,
+                                               np.linspace(0.1, 4.0, 10)))
 
 
 class TestNegll:
@@ -447,6 +495,76 @@ class TestAttackSweep:
         G[5] = np.nan
         ci, _, _, ci_flag, _, _ = _scored_metrics(G, test)
         assert math.isnan(ci) and ci_flag
+
+    @pytest.mark.parametrize("sign_mode", [False, True])
+    @pytest.mark.parametrize("attack", ["fgsm", "worstcase"])
+    def test_sweep_equals_a_per_radius_loop(self, attack, sign_mode):
+        rng = np.random.default_rng(9)
+        net = random_net(rng, [2, 5, 4, 1], scale=2.0)
+        test, train = _dataset(rng), _dataset(rng)
+        ckm = km_estimator(train.t, 1 - train.e)
+        cfg = TrainConfig(fgsm_sign_mode=sign_mode)
+        radii = [0.0, 0.05, 0.5, 1.0]
+        recs = attack_sweep(net, test, attack, radii, cfg, ckm, "d", "m",
+                            seed=4)
+        grid = evaluation_grid(test.t)
+        assert len(recs) == len(radii)
+        for rec, eps in zip(recs, radii):
+            G = attack_scores(net, test, attack, eps, cfg)
+            # each attack as written before the sweep shared any work
+            if attack == "fgsm":
+                moved = fgsm_perturb(net, test, eps, cfg.w, cfg.sigma,
+                                     sign_mode)
+                assert G.tobytes() == forward_batch(net, moved.X)[0].tobytes()
+            else:
+                assert G.tobytes() == crown_ibp_batch(net, test.X,
+                                                      eps)[1].tobytes()
+            ibs, excluded = integrated_brier(
+                survival_matrix(hazard(G), grid), test.t, test.e, ckm, grid)
+            want = MetricRecord("d", "m", attack, eps,
+                                _concordance(G, test.pairs), ibs,
+                                float(_ll_term(G, test.t, test.e).sum()),
+                                False, excluded > 0, False, 4)
+            assert rec.csv_row() == want.csv_row()
+
+    def _count_input_gradients(self, monkeypatch, radii):
+        calls = []
+        real = losses_module.input_grads_batch
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+        monkeypatch.setattr(losses_module, "input_grads_batch", counted)
+        rng = np.random.default_rng(10)
+        attack_sweep(random_net(rng, [2, 5, 1]), _dataset(rng), "fgsm", radii,
+                     TrainConfig(), NO_CENSOR)
+        return len(calls)
+
+    def test_fgsm_sweep_takes_one_input_gradient(self, monkeypatch):
+        assert self._count_input_gradients(monkeypatch,
+                                           [0.0, 0.1, 0.5, 1.0]) == 1
+
+    def test_fgsm_sweep_at_radius_zero_takes_no_input_gradient(
+            self, monkeypatch):
+        assert self._count_input_gradients(monkeypatch, [0.0]) == 0
+
+    def test_fgsm_sweep_logs_a_non_finite_gradient_once(self, monkeypatch,
+                                                         caplog):
+        real = losses_module.input_grads_batch
+
+        def nan_first_row(*args):
+            igrads = real(*args)
+            igrads[0] = np.nan
+            return igrads
+        monkeypatch.setattr(losses_module, "input_grads_batch", nan_first_row)
+        rng = np.random.default_rng(11)
+        net, test = random_net(rng, [2, 5, 1]), _dataset(rng)
+        with caplog.at_level("WARNING", logger="certsurv.losses"):
+            attack_sweep(net, test, "fgsm", [0.0, 0.5, 1.0], TrainConfig(),
+                         NO_CENSOR)
+        assert [r.getMessage() for r in caplog.records] == [
+            "skipping perturbation for 1 record(s) with non-finite input "
+            "gradient"]
 
     def test_default_grid_matches_report_columns(self):
         assert len(DEFAULT_EPS_GRID) == 12
@@ -667,7 +785,7 @@ class TestEmitReport:
         recs = [MetricRecord("d", "m", "fgsm", 0.0, 0.7, 0.2, 5.0)]
         grid = np.linspace(0, 1, 5)
         paths = emit_report(recs, tmp_path / "out2",
-                            curves={"km": (grid, np.exp(-grid))},
+                            curves=(grid, {"km": np.exp(-grid)}),
                             summary={"seed": 0})
         assert os.path.exists(paths["curve:km"])
         with open(paths["curve:km"]) as fh:
@@ -718,7 +836,7 @@ class TestEmitReport:
         monkeypatch.setattr(data_module, "open", curve_open, raising=False)
         grid = np.linspace(0, 1, 5)
         with pytest.raises(OSError, match="disk full"):
-            emit_report(recs, out, curves={"km": (grid, np.exp(-grid))})
+            emit_report(recs, out, curves=(grid, {"km": np.exp(-grid)}))
         assert os.listdir(out / "curves") == []
         assert not list(out.rglob("*.tmp"))
 
@@ -730,7 +848,7 @@ class TestEmitReport:
         values = np.array([p[1] for p in points], dtype=float)
         recs = [MetricRecord("d", "m", "fgsm", 0.0, 0.7, 0.2, 5.0)]
         paths = emit_report(recs, tmp_path / "out5",
-                            curves={"c": (grid, values)})
+                            curves=(grid, {"c": values}))
         buf = io.StringIO()
         np.savetxt(buf, np.column_stack([grid, values]), delimiter=",",
                    header="time,survival", comments="")
