@@ -161,9 +161,9 @@ class BoundTape:
     chord: list     # chord slope on crossing neurons, 1 elsewhere
     base: list      # 1 where l >= 0, else the leaky slope
     stages_u: list  # Stage of the upper chain of f, for k = L-2 .. 0
-    stages_l: list  # the same for the upper chain of -f (the lower bound)
+    stages_l: list  # the same for the upper chain of -f (None if skipped)
     A_u: np.ndarray  # final input-space coefficients, upper chain of f
-    A_l: np.ndarray  # the same for -f
+    A_l: np.ndarray  # the same for -f (None if skipped)
     crown_lb: np.ndarray
     crown_ub: np.ndarray
     ibp_lb: np.ndarray
@@ -194,19 +194,22 @@ def _upper_chain(net: Network, X, eps, w_out, b_out, up_slope, up_icpt,
     return ub, stages, A
 
 
-def _backward_pass(net: Network, X, eps, up_slope, up_icpt, low_slope):
+def _backward_pass(net: Network, X, eps, up_slope, up_icpt, low_slope, lower):
     """Backward linear bounds on the output f, and their tape pieces; the
-    lower bound is minus the upper chain of -f."""
+    lower bound is minus the upper chain of -f, or -inf if not `lower`."""
     w, b = net.weights[-1][0], net.biases[-1][0]
     ub, stages_u, AU = _upper_chain(net, X, eps, w, b, up_slope, up_icpt,
                                     low_slope)
+    if not lower:
+        return np.full_like(ub, -np.inf), ub, stages_u, None, AU, None
     neg_lb, stages_l, AL = _upper_chain(net, X, eps, -w, -b, up_slope,
                                         up_icpt, low_slope)
     return -neg_lb, ub, stages_u, stages_l, AU, AL
 
 
-def crown_ibp_batch_tape(net: Network, X, eps: float):
-    """Refined bounds for every row of X, plus the full adjoint tape."""
+def crown_ibp_batch_tape(net: Network, X, eps: float, lower: bool = True):
+    """Refined bounds for every row of X, plus the full adjoint tape; with
+    lower=False, lb is the interval bound and the tape has no chain of -f."""
     X = _check_batch(net, X)
     eps = float(eps)
     _check_radius(eps)
@@ -214,7 +217,7 @@ def crown_ibp_batch_tape(net: Network, X, eps: float):
     up_slope, up_icpt, low_slope, crossing, width, chord, base = _relaxation(
         net, lows, ups)
     crown_lb, crown_ub, stages_u, stages_l, AU, AL = _backward_pass(
-        net, X, eps, up_slope, up_icpt, low_slope
+        net, X, eps, up_slope, up_icpt, low_slope, lower
     )
     ibp_lb, ibp_ub = lows[-1][:, 0], ups[-1][:, 0]
     use_crown_ub = crown_ub <= ibp_ub
@@ -233,7 +236,8 @@ def crown_ibp_batch_tape(net: Network, X, eps: float):
 
 
 def crown_ibp_batch(net: Network, X, eps: float):
-    return crown_ibp_batch_tape(net, X, eps)[:2]
+    lb, ub, _ = crown_ibp_batch_tape(net, X, eps)
+    return lb, ub
 
 
 def crown_ibp_batch_vjp(net: Network, tape: BoundTape, dlb, dub):
@@ -244,6 +248,8 @@ def crown_ibp_batch_vjp(net: Network, tape: BoundTape, dlb, dub):
     coefficients of crossing neurons), and the interval recursion.  It
     reads every forward value from the tape and recomputes none.
     """
+    if tape.stages_l is None:
+        raise ValueError("a tape recorded with lower=False has no adjoint")
     X, eps = tape.X, tape.eps
     L = net.n_layers
     alpha = net.leaky_slope
@@ -351,12 +357,6 @@ def worst_case_hazard(net: Network, pset: PerturbationSet) -> float:
 
 
 def worst_case_log_hazard_batch(net: Network, X, eps: float) -> np.ndarray:
-    """Certified per-row upper bounds on G: crown_ibp_batch's, bit for bit."""
-    X = _check_batch(net, X)
-    eps = float(eps)
-    _check_radius(eps)
-    lows, ups, _, _ = _interval_forward(net, X, eps)
-    lines = _relaxation(net, lows, ups)[:3]  # up_slope, up_icpt, low_slope
-    crown_ub = _upper_chain(net, X, eps, net.weights[-1][0],
-                            net.biases[-1][0], *lines)[0]
-    return np.where(crown_ub <= ups[-1][:, 0], crown_ub, ups[-1][:, 0])
+    """Certified per-row upper bounds on G, for evaluation sweeps; only the
+    upper chain runs, so the bits are crown_ibp_batch's upper bound."""
+    return crown_ibp_batch_tape(net, X, eps, lower=False)[1]

@@ -211,10 +211,8 @@ def pgd_perturb(net: Network, batch: Batch, eps: float, steps: int,
     return batch.with_X(X)
 
 
-def _ascent_step(net: Network, X: np.ndarray, batch: Batch, w_val: float,
-                 sigma: float, sign_mode: bool):
-    """(G, step): the scores at X and the ascent direction of the combined
-    loss on `batch`'s times and pairs there (zero on a non-finite row)."""
+def _ascent_step(net: Network, X, batch: Batch, w_val, sigma, sign_mode):
+    """(G, ascent direction) at X; a row with a non-finite gradient gets 0."""
     G, caches = forward_batch(net, X)
     dG = _loss_grad(G, batch, w_val, sigma)[1]
     igrads = input_grads_batch(net, caches, dG)
@@ -231,6 +229,19 @@ def fgsm_perturb(net: Network, batch: Batch, eps: float,
                  sign_mode: bool = False) -> Batch:
     """Single-step gradient perturbation (the steps=1 special case)."""
     return pgd_perturb(net, batch, eps, 1, w, sigma, sign_mode)
+
+
+def _fgsm_scores(net: Network, batch: Batch, eps_grid, w, sigma, sign_mode):
+    """Each radius's fgsm_perturb scores G, bit for bit, from one direction."""
+    for eps in eps_grid:
+        _check_radius(eps)
+    X0 = batch.X
+    if not any(eps != 0.0 for eps in eps_grid):
+        return [forward_batch(net, X0)[0]] * len(eps_grid)
+    G0, step = _ascent_step(net, X0, batch, _resolve_w(w, batch), sigma,
+                            sign_mode)
+    return [forward_batch(net, _project_ball(X0 + eps * step, X0, eps))[0]
+            if eps != 0.0 else G0 for eps in eps_grid]
 
 
 def noise_perturb(batch: Batch, eps: float, rng_seed) -> Batch:

@@ -8,9 +8,7 @@ The Brier score uses the inverse-probability-of-censoring weighting with
 the censoring curve fitted on the training split, integrated by the
 trapezoid rule.  A score that is not finite or whose hazard overflows
 flags every metric of its cell instead of being dropped.
-Work no radius changes (the Brier plan; FGSM's ascent direction at the
-clean covariates, whose forward pass gives the radius-0 scores) is done
-once per sweep, so a non-finite input gradient is logged once.
+Radius-free work (the Brier plan, FGSM's direction) runs once per sweep.
 """
 
 from __future__ import annotations
@@ -24,11 +22,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bounds import _check_radius, worst_case_log_hazard_batch
+from .bounds import worst_case_log_hazard_batch
 from .data import (Batch, FormatError, Pairs, atomic_open, comparable_pairs,
                    write_csv)
-from .losses import _ascent_step, _ll_term, _project_ball, _resolve_w
-from .network import Network, forward_batch
+from .losses import _fgsm_scores, _ll_term
+from .network import Network
 from .survival import (StepCurve, evaluation_grid, hazard, km_estimator,
                        survival_matrix)
 from .training import TrainConfig
@@ -123,9 +121,9 @@ def brier_ipcw(surv_at_tau, times, events, censor_km: StepCurve, tau: float):
     Returns (score, n_excluded): records whose censoring weight hits an
     estimated zero are excluded from the sum but kept in the denominator.
     """
-    s = np.asarray(surv_at_tau, dtype=float)
     plan = _BrierPlan(times, events, censor_km, np.array([float(tau)]))
-    return float(plan.scores(s[:, None])[0]), plan.excluded
+    s = np.asarray(surv_at_tau, dtype=float)[:, None]
+    return float(plan.scores(s)[0]), plan.excluded
 
 
 def integrated_brier(surv_over_grid, times, events, censor_km: StepCurve,
@@ -219,21 +217,12 @@ def _metrics_from_scores(G, test: Batch, brier: _BrierPlan) -> tuple:
 def _sweep_scores(net: Network, test: Batch, attack: str, eps_grid,
                   config: TrainConfig) -> list[np.ndarray]:
     """Scores G under the attack at every radius of the grid."""
+    if attack == "fgsm":
+        return _fgsm_scores(net, test, eps_grid, config.w, config.sigma,
+                            config.fgsm_sign_mode)
     if attack == "worstcase":
         return [worst_case_log_hazard_batch(net, test.X, e) for e in eps_grid]
-    if attack != "fgsm":
-        raise ValueError(f"unknown attack {attack!r}; expected one of "
-                         f"{ATTACKS}")
-    for eps in eps_grid:
-        _check_radius(eps)
-    X0 = test.X
-    if any(eps != 0.0 for eps in eps_grid):
-        G0, step = _ascent_step(net, X0, test, _resolve_w(config.w, test),
-                                config.sigma, config.fgsm_sign_mode)
-    else:
-        G0 = forward_batch(net, X0)[0]
-    return [forward_batch(net, _project_ball(X0 + eps * step, X0, eps))[0]
-            if eps != 0.0 else G0 for eps in eps_grid]
+    raise ValueError(f"unknown attack {attack!r}; expected one of {ATTACKS}")
 
 
 def attack_scores(net: Network, test: Batch, attack: str, eps: float,

@@ -496,6 +496,21 @@ class TestBoundEngineProperties:
         np.testing.assert_array_equal(got, want)
         assert got.tobytes() == want.tobytes()
 
+    @settings(max_examples=50, deadline=None)
+    @given(bound_cases())
+    def test_upper_only_tape_keeps_ub_and_has_no_adjoint(self, case):
+        net, X, eps, _ = case
+        lb, ub, tape = crown_ibp_batch_tape(net, X, eps)
+        lb1, ub1, tape1 = crown_ibp_batch_tape(net, X, eps, lower=False)
+        assert ub1.tobytes() == ub.tobytes()
+        assert tape1.crown_ub.tobytes() == tape.crown_ub.tobytes()
+        assert tape1.stages_l is None and tape1.A_l is None
+        # no linear lower bound: the interval one stands (repaired below ub)
+        np.testing.assert_array_equal(lb1, np.minimum(tape.ibp_lb, ub))
+        assert np.all(lb1 <= lb)
+        with pytest.raises(ValueError, match="lower=False"):
+            crown_ibp_batch_vjp(net, tape1, np.ones(len(X)), np.ones(len(X)))
+
     def test_zero_output_weight_takes_the_upper_line_in_both_chains(self):
         # Every hidden neuron crosses zero and the output ignores the first.
         # The other two nearly cancel, so the linear lower bound beats the
