@@ -1,9 +1,11 @@
 """Command-line entry point: train, evaluate, report, selftest.
 
-Exit codes: 0 success, 2 configuration/usage error, 3 data error,
-4 training divergence.  Every successful command writes a manifest.json
-into its output directory before heavy work starts; outputs are written to
-a temp file and renamed so failures never leave partial files.
+Exit codes: 0 success, 2 configuration/usage error (an unwritable --out
+among them), 3 data error, 4 training divergence.  `train` and `evaluate`
+write a manifest.json into their output directory before heavy work starts;
+`report` writes its manifest only after it has read and aggregated its
+inputs; `selftest` writes no file.  Outputs are written to a temp file and
+renamed so failures never leave partial files.
 
 Configuration precedence (lowest to highest): built-in defaults, the
 `[train]` section of an INI-style config file, command-line flags.
@@ -54,7 +56,6 @@ def _out_root() -> str:
 
 def _write_manifest(out_dir: str, command: str, args: argparse.Namespace,
                     config: TrainConfig | None, datasets: list[str]) -> None:
-    os.makedirs(out_dir, exist_ok=True)
     doc = {
         "command": command,
         "argv": sys.argv[1:],
@@ -66,9 +67,16 @@ def _write_manifest(out_dir: str, command: str, args: argparse.Namespace,
         "tool_version": __version__,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
-    with atomic_open(os.path.join(out_dir, "manifest.json")) as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    # the first write of train, evaluate and report: an --out that names a
+    # file, or a path under one, ends here
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        with atomic_open(os.path.join(out_dir, "manifest.json")) as fh:
+            json.dump(doc, fh, indent=1, sort_keys=True)
+            fh.write("\n")
+    except OSError as exc:
+        raise CliError(f"cannot write output directory {out_dir}: "
+                       f"{exc.strerror or exc}", EXIT_CONFIG) from exc
 
 
 # TrainConfig fields that `certsurv train` also takes as flags

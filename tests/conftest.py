@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -29,6 +31,20 @@ def cli_env():
     rest = env.get("PYTHONPATH")
     env["PYTHONPATH"] = pkg_root + (os.pathsep + rest if rest else "")
     return env
+
+
+def run_child(args, cwd):
+    """`python -m certsurv.cli *args` in a child process under cli_env();
+    returns the CompletedProcess, with stdout and stderr as text.  A
+    RuntimeWarning is an error in the child, as in the tests' own process,
+    and no child may end in a traceback."""
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "certsurv.cli",
+         *[str(a) for a in args]],
+        capture_output=True, text=True, cwd=cwd, env=cli_env(),
+    )
+    assert "Traceback" not in proc.stderr, proc.stderr
+    return proc
 
 
 def _drop_last_numeric(codec):

@@ -7,8 +7,6 @@ so outcomes are reproducible.
 
 import hashlib
 import os
-import subprocess
-import sys
 import time
 
 import numpy as np
@@ -26,7 +24,7 @@ from certsurv.network import forward_batch, init_network
 from certsurv.survival import StepCurve, km_estimator
 from certsurv.training import TrainConfig, eps_schedule, train
 
-from conftest import DATA_DIR, cli_env, planted_linear_csv
+from conftest import DATA_DIR, planted_linear_csv, run_child
 
 RETINOPATHY = os.path.join(DATA_DIR, "retinopathy.csv")
 STAGEC = os.path.join(DATA_DIR, "stagec.csv")
@@ -386,18 +384,12 @@ def test_criterion_8_scheduler_and_guard(tmp_path):
           "selected before the radius cap")
 
 
-def _run_cli(args, cwd):
-    return subprocess.run([sys.executable, "-m", "certsurv.cli", *args],
-                          capture_output=True, text=True, cwd=cwd,
-                          env=cli_env())
-
-
 def test_criterion_9_byte_reproducibility(tmp_path):
     toy = planted_linear_csv(str(tmp_path / "toy.csv"), n=40, seed=3)
 
     outs = []
     for run in ("s1", "s2"):
-        proc = _run_cli(["selftest", "--trials", "5"], cwd=str(tmp_path))
+        proc = run_child(["selftest", "--trials", "5"], cwd=str(tmp_path))
         assert proc.returncode == 0, proc.stderr
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
@@ -405,20 +397,20 @@ def test_criterion_9_byte_reproducibility(tmp_path):
     digests = {"ckpt": [], "report": [], "metrics": []}
     for run in ("t1", "t2"):
         out = tmp_path / run
-        proc = _run_cli(["train", "--dataset", toy, "--method", "sawar",
-                         "--seed", "0", "--out", str(out),
-                         "--max-epochs", "14", "--warmup-epochs", "2",
-                         "--ramp-epochs", "6", "--batch-size", "16",
-                         "--patience", "4"], cwd=str(tmp_path))
+        proc = run_child(["train", "--dataset", toy, "--method", "sawar",
+                          "--seed", "0", "--out", str(out),
+                          "--max-epochs", "14", "--warmup-epochs", "2",
+                          "--ramp-epochs", "6", "--batch-size", "16",
+                          "--patience", "4"], cwd=str(tmp_path))
         assert proc.returncode == 0, proc.stderr
         ckpt = out / "checkpoint.ckpt.json"
         digests["ckpt"].append(hashlib.sha256(ckpt.read_bytes()).hexdigest())
         digests["report"].append(hashlib.sha256(
             (out / "train_report.csv").read_bytes()).hexdigest())
         eout = tmp_path / f"{run}_eval"
-        proc = _run_cli(["evaluate", "--model", str(ckpt), "--dataset", toy,
-                         "--attack", "worstcase", "--eps-grid", "0,0.5",
-                         "--out", str(eout)], cwd=str(tmp_path))
+        proc = run_child(["evaluate", "--model", str(ckpt), "--dataset", toy,
+                          "--attack", "worstcase", "--eps-grid", "0,0.5",
+                          "--out", str(eout)], cwd=str(tmp_path))
         assert proc.returncode == 0, proc.stderr
         digests["metrics"].append(hashlib.sha256(
             (eout / "metrics.csv").read_bytes()).hexdigest())

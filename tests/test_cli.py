@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -10,12 +11,15 @@ import warnings
 import numpy as np
 import pytest
 
+import certsurv
 from certsurv import data, metrics
 from certsurv.cli import main
 from certsurv.data import comparable_pairs
 from certsurv.metrics import ATTACKS
+from certsurv.training import TrainConfig
 
-from conftest import BAD_CODEC_EDITS, DATA_DIR, cli_env, planted_linear_csv
+from conftest import (BAD_CODEC_EDITS, DATA_DIR, cli_env,
+                      planted_linear_csv, run_child)
 
 
 def run_cli(args, **kw):
@@ -40,22 +44,58 @@ def trained_dir(tmp_path_factory, toy_csv):
     return out
 
 
-def run_child(args, cwd):
-    """`python -m certsurv.cli` in a child process; returns the exit code.
-    A RuntimeWarning is an error in the child, as in the tests' own
-    process."""
-    proc = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-m", "certsurv.cli",
-         *[str(a) for a in args]],
-        capture_output=True, text=True, cwd=cwd, env=cli_env(),
-    )
-    assert "Traceback" not in proc.stderr, proc.stderr
-    return proc.returncode
-
-
 def file_digest(path):
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
+
+
+# Every [train] key: its INI text and the value it resolves to (as JSON
+# gives it back).  Two small epochs, so stagec trains on these quickly.
+ALL_KEYS_INI = {
+    "method": ("noise", "noise"),
+    "kappa": ("0.3", 0.3),
+    "eps_max": ("0.2", 0.2),
+    "warmup_epochs": ("0", 0),
+    "ramp_epochs": ("1", 1),
+    "max_epochs": ("2", 2),
+    "batch_size": ("32", 32),
+    "patience": ("3", 3),
+    "pgd_steps": ("2", 2),
+    "sigma": ("0.5", 0.5),
+    "w": ("0.05", 0.05),
+    "seed": ("4", 4),
+    "hidden_dims": ("8, 8", [8, 8]),
+    "leaky_slope": ("0.1", 0.1),
+    "learning_rate": ("0.01", 0.01),
+    "adam_beta1": ("0.8", 0.8),
+    "adam_beta2": ("0.99", 0.99),
+    "adam_eps": ("1e-7", 1e-7),
+    "fgsm_sign_mode": ("yes", True),
+    "val_monitor": ("clean", "clean"),
+    "normalize_onehot": ("on", True),
+}
+
+
+@pytest.mark.parametrize("out", ["afile", "afile/sub"])
+@pytest.mark.parametrize("command", ["train", "evaluate", "report"])
+def test_out_naming_a_file_exits_2(trained_dir, toy_csv, tmp_path, command,
+                                   out):
+    from certsurv.metrics import MetricRecord, write_metrics_csv
+    (tmp_path / "afile").write_text("")
+    (tmp_path / "inputs").mkdir()
+    write_metrics_csv(tmp_path / "inputs" / "metrics.csv",
+                      [MetricRecord("d", "solo", "fgsm", 0.0, 0.7, 0.2, 5.0)])
+    args = {
+        "train": ["--dataset", toy_csv, "--method", "baseline"],
+        "evaluate": ["--model", os.path.join(trained_dir, "checkpoint.ckpt.json"),
+                     "--dataset", toy_csv, "--attack", "fgsm",
+                     "--eps-grid", "0"],
+        "report": ["--inputs", tmp_path / "inputs"],
+    }[command]
+    proc = run_child([command, *args, "--out", out], cwd=tmp_path)
+    assert proc.returncode == 2
+    assert "afile" in proc.stderr
+    assert (tmp_path / "afile").read_text() == ""
 
 
 class TestTrainCommand:
@@ -126,14 +166,14 @@ class TestTrainCommand:
     def test_bad_training_value_exits_2(self, toy_csv, tmp_path, flag, value):
         code = run_child(["train", "--dataset", toy_csv, "--method",
                           "baseline", "--out", tmp_path / "o", flag, value],
-                         cwd=tmp_path)
+                         cwd=tmp_path).returncode
         assert code == 2
 
     @pytest.mark.parametrize("method", ["noise", "pgd", "sawar"])
     def test_infinite_eps_max_exits_2(self, toy_csv, tmp_path, method):
         code = run_child(["train", "--dataset", toy_csv, "--method", method,
                           "--out", tmp_path / "o", "--eps-max", "inf"],
-                         cwd=tmp_path)
+                         cwd=tmp_path).returncode
         assert code == 2
 
     @pytest.mark.parametrize("line", ["sigma = 0", "hidden_dims = 0",
@@ -146,7 +186,7 @@ class TestTrainCommand:
         cfg.write_text(f"[train]\n{line}\n")
         code = run_child(["train", "--dataset", toy_csv, "--method",
                           "baseline", "--config", cfg, "--out", tmp_path / "o"],
-                         cwd=tmp_path)
+                         cwd=tmp_path).returncode
         assert code == 2
 
     @pytest.mark.parametrize("edit", [
@@ -203,8 +243,9 @@ class TestTrainCommand:
         b"[train]\nkappa = 5%\n",
         b"[train]\nmethod = baseline\n# caf\xe9\n",
         b"[train]\nseed = -1\n",
+        b"[train]\nseed = 1.5\n",
     ], ids=["duplicate-key", "no-section", "percent", "non-utf8",
-            "negative-seed"])
+            "negative-seed", "float-seed"])
     def test_bad_config_file_exits_2(self, toy_csv, tmp_path, capsys, text):
         cfg = tmp_path / "bad.ini"
         cfg.write_bytes(text)
@@ -225,6 +266,25 @@ class TestTrainCommand:
         resolved = manifest["resolved_config"]
         assert resolved["max_epochs"] == 7      # flag beats file
         assert resolved["batch_size"] == 16     # file beats default
+
+    def test_every_config_key_reaches_the_resolved_config(self, tmp_path):
+        # each value differs from its default, so each key must be read
+        assert set(ALL_KEYS_INI) == {f.name for f in dataclasses.fields(
+            TrainConfig)}
+        defaults = TrainConfig().to_dict()
+        assert all(value != defaults[key]
+                   for key, (_, value) in ALL_KEYS_INI.items())
+        cfg = tmp_path / "all.ini"
+        cfg.write_text("[train]\n" + "".join(
+            f"{key} = {text}\n" for key, (text, _) in ALL_KEYS_INI.items()))
+        out = tmp_path / "o"
+        assert run_cli(["train", "--dataset", os.path.join(DATA_DIR,
+                                                           "stagec.csv"),
+                        "--method", "pgd", "--config", cfg,
+                        "--out", out]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        expected = {key: value for key, (_, value) in ALL_KEYS_INI.items()}
+        assert manifest["resolved_config"] == {**expected, "method": "pgd"}
 
     def test_method_from_config_file_alone(self, toy_csv, tmp_path):
         cfg = tmp_path / "cfg.ini"
@@ -326,7 +386,7 @@ class TestEvaluateCommand:
         ck.write_text("[1, 2, 3]")
         code = run_child(["evaluate", "--model", ck, "--dataset", toy_csv,
                           "--attack", "fgsm", "--out", tmp_path / "e"],
-                         cwd=tmp_path)
+                         cwd=tmp_path).returncode
         assert code == 3
 
     @pytest.mark.parametrize("data", [b"\xff\xfe{}", b"[" * 100_000],
@@ -336,7 +396,7 @@ class TestEvaluateCommand:
         ck.write_bytes(data)
         code = run_child(["evaluate", "--model", ck, "--dataset", toy_csv,
                           "--attack", "fgsm", "--out", tmp_path / "e"],
-                         cwd=tmp_path)
+                         cwd=tmp_path).returncode
         assert code == 3
 
     def _evaluate_edited_checkpoint(self, trained_dir, toy_csv, tmp_path,
@@ -350,7 +410,7 @@ class TestEvaluateCommand:
         ck.write_text(json.dumps(doc))
         code = run_child(["evaluate", "--model", ck, "--dataset", toy_csv,
                           "--attack", "fgsm", "--out", tmp_path / "e"],
-                         cwd=tmp_path)
+                         cwd=tmp_path).returncode
         assert not os.path.exists(tmp_path / "e" / "metrics.csv")
         return code
 
@@ -435,7 +495,7 @@ class TestEvaluateCommand:
             out = tmp_path / attack
             assert run_child(["evaluate", "--model", ck, "--dataset", toy_csv,
                               "--attack", attack, "--eps-grid", "0,0.5",
-                              "--out", out], cwd=tmp_path) == 0
+                              "--out", out], cwd=tmp_path).returncode == 0
             with open(out / "metrics.csv", newline="") as fh:
                 rows = list(csv.DictReader(fh))
             assert len(rows) == 2
@@ -565,7 +625,7 @@ class TestEvaluateEncoding:
     def _evaluate(self, model, dataset, out, cwd):
         code = run_child(["evaluate", "--model", model, "--dataset", dataset,
                           "--attack", "worstcase", "--eps-grid", "0,0.5",
-                          "--out", out], cwd=cwd)
+                          "--out", out], cwd=cwd).returncode
         return code, out / "metrics.csv"
 
     def test_foreign_scale_is_standardized_with_training_statistics(
@@ -787,9 +847,7 @@ class TestSelftestCommand:
 
 
 class TestEntrypoint:
-    def test_module_invocation(self, toy_csv, tmp_path):
-        proc = subprocess.run(
-            [sys.executable, "-m", "certsurv.cli", "--version"],
-            capture_output=True, text=True, env=cli_env(),
-        )
+    def test_module_invocation(self, tmp_path):
+        proc = run_child(["--version"], cwd=tmp_path)
         assert proc.returncode == 0
+        assert proc.stdout.strip() == certsurv.__version__
