@@ -1,11 +1,11 @@
 """Command-line entry point: train, evaluate, report, selftest.
 
-Exit codes: 0 success, 2 configuration/usage error (an unwritable --out
-among them), 3 data error, 4 training divergence.  `train` and `evaluate`
-write a manifest.json into their output directory before heavy work starts;
-`report` writes its manifest only after it has read and aggregated its
-inputs; `selftest` writes no file.  Outputs are written to a temp file and
-renamed so failures never leave partial files.
+Exit codes: 0 success, 2 configuration/usage error or any output that
+cannot be written, 3 data error, 4 training divergence.  `train` and
+`evaluate` write a manifest.json into their output directory before heavy
+work starts; `report` writes its manifest only after it has read and
+aggregated its inputs; `selftest` writes no file.  Each output is written
+atomically, but a failed command may leave the files it finished first.
 
 Configuration precedence (lowest to highest): built-in defaults, the
 `[train]` section of an INI-style config file, command-line flags.
@@ -67,16 +67,10 @@ def _write_manifest(out_dir: str, command: str, args: argparse.Namespace,
         "tool_version": __version__,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
-    # the first write of train, evaluate and report: an --out that names a
-    # file, or a path under one, ends here
-    try:
-        os.makedirs(out_dir, exist_ok=True)
-        with atomic_open(os.path.join(out_dir, "manifest.json")) as fh:
-            json.dump(doc, fh, indent=1, sort_keys=True)
-            fh.write("\n")
-    except OSError as exc:
-        raise CliError(f"cannot write output directory {out_dir}: "
-                       f"{exc.strerror or exc}", EXIT_CONFIG) from exc
+    os.makedirs(out_dir, exist_ok=True)
+    with atomic_open(os.path.join(out_dir, "manifest.json")) as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True)
+        fh.write("\n")
 
 
 # TrainConfig fields that `certsurv train` also takes as flags
@@ -166,7 +160,8 @@ def _parse_eps_grid(raw: str | None):
                        EXIT_CONFIG)
     if len({f"{abs(e):g}" for e in grid}) < len(grid):  # -0.0 is 0.0
         raise CliError(f"--eps-grid radii must differ under %g (each names a "
-                       f"curve file and a report cell): {raw}", EXIT_CONFIG)
+                       f"curve in curves.csv and a report cell): {raw}",
+                       EXIT_CONFIG)
     return grid
 
 
@@ -315,6 +310,11 @@ def main(argv=None) -> int:
     except TrainingDivergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
+    except OSError as exc:
+        # reads raise data errors; filename2 is a failed rename's target
+        print(f"error: cannot write {exc.filename2 or exc.filename}: "
+              f"{exc.strerror or exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

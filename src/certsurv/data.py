@@ -65,9 +65,11 @@ def atomic_open(path):
         with open(tmp, "w", newline="", encoding="utf-8") as fh:
             yield fh
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         if os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.errno and exc.filename is None:
+            exc.filename = os.fspath(path)  # ENOSPC at a flush names no file
         raise
 
 

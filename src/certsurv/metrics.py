@@ -163,8 +163,8 @@ def write_metrics_csv(path, records) -> None:
 
 def read_metrics_csv(path) -> list[MetricRecord]:
     """Inverse of write_metrics_csv.  A missing or repeated column, a short
-    or long row, a bad cell or a file that is not UTF-8 raises FormatError
-    naming the file (and the line)."""
+    or long row, a bad cell, a file that is not UTF-8 or one that cannot be
+    read raises FormatError naming the file (and the line)."""
     fields, records = MetricRecord.CSV_FIELDS, []
     kinds = (str,) * 3 + (float,) * 4 + (lambda v: bool(int(v)),) * 3 + (int,)
     try:
@@ -188,6 +188,8 @@ def read_metrics_csv(path) -> list[MetricRecord]:
                                       f"{exc}") from None
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 ({exc.reason})") from None
+    except OSError as exc:
+        raise FormatError(f"{path}: cannot read ({exc.strerror})") from None
     except csv.Error as exc:
         raise FormatError(f"{path}: line {reader.line_num}: {exc}") from None
     return records
@@ -460,7 +462,8 @@ def report_tables(records: list[MetricRecord]) -> dict:
 
 def emit_report(records, out_dir, curves: tuple | None = None,
                 summary: dict | None = None):
-    """Write metrics.csv, curves = (grid, {name: values}) and summary.json."""
+    """Write metrics.csv, summary.json and, for curves = (grid, {name: values}),
+    curves.csv (`curve,time,survival` rows, np.savetxt's %.18e digits)."""
     if not records:
         raise ValueError("nothing to report")
     os.makedirs(out_dir, exist_ok=True)
@@ -468,22 +471,17 @@ def emit_report(records, out_dir, curves: tuple | None = None,
     write_metrics_csv(paths["metrics"], records)
     if curves:
         grid, named = curves
-        cdir = os.path.join(out_dir, "curves")
-        os.makedirs(cdir, exist_ok=True)
-        # the bytes np.savetxt writes; each time is formatted once
-        times = ["%.18e," % x for x in np.asarray(grid, dtype=float).tolist()]
-        for name, values in named.items():
-            cpath = os.path.join(cdir, f"{name}.csv")
-            values = np.asarray(values, dtype=float).tolist()
-            with atomic_open(cpath) as fh:
-                fh.write("time,survival\n" + "".join([
-                    x + "%.18e\n" % y
-                    for x, y in zip(times, values, strict=True)]))
-            paths[f"curve:{name}"] = cpath
+        paths["curves"] = os.path.join(out_dir, "curves.csv")
+        times = [",%.18e," % x for x in np.asarray(grid, dtype=float).tolist()]
+        with atomic_open(paths["curves"]) as fh:
+            fh.write("curve,time,survival\n")
+            for name, values in named.items():
+                values = np.asarray(values, dtype=float).tolist()
+                fh.write("".join([name + x + "%.18e\n" % y for x, y
+                                  in zip(times, values, strict=True)]))
     if summary is not None:
         paths["summary"] = os.path.join(out_dir, "summary.json")
         with atomic_open(paths["summary"]) as fh:
             json.dump(summary, fh, indent=1, sort_keys=True)
             fh.write("\n")
     return paths
-

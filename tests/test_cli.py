@@ -98,6 +98,76 @@ def test_out_naming_a_file_exits_2(trained_dir, toy_csv, tmp_path, command,
     assert (tmp_path / "afile").read_text() == ""
 
 
+OUTPUTS = {
+    "train": {"manifest.json", "checkpoint.ckpt.json", "train_report.csv"},
+    "evaluate": {"manifest.json", "metrics.csv", "curves.csv",
+                 "summary.json"},
+    "report": {"manifest.json", "ranks.csv", "percent_change.csv",
+               "friedman.csv"},
+}
+
+
+def _full_run(command, attack, trained_dir, toy_csv, tmp_path):
+    """Argv (without --out) on which `command` writes each of its outputs;
+    report reads a one-record tree that it makes under tmp_path."""
+    from certsurv.metrics import MetricRecord, write_metrics_csv
+    if command == "train":
+        return ["train", "--dataset", toy_csv, "--method", "baseline",
+                "--max-epochs", 2, "--warmup-epochs", 0, "--ramp-epochs", 1]
+    if command == "evaluate":
+        return ["evaluate", "--model",
+                os.path.join(trained_dir, "checkpoint.ckpt.json"),
+                "--dataset", toy_csv, "--attack", attack, "--eps-grid",
+                "0,0.5"]
+    (tmp_path / "inputs").mkdir()
+    write_metrics_csv(tmp_path / "inputs" / "metrics.csv",
+                      [MetricRecord("d", "solo", "fgsm", 0.0, 0.7, 0.2, 5.0)])
+    return ["report", "--inputs", tmp_path / "inputs"]
+
+
+@pytest.mark.parametrize("command,attack", [
+    ("train", None), ("evaluate", "fgsm"), ("evaluate", "worstcase"),
+    ("report", None)])
+def test_each_command_leaves_exactly_its_outputs(trained_dir, toy_csv,
+                                                 tmp_path, command, attack):
+    # no subdirectory and no *.tmp beside the files
+    out = tmp_path / "out"
+    args = _full_run(command, attack, trained_dir, toy_csv, tmp_path)
+    assert run_cli([*args, "--out", out]) == 0
+    assert set(os.listdir(out)) == OUTPUTS[command]
+    assert all((out / name).is_file() for name in OUTPUTS[command])
+
+
+@pytest.mark.parametrize("command,name", [
+    ("evaluate", "metrics.csv"), ("evaluate", "curves.csv"),
+    ("evaluate", "summary.json"), ("report", "ranks.csv"),
+    ("train", "checkpoint.ckpt.json")])
+def test_directory_at_an_output_name_exits_2(trained_dir, toy_csv, tmp_path,
+                                             command, name):
+    out = tmp_path / "out"
+    (out / name).mkdir(parents=True)
+    args = _full_run(command, "worstcase", trained_dir, toy_csv, tmp_path)
+    proc = run_child([*args, "--out", out], cwd=tmp_path)
+    assert proc.returncode == 2
+    assert f"error: cannot write {out / name}: " in proc.stderr
+    assert (out / name).is_dir()
+    assert not list(out.rglob("*.tmp"))
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_full_disk_exits_2_naming_the_output(trained_dir, toy_csv, tmp_path):
+    # a temp file linked to /dev/full fails its write with ENOSPC, an
+    # OSError that names no file
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "metrics.csv.tmp").symlink_to("/dev/full")
+    args = _full_run("evaluate", "fgsm", trained_dir, toy_csv, tmp_path)
+    proc = run_child([*args, "--out", out], cwd=tmp_path)
+    assert proc.returncode == 2
+    assert f"error: cannot write {out / 'metrics.csv'}: " in proc.stderr
+    assert sorted(os.listdir(out)) == ["manifest.json"]
+
+
 class TestTrainCommand:
     def test_missing_dataset_flag_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -354,7 +424,7 @@ class TestEvaluateCommand:
     @pytest.mark.parametrize("grid", ["0.1,0.1000001", "0.5,0.5", "0,-0"])
     def test_colliding_grid_exits_2(self, trained_dir, toy_csv, tmp_path,
                                     grid):
-        # equal under %g, the radii would share a curve file and a report cell
+        # equal under %g, the radii would share a curve and a report cell
         code = run_cli(["evaluate", "--model",
                         os.path.join(trained_dir, "checkpoint.ckpt.json"),
                         "--dataset", toy_csv, "--attack", "worstcase",
@@ -465,9 +535,10 @@ class TestEvaluateCommand:
                         "--dataset", toy_csv, "--attack", "worstcase",
                         "--eps-grid", "0,0.5", "--out", out])
         assert code == 0
-        names = set(os.listdir(out / "curves"))
-        assert {"km_test.csv", "population_clean.csv", "quantile_lo05.csv",
-                "quantile_hi95.csv"} <= names
+        with open(out / "curves.csv", newline="") as fh:
+            names = {row["curve"] for row in csv.DictReader(fh)}
+        assert {"km_test", "population_clean", "quantile_lo05",
+                "quantile_hi95"} <= names
         assert any(n.startswith("population_worstcase_eps0.5") for n in names)
 
     def test_byte_reproducible(self, trained_dir, toy_csv, tmp_path):
@@ -566,14 +637,16 @@ class TestEvaluateCommand:
                             "--attack", "worstcase", "--eps-grid", "0,0.5",
                             "--out", out])
         assert code == 0
-        names = sorted(n for n in os.listdir(out / "curves")
+        first = {}
+        with open(out / "curves.csv", newline="") as fh:
+            for row in csv.DictReader(fh):
+                first.setdefault(row["curve"], row)
+        names = sorted(n for n in first
                        if n.startswith(("population_", "quantile_")))
         assert len(names) == 5
         for name in names:
-            with open(out / "curves" / name, newline="") as fh:
-                rows = list(csv.reader(fh))
-            assert float(rows[1][0]) == 0.0
-            assert float(rows[1][1]) == 1.0, name
+            assert float(first[name]["time"]) == 0.0
+            assert float(first[name]["survival"]) == 1.0, name
 
 
 def _edit_csv(src, dst_dir, edit):
@@ -705,6 +778,11 @@ class TestEvaluateEncoding:
         assert calls == []
 
 
+def _make_dangling_link(path):
+    path.unlink()
+    path.symlink_to(path.parent / "gone")
+
+
 class TestReportCommand:
     @pytest.fixture()
     def metrics_tree(self, tmp_path):
@@ -809,19 +887,20 @@ class TestReportCommand:
 
 
     @pytest.mark.parametrize("edit", [
-        lambda text: text.replace("negll,", "", 1),
-        lambda text: text.replace(",0.0,", ",abc,", 1),
-        lambda text: text.replace(",0,", ",", 1),
-        lambda text: text.encode("utf-8").replace(b"sawar", b"saw\xe4r"),
-    ], ids=["missing-column", "non-numeric-eps", "short-row", "non-utf8"])
+        lambda path: path.write_text(
+            path.read_text().replace("negll,", "", 1)),
+        lambda path: path.write_text(
+            path.read_text().replace(",0.0,", ",abc,", 1)),
+        lambda path: path.write_text(path.read_text().replace(",0,", ",", 1)),
+        lambda path: path.write_bytes(
+            path.read_bytes().replace(b"sawar", b"saw\xe4r")),
+        _make_dangling_link,
+    ], ids=["missing-column", "non-numeric-eps", "short-row", "non-utf8",
+            "dangling-link"])
     def test_malformed_metrics_csv_exits_3(self, metrics_tree, tmp_path,
                                            capsys, edit):
         path = metrics_tree / "d2_sawar" / "metrics.csv"
-        text = edit(path.read_text())
-        if isinstance(text, bytes):
-            path.write_bytes(text)
-        else:
-            path.write_text(text)
+        edit(path)
         assert run_cli(["report", "--inputs", metrics_tree,
                         "--out", tmp_path / "r"]) == 3
         err = capsys.readouterr().err

@@ -779,7 +779,7 @@ class TestEmitReport:
         recs = [MetricRecord("d", "m", "fgsm", 0.0, 0.7, 0.2, 5.0)]
         paths = emit_report(recs, tmp_path / "out")
         assert os.path.exists(paths["metrics"])
-        assert not os.path.exists(tmp_path / "out" / "curves")
+        assert not os.path.exists(tmp_path / "out" / "curves.csv")
 
     def test_summary_and_curves_written(self, tmp_path):
         recs = [MetricRecord("d", "m", "fgsm", 0.0, 0.7, 0.2, 5.0)]
@@ -787,10 +787,10 @@ class TestEmitReport:
         paths = emit_report(recs, tmp_path / "out2",
                             curves=(grid, {"km": np.exp(-grid)}),
                             summary={"seed": 0})
-        assert os.path.exists(paths["curve:km"])
-        with open(paths["curve:km"]) as fh:
+        assert os.path.exists(paths["curves"])
+        with open(paths["curves"]) as fh:
             body = fh.read().splitlines()
-        assert body[0] == "time,survival"
+        assert body[0] == "curve,time,survival"
         assert os.path.exists(paths["summary"])
 
     def test_failed_summary_write_keeps_the_old_file(self, tmp_path,
@@ -837,7 +837,7 @@ class TestEmitReport:
         grid = np.linspace(0, 1, 5)
         with pytest.raises(OSError, match="disk full"):
             emit_report(recs, out, curves=(grid, {"km": np.exp(-grid)}))
-        assert os.listdir(out / "curves") == []
+        assert not os.path.exists(out / "curves.csv")
         assert not list(out.rglob("*.tmp"))
 
     @settings(max_examples=200, deadline=None,
@@ -852,8 +852,10 @@ class TestEmitReport:
         buf = io.StringIO()
         np.savetxt(buf, np.column_stack([grid, values]), delimiter=",",
                    header="time,survival", comments="")
-        with open(paths["curve:c"], "rb") as fh:
-            assert fh.read() == buf.getvalue().encode()
+        header, *lines = buf.getvalue().splitlines(keepends=True)
+        expected = "curve," + header + "".join("c," + line for line in lines)
+        with open(paths["curves"], "rb") as fh:
+            assert fh.read() == expected.encode()
 
 
 class TestCensoringKm:
