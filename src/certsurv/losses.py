@@ -46,10 +46,10 @@ log = logging.getLogger(__name__)
 # glibc's malloc maps each block at or above its mmap threshold (128 KiB at
 # start) afresh: a 128-row batch's full pair matrix and the bound engine's
 # per-layer arrays are that large.  Freeing one large mapped block raises
-# the threshold to its size.  One 50-epoch cycle on the three fixtures
-# (seed 5) makes 297 minor page faults with this line and 5,226 without it
-# for pgd training (2,944 with the full pair matrix in a reused buffer), and
-# 802 against 127,426 for sawar training, which is then 13% slower.
+# the threshold to its size.  One warm 50-epoch cycle on the three fixtures
+# (seed 5) makes 2-5 minor page faults with this line and 10,238 without it
+# for pgd training, and 4 against 105,015 for sawar training: the bound
+# engine's arrays, not the pair kernel, are what still lean on it.
 np.empty(1 << 20)
 
 
@@ -96,24 +96,36 @@ def _pair_terms(G_own, G_cross, batch: Batch, sigma, need_grads=True):
     The latest record is never on the plan and has the largest t_i, so it
     stands in for every record that is not.  The last three are None
     without need_grads.
+
+    The (rows x batch) terms are built in two work arrays: `tl` holds
+    t_i * lambda_j, then t_i * lambda_j * S, then eta * D; one `eta`
+    buffer holds S and each step of the ranking term in turn.  Each ufunc
+    writes into its input with the arithmetic of the plain expression, so
+    every result keeps its bits.  Only the final `np.where` that applies A
+    allocates a third.
     """
     t, (rows, A) = batch.t, batch.pairs
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         lam_own = np.exp(G_own)
-        lam_cross = np.exp(G_cross)
+        lam_cross = lam_own if G_cross is G_own else np.exp(G_cross)
         tl = np.outer(t[rows], lam_cross)
         S_own = np.exp(-lam_own * t)  # S(t_i | G_own_i)
-        S = np.exp(-tl)               # S[r, j] = S(t_rows[r] | G_cross_j)
-    eta = np.where(A, np.exp(-((1.0 - S_own[rows])[:, None]
-                               - (1.0 - S)) / sigma), 0.0)
-    if not need_grads:
-        return eta, None, None, None
-    row_sums = np.zeros(len(t))
-    row_sums[rows] = eta.sum(axis=1)
-    # dF(t|g)/dg = t * exp(g) * S(t|g)
-    with np.errstate(invalid="ignore", over="ignore"):
-        cross_sums = ((eta * (tl * S)).sum(axis=0)
-                      + 0.0 * (t.max() * lam_cross))
+        eta = np.negative(tl)
+        np.exp(eta, out=eta)          # S[r, j] = S(t_rows[r] | G_cross_j)
+        if need_grads:
+            tl *= eta                 # dF(t|g)/dg = t * exp(g) * S(t|g)
+        np.subtract(1.0, eta, out=eta)
+        np.subtract((1.0 - S_own[rows])[:, None], eta, out=eta)
+        np.negative(eta, out=eta)
+        eta /= sigma
+        np.exp(eta, out=eta)
+        eta = np.where(A, eta, 0.0)
+        if not need_grads:
+            return eta, None, None, None
+        row_sums = np.zeros(len(t))
+        row_sums[rows] = eta.sum(axis=1)
+        tl *= eta
+        cross_sums = tl.sum(axis=0) + 0.0 * (t.max() * lam_cross)
         return eta, t * lam_own * S_own, row_sums, cross_sums
 
 
@@ -201,13 +213,18 @@ def pgd_perturb(net: Network, batch: Batch, eps: float, steps: int,
     _check_radius(eps)
     if eps == 0.0:
         return batch
-    X0 = X = batch.X
+    X = batch.X
+    lo, hi = X - eps, X + eps
     alpha = eps / steps
     # times and events never change, so neither do the pairs and the weight
     w_val = _resolve_w(w, batch)
     for _ in range(steps):
+        # the direction is a fresh array: the step is built in it, so that
+        # batch.X is never written
         step = _ascent_step(net, X, batch, w_val, sigma, sign_mode)[1]
-        X = _project_ball(X + alpha * step, X0, eps)
+        step *= alpha
+        step += X
+        X = np.clip(step, lo, hi, out=step)
     return batch.with_X(X)
 
 
@@ -216,7 +233,7 @@ def _ascent_step(net: Network, X, batch: Batch, w_val, sigma, sign_mode):
     G, caches = forward_batch(net, X)
     dG = _loss_grad(G, batch, w_val, sigma)[1]
     igrads = input_grads_batch(net, caches, dG)
-    bad = ~np.all(np.isfinite(igrads), axis=1)
+    bad = ~np.isfinite(igrads).all(axis=1)
     if bad.any():
         log.warning("skipping perturbation for %d record(s) with "
                     "non-finite input gradient", int(bad.sum()))

@@ -146,7 +146,7 @@ def _check_batch(net: Network, X: np.ndarray) -> np.ndarray:
         raise ShapeError(
             f"expected (batch, {net.input_dim}) inputs, got shape {X.shape}"
         )
-    if not np.all(np.isfinite(X)):
+    if not np.isfinite(X).all():
         raise InputError("inputs contain non-finite values")
     return X
 
@@ -155,44 +155,49 @@ def forward_batch(net: Network, X: np.ndarray):
     """Evaluate the net on a (batch, d) matrix.
 
     Returns (outputs, caches) where outputs has shape (batch,) and caches
-    holds the per-layer inputs and pre-activations needed by backward_batch.
+    is (layer_inputs, pre_acts, slopes): each layer's input (X first),
+    each layer's pre-activation z, and each hidden layer's activation
+    slope `leaky_relu_grad(z)`, which the reverse passes read.  The
+    activation is z * slope, which is `leaky_relu(z)` bit for bit.
     """
     X = _check_batch(net, X)
     a = X
-    layer_inputs = [a]
-    pre_acts = []
+    layer_inputs, pre_acts, slopes = [a], [], []
     for k, (W, b) in enumerate(zip(net.weights, net.biases)):
-        z = a @ W.T + b
+        z = a @ W.T
+        z += b
         pre_acts.append(z)
         if k < net.n_layers - 1:
-            a = leaky_relu(z, net.leaky_slope)
+            d = np.where(z >= 0.0, 1.0, net.leaky_slope)
+            slopes.append(d)
+            a = z * d
             layer_inputs.append(a)
-    return pre_acts[-1][:, 0], (layer_inputs, pre_acts)
+    return pre_acts[-1][:, 0], (layer_inputs, pre_acts, slopes)
 
 
 def backward_batch(net: Network, caches, upstream: np.ndarray):
     """Reverse pass: d(sum_i upstream_i * G_i)/dtheta and per-row input grads."""
-    layer_inputs, pre_acts = caches
+    layer_inputs, _, slopes = caches
     upstream = np.asarray(upstream, dtype=float)
     dz = upstream[:, None]
     grads = ParamGrads.zeros_like(net)
     for k in range(net.n_layers - 1, -1, -1):
         grads.weights[k] += dz.T @ layer_inputs[k]
         grads.biases[k] += dz.sum(axis=0)
-        da = dz @ net.weights[k]
+        dz = dz @ net.weights[k]
         if k > 0:
-            dz = da * leaky_relu_grad(pre_acts[k - 1], net.leaky_slope)
-    return grads, da
+            dz *= slopes[k - 1]
+    return grads, dz
 
 
 def input_grads_batch(net: Network, caches, upstream: np.ndarray):
     """Per-row input grads of sum_i upstream_i * G_i, without the parameter
     grads: the dz @ W chain of backward_batch, equal to its second result."""
-    _, pre_acts = caches
+    _, _, slopes = caches
     dz = np.asarray(upstream, dtype=float)[:, None]
     for k in range(net.n_layers - 1, 0, -1):
-        dz = (dz @ net.weights[k]) * leaky_relu_grad(pre_acts[k - 1],
-                                                     net.leaky_slope)
+        dz = dz @ net.weights[k]
+        dz *= slopes[k - 1]
     return dz @ net.weights[0]
 
 

@@ -168,7 +168,7 @@ def _loss_for_method(method, net, batch, eps):
 
 def _kink_margin(net, batch, eps):
     """Smallest distance to any gradient-defining switch for this instance."""
-    G, (_, pre_acts) = forward_batch(net, batch.X)
+    G, (_, pre_acts, _) = forward_batch(net, batch.X)
     margin = min(float(np.abs(z).min()) for z in pre_acts[:-1])
     lb, ub = crown_ibp_batch(net, batch.X, eps)
     from certsurv.losses import _ll_term

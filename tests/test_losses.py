@@ -182,6 +182,19 @@ class TestPgd:
             assert val >= prev - 1e-12
             prev = val
 
+    @pytest.mark.parametrize("sign_mode", [False, True])
+    @pytest.mark.parametrize("steps", range(1, 11))
+    def test_batch_X_is_never_written(self, steps, sign_mode):
+        # the steps are built in place; none of them may land in batch.X
+        rng = np.random.default_rng(steps)
+        net = random_net(rng, [3, 6, 1], scale=2.0)
+        batch = random_batch(rng, 9, 3)
+        before = batch.X.tobytes()
+        for out in (pgd_perturb(net, batch, 0.3, steps, sign_mode=sign_mode),
+                    fgsm_perturb(net, batch, 0.3, sign_mode=sign_mode)):
+            assert batch.X.tobytes() == before
+            assert not np.shares_memory(out.X, batch.X)
+
     def test_invalid_steps(self):
         net = linear_net(1.0)
         batch = Batch(np.zeros((1, 1)), [1.0], [0])

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from certsurv.network import (ConfigurationError, InputError, Network,
                               ParamGrads, ShapeError,
                               TrainingDivergenceError, adam_step, backward,
                               backward_batch, forward, forward_batch,
                               init_adam, init_network, input_grads_batch,
-                              leaky_relu)
+                              leaky_relu, leaky_relu_grad)
 
 from conftest import random_net
 
@@ -123,6 +123,34 @@ class TestForward:
         net = init_network([2, 1])
         with pytest.raises(InputError):
             forward(net, [np.nan, 0.0])
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 5),
+           st.lists(st.integers(1, 12), min_size=1, max_size=4),
+           st.floats(0.01, 0.9), st.integers(1, 32),
+           st.sampled_from([1e-170, 1.0, 1e150, 1e300]))
+    @example(seed=2, d=2, hidden=[5, 1], slope=0.1, n=16, scale=1e-170)
+    def test_caches_hold_activation_and_slope(self, seed, d, hidden, slope,
+                                              n, scale):
+        # Huge weights overflow to inf and then NaN (inf - inf); tiny ones
+        # underflow, which with -0.0 biases can leave -0.0 (as in the
+        # example).  The cached slope and activation must still be the two
+        # functions' bits.
+        rng = np.random.default_rng(seed)
+        net = random_net(rng, [d, *hidden, 1], slope=slope, scale=2.0)
+        for p in net.params:
+            p *= scale
+        for b in net.biases:
+            b[rng.random(b.shape) < 0.5] = -0.0
+        X = rng.normal(size=(n, d))
+        with np.errstate(all="ignore"):
+            _, (layer_inputs, pre_acts, slopes) = forward_batch(net, X)
+        assert len(slopes) == len(hidden) == len(layer_inputs) - 1
+        for k, z in enumerate(pre_acts[:-1]):
+            assert (slopes[k].tobytes()
+                    == leaky_relu_grad(z, slope).tobytes())
+            assert (layer_inputs[k + 1].tobytes()
+                    == leaky_relu(z, slope).tobytes())
 
 
 class TestBackward:
