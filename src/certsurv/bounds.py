@@ -15,11 +15,22 @@ The refined bound is intersected elementwise with the interval bound, so
 the refined interval is never wider.  `crown_ibp_batch_tape` additionally
 returns a `BoundTape` holding every intermediate needed to pull loss
 gradients back through the whole bound computation (used by the certified
-training objective): the interval boxes, each layer's crossing mask, chord,
-chord denominator and exact-neuron slope from `_relaxation`, and each chain
-step's line choice, slope, intercept and scaled coefficients from
-`_upper_chain`.  The adjoint, written out by hand in `crown_ibp_batch_vjp`,
-only reads the tape and recomputes none of it.
+training objective): the interval boxes, each hidden layer's box-edge
+slopes and each layer's |W| from `_interval_forward`, each layer's crossing
+mask, chord and chord denominator from `_relaxation`, and each chain step's
+line choice, slope, intercept and scaled coefficients from `_upper_chain`.
+The adjoint, written out by hand in `crown_ibp_batch_vjp`, only reads the
+tape and recomputes none of it.
+
+Each of these functions builds its elementwise results in arrays it made
+itself (`out=`, `+=`), with the arithmetic of the plain expression, so the
+bits are those of one fresh array per result, NaN signs included.  Two
+operands that can both be NaN keep their order, since the result is the
+first one's NaN; only a finite operand (a scalar, a slope or X) trades
+places.  An add of two such operands writes into the second: numpy adds
+into a one-element array as a reduction, which returns the second NaN.  No
+array outlives its call other than as a result: a returned tape is never
+written again.
 """
 
 from __future__ import annotations
@@ -30,8 +41,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .network import (Network, ParamGrads, _check_batch, leaky_relu,
-                      leaky_relu_grad)
+from .network import Network, ParamGrads, _check_batch
 from .survival import hazard
 
 
@@ -79,53 +89,73 @@ class LayerBounds:
 
 
 def _interval_forward(net: Network, X: np.ndarray, eps: float):
-    """Box propagation; returns per-layer pre-activation bounds and the
-    activation-box centers/radii feeding each layer."""
+    """Box propagation.  Returns (lows, ups, centers, radii, slopes_l,
+    slopes_u, abs_w): per-layer pre-activation bounds, the center and radius
+    of the activation box feeding each layer, each hidden layer's box-edge
+    slopes at l and at u (1 where the edge is >= 0, else the leaky slope),
+    and each layer's |W|.  An activation edge is the bound times its slope,
+    which is `leaky_relu` of the bound bit for bit."""
+    alpha = net.leaky_slope
     c = X
     r = np.full_like(X, eps)
     centers, radii = [c], [r]
-    lows, ups = [], []
+    lows, ups, slopes_l, slopes_u, abs_w = [], [], [], [], []
     for k, (W, b) in enumerate(zip(net.weights, net.biases)):
+        aW = np.abs(W)
+        abs_w.append(aW)
         m = c @ W.T + b
-        s = r @ np.abs(W).T
-        lows.append(m - s)
-        ups.append(m + s)
+        s = r @ aW.T
+        l = m - s
+        u = np.add(m, s, out=s)
+        lows.append(l)
+        ups.append(u)
         if k < net.n_layers - 1:
-            al = leaky_relu(lows[-1], net.leaky_slope)
-            au = leaky_relu(ups[-1], net.leaky_slope)
-            c = 0.5 * (au + al)
-            r = 0.5 * (au - al)
+            dl = np.where(l >= 0.0, 1.0, alpha)
+            du = np.where(u >= 0.0, 1.0, alpha)
+            slopes_l.append(dl)
+            slopes_u.append(du)
+            al = l * dl
+            r = u * du          # the upper activation edge
+            c = r + al
+            c *= 0.5
+            r -= al
+            r *= 0.5
             centers.append(c)
             radii.append(r)
-    return lows, ups, centers, radii
+    return lows, ups, centers, radii, slopes_l, slopes_u, abs_w
 
 
-def _relaxation(net: Network, lows, ups):
+def _relaxation(net: Network, lows, ups, bases):
     """Per activation layer: the relaxation lines, and the pieces of them
     that the adjoint reads back.
 
     Active (l >= 0) and inactive (u <= 0) neurons are exact; crossing
-    neurons use the chord above and an origin line below.  Returns
-    (up_slope, up_icpt, low_slope, crossing, width, chord, base), one array
-    per layer each: `width` is u - l on crossing neurons and 1 elsewhere
-    (the chord's denominator), and `base` is the slope of an exact neuron,
-    the activation's derivative at l (1 where l >= 0, else the leaky
-    slope).
+    neurons use the chord above and an origin line below.  `bases` holds
+    each layer's slope of an exact neuron, the activation's derivative at l
+    (1 where l >= 0, else the leaky slope).  Returns (up_slope, up_icpt,
+    low_slope, crossing, width, chord), one array per layer each: `width`
+    is u - l on crossing neurons and 1 elsewhere (the chord's denominator).
     """
     alpha = net.leaky_slope
-    pieces = tuple([] for _ in range(7))
-    for k in range(net.n_layers - 1):
-        l, u = lows[k], ups[k]
-        base = leaky_relu_grad(l, alpha)
-        cross = (l < 0.0) & (u > 0.0)
-        width = np.where(cross, u - l, 1.0)
-        chord = np.where(cross, (u - alpha * l) / width, 1.0)
+    pieces = tuple([] for _ in range(6))
+    for l, u, base in zip(lows, ups, bases):
+        cross = l < 0.0
+        cross &= u > 0.0
+        work = u - l
+        width = np.where(cross, work, 1.0)
+        np.multiply(l, alpha, out=work)
+        np.subtract(u, work, out=work)
+        work /= width
+        chord = np.where(cross, work, 1.0)
+        up_slope = np.where(cross, chord, base)
+        np.subtract(alpha, chord, out=work)
+        work *= l
+        up_icpt = np.where(cross, work, 0.0)
         # A crossing neuron's lower line has slope 1 when |u| >= |l|, that
         # is u >= -l; on an exact neuron u >= -l holds exactly when base = 1.
-        layer = (np.where(cross, chord, base),
-                 np.where(cross, (alpha - chord) * l, 0.0),
-                 np.where(u >= -l, 1.0, base),
-                 cross, width, chord, base)
+        np.negative(l, out=work)
+        low_slope = np.where(u >= work, 1.0, base)
+        layer = (up_slope, up_icpt, low_slope, cross, width, chord)
         for piece, value in zip(pieces, layer):
             piece.append(value)
     return pieces
@@ -146,8 +176,9 @@ class BoundTape:
     """Intermediates of one batched bound computation, for the adjoint.
 
     The forward pass writes every value the adjoint needs; the adjoint only
-    reads them.  Per-layer lists run over layers 0 .. L-1 (pre-activations)
-    or over activation layers 0 .. L-2 (relaxation pieces).
+    reads them.  Per-layer lists run over layers 0 .. L-1 (pre-activations,
+    |W|) or over activation layers 0 .. L-2 (box-edge slopes, relaxation
+    pieces).
     """
 
     X: np.ndarray
@@ -156,10 +187,12 @@ class BoundTape:
     ups: list
     centers: list   # center and radius of the box feeding every layer
     radii: list
+    slope_l: list   # box-edge slopes: 1 where l >= 0, else the leaky slope
+    slope_u: list   # the same at u
+    abs_w: list     # |W| of every layer
     crossing: list  # l < 0 < u, per activation layer
     width: list     # u - l on crossing neurons, 1 elsewhere
     chord: list     # chord slope on crossing neurons, 1 elsewhere
-    base: list      # 1 where l >= 0, else the leaky slope
     stages_u: list  # Stage of the upper chain of f, for k = L-2 .. 0
     stages_l: list  # the same for the upper chain of -f (None if skipped)
     A_u: np.ndarray  # final input-space coefficients, upper chain of f
@@ -177,20 +210,24 @@ def _upper_chain(net: Network, X, eps, w_out, b_out, up_slope, up_icpt,
     """Backward linear upper bound on w_out . z + b_out, z the last hidden
     layer (or the input); returns it, the Stage of every step and the final
     input-space coefficients."""
-    A = np.broadcast_to(w_out, (X.shape[0], w_out.shape[0])).copy()
-    d = np.full(X.shape[0], b_out)
+    n = X.shape[0]
+    A = np.empty((n, w_out.shape[0]))
+    A[...] = w_out
+    d = np.full(n, b_out)
     stages = []
     for k in range(net.n_layers - 2, -1, -1):
         W, b = net.weights[k], net.biases[k]
         pos = A >= 0.0
         lam = np.where(pos, up_slope[k], low_slope[k])
         mu = np.where(pos, up_icpt[k], 0.0)
-        d = d + (A * mu).sum(axis=1)
-        B = A * lam
+        B = A * mu
+        d = d + B.sum(axis=1)
+        np.multiply(A, lam, out=B)
         stages.append(Stage(A, pos, lam, mu, B))
         A = B @ W
         d = d + B @ b
-    ub = (A * X).sum(axis=1) + eps * np.abs(A).sum(axis=1) + d
+    work = A * X
+    ub = work.sum(axis=1) + eps * np.abs(A, out=work).sum(axis=1) + d
     return ub, stages, A
 
 
@@ -213,9 +250,10 @@ def crown_ibp_batch_tape(net: Network, X, eps: float, lower: bool = True):
     X = _check_batch(net, X)
     eps = float(eps)
     _check_radius(eps)
-    lows, ups, centers, radii = _interval_forward(net, X, eps)
-    up_slope, up_icpt, low_slope, crossing, width, chord, base = _relaxation(
-        net, lows, ups)
+    lows, ups, centers, radii, slope_l, slope_u, abs_w = _interval_forward(
+        net, X, eps)
+    up_slope, up_icpt, low_slope, crossing, width, chord = _relaxation(
+        net, lows, ups, slope_l)
     crown_lb, crown_ub, stages_u, stages_l, AU, AL = _backward_pass(
         net, X, eps, up_slope, up_icpt, low_slope, lower
     )
@@ -228,9 +266,9 @@ def crown_ibp_batch_tape(net: Network, X, eps: float, lower: bool = True):
     # ulp above ub after the intersection, so repair downward.
     lb = np.minimum(lb, ub)
     tape = BoundTape(
-        X, eps, lows, ups, centers, radii, crossing, width, chord, base,
-        stages_u, stages_l, AU, AL, crown_lb, crown_ub, ibp_lb, ibp_ub,
-        use_crown_ub, use_crown_lb,
+        X, eps, lows, ups, centers, radii, slope_l, slope_u, abs_w, crossing,
+        width, chord, stages_u, stages_l, AU, AL, crown_lb, crown_ub, ibp_lb,
+        ibp_ub, use_crown_ub, use_crown_lb,
     )
     return lb, ub, tape
 
@@ -246,7 +284,9 @@ def crown_ibp_batch_vjp(net: Network, tape: BoundTape, dlb, dub):
     Hand-written adjoint of crown_ibp_batch_tape: routes through the
     bound intersection, the backward linear pass (including the chord
     coefficients of crossing neurons), and the interval recursion.  It
-    reads every forward value from the tape and recomputes none.
+    reads every forward value from the tape and recomputes none.  Every
+    array it writes in place is one it made itself, never the tape's or
+    dlb and dub.
     """
     if tape.stages_l is None:
         raise ValueError("a tape recorded with lower=False has no adjoint")
@@ -257,7 +297,8 @@ def crown_ibp_batch_vjp(net: Network, tape: BoundTape, dlb, dub):
     dub = np.asarray(dub, dtype=float)
     # The accumulators start at +0.0, so an entry that sums to zero is +0.0.
     grads = ParamGrads.zeros_like(net)
-    dX = np.zeros_like(X)
+    dX = np.zeros(X.shape)
+    work_x = np.empty(X.shape)
 
     guC = np.where(tape.use_crown_ub, dub, 0.0)
     glC = np.where(tape.use_crown_lb, dlb, 0.0)
@@ -268,79 +309,103 @@ def crown_ibp_batch_vjp(net: Network, tape: BoundTape, dlb, dub):
     ui_bar = [None] * (L - 1)
 
     # The same adjoint serves the upper chain of f (seeded with guC) and the
-    # upper chain of -f, whose bound is -lb (seeded with -glC).
+    # upper chain of -f, whose bound is -lb (seeded with -glC).  A chain's
+    # constant term d has the seed itself as its adjoint at every step.
     seed_bars = []
-    for stages, A_fin, g in ((tape.stages_u, tape.A_u, guC),
-                             (tape.stages_l, tape.A_l, -glC)):
+    for stages, A_fin, d_bar in ((tape.stages_u, tape.A_u, guC),
+                                 (tape.stages_l, tape.A_l, -glC)):
+        g = d_bar[:, None]
         # Adjoint of the concretization step.
-        A_bar = g[:, None] * (X + eps * np.sign(A_fin))
-        dX += g[:, None] * A_fin
-        d_bar = g
+        A_bar = np.sign(A_fin)
+        A_bar *= eps
+        A_bar += X
+        np.multiply(g, A_bar, out=A_bar)
+        dX += np.multiply(g, A_fin, out=work_x)
         # Walk the chain in reverse: stages were recorded for
         # k = L-2 .. 0, so the adjoint visits k = 0 .. L-2.
         for idx in range(len(stages) - 1, -1, -1):
             k = L - 2 - idx
             W, b = net.weights[k], net.biases[k]
             st = stages[idx]
-            B_bar = A_bar @ W.T + d_bar[:, None] * b[None, :]
+            work = A_bar @ W.T
+            B_bar = np.multiply(g, b)
+            np.add(work, B_bar, out=B_bar)
             grads.weights[k] += st.B.T @ A_bar
             grads.biases[k] += st.B.T @ d_bar
             sel = st.pos & tape.crossing[k]
-            us = np.where(sel, B_bar * st.A, 0.0)
-            ui = np.where(sel, d_bar[:, None] * st.A, 0.0)
+            us = np.where(sel, np.multiply(B_bar, st.A, out=work), 0.0)
+            ui = np.where(sel, np.multiply(g, st.A, out=work), 0.0)
             if us_bar[k] is None:
                 us_bar[k], ui_bar[k] = us, ui
             else:
                 us_bar[k] += us
                 ui_bar[k] += ui
-            A_bar = B_bar * st.lam + d_bar[:, None] * st.mu
+            B_bar *= st.lam
+            A_bar = np.add(B_bar, np.multiply(g, st.mu, out=work), out=work)
         seed_bars.append((A_bar, d_bar))
 
     # Each chain's initial coefficients were the output layer's weights and
     # bias, negated for the chain of -f.
     (Au_bar, du_bar), (Al_bar, dl_bar) = seed_bars
-    grads.weights[L - 1] += (Au_bar - Al_bar).sum(axis=0, keepdims=True)
+    Au_bar -= Al_bar
+    grads.weights[L - 1] += Au_bar.sum(axis=0, keepdims=True)
     grads.biases[L - 1] += np.array([(du_bar - dl_bar).sum()])
 
     # Adjoint of the interval recursion, deepest layer first.  The output's
     # interval bounds pick up the non-refined branch of the intersection.
-    lbar = (dlb - glC)[:, None]
-    ubar = (dub - guC)[:, None]
+    lbar = (dlb - glC).reshape(-1, 1)
+    ubar = (dub - guC).reshape(-1, 1)
     for k in range(L - 1, -1, -1):
         W = net.weights[k]
         m_bar = lbar + ubar
-        s_bar = ubar - lbar
+        s_bar = np.subtract(ubar, lbar, out=ubar)
         c_prev, r_prev = tape.centers[k], tape.radii[k]
-        grads.weights[k] += m_bar.T @ c_prev + np.sign(W) * (s_bar.T @ r_prev)
+        gW = s_bar.T @ r_prev
+        np.multiply(np.sign(W), gW, out=gW)
+        grads.weights[k] += np.add(m_bar.T @ c_prev, gW, out=gW)
         grads.biases[k] += m_bar.sum(axis=0)
         c_bar = m_bar @ W
-        r_bar = s_bar @ np.abs(W)
         if k == 0:
             dX += c_bar
             break
+        r_bar = s_bar @ tape.abs_w[k]
         j = k - 1
-        ubar = 0.5 * (c_bar + r_bar) * leaky_relu_grad(tape.ups[j], alpha)
-        lbar = 0.5 * (c_bar - r_bar) * tape.base[j]
+        ubar = c_bar + r_bar
+        ubar *= 0.5
+        ubar *= tape.slope_u[j]
+        lbar = np.subtract(c_bar, r_bar, out=c_bar)
+        lbar *= 0.5
+        lbar *= tape.slope_l[j]
         cross = tape.crossing[j]
         if cross.any():
-            # Chord slope/intercept sensitivities to the interval endpoints.
-            l, u, chord = tape.lows[j], tape.ups[j], tape.chord[j]
+            # Chord slope/intercept sensitivities to the interval endpoints,
+            # then weighted by the adjoints of the slope and the intercept.
+            l, u = tape.lows[j], tape.ups[j]
             width2 = tape.width[j] ** 2
-            dchord_du = (alpha - 1.0) * l / width2
-            dchord_dl = (1.0 - alpha) * u / width2
-            dicpt_dl = (alpha - chord) - l * dchord_dl
-            dicpt_du = -l * dchord_du
-            ubar += np.where(cross, us_bar[j] * dchord_du
-                             + ui_bar[j] * dicpt_du, 0.0)
-            lbar += np.where(cross, us_bar[j] * dchord_dl
-                             + ui_bar[j] * dicpt_dl, 0.0)
+            dchord_du = l * (alpha - 1.0)
+            dchord_du /= width2
+            dchord_dl = u * (1.0 - alpha)
+            dchord_dl /= width2
+            dicpt_dl = alpha - tape.chord[j]
+            # r_bar is spent: its array holds l * dchord_dl, then -l
+            dicpt_dl -= np.multiply(l, dchord_dl, out=r_bar)
+            dicpt_du = np.negative(l, out=r_bar)
+            dicpt_du *= dchord_du
+            np.multiply(us_bar[j], dchord_du, out=dchord_du)
+            np.multiply(ui_bar[j], dicpt_du, out=dicpt_du)
+            ubar += np.where(cross, np.add(dchord_du, dicpt_du, out=dicpt_du),
+                             0.0)
+            np.multiply(us_bar[j], dchord_dl, out=dchord_dl)
+            np.multiply(ui_bar[j], dicpt_dl, out=dicpt_dl)
+            lbar += np.where(cross, np.add(dchord_dl, dicpt_dl, out=dicpt_dl),
+                             0.0)
     return grads, dX
 
 
 def ibp_bounds(net: Network, pset: PerturbationSet):
     """Interval output bounds plus all pre-activation layer bounds."""
     X = _check_batch(net, pset.center[None, :])
-    lows, ups, _, _ = _interval_forward(net, X, pset.eps)
+    lows, ups = _interval_forward(net, X, pset.eps)[:2]
     layer = LayerBounds([l[0] for l in lows], [u[0] for u in ups])
     return ScalarBounds(float(lows[-1][0, 0]), float(ups[-1][0, 0])), layer
 

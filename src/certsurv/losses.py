@@ -44,12 +44,15 @@ from .network import (Network, ParamGrads, backward_batch, forward_batch,
 log = logging.getLogger(__name__)
 
 # glibc's malloc maps each block at or above its mmap threshold (128 KiB at
-# start) afresh: a 128-row batch's full pair matrix and the bound engine's
-# per-layer arrays are that large.  Freeing one large mapped block raises
-# the threshold to its size.  One warm 50-epoch cycle on the three fixtures
-# (seed 5) makes 2-5 minor page faults with this line and 10,238 without it
-# for pgd training, and 4 against 105,015 for sawar training: the bound
-# engine's arrays, not the pair kernel, are what still lean on it.
+# start) afresh, and hands free memory at the top of its heap back to the
+# system beyond a trim threshold of twice that.  A 128-row batch's full pair
+# matrix is that large, and the bound engine's per-layer arrays come and go
+# at the heap top.  Freeing one large mapped block raises the mmap threshold
+# to its size, and the trim threshold with it.  One warm cycle on the three
+# fixtures (seed 5; 100 epochs of sawar, 50 of pgd) makes 2 minor page
+# faults with this line and 314,640 without it for sawar training, 88% of
+# them inside `crown_ibp_batch_tape` and `crown_ibp_batch_vjp`; pgd training
+# makes 10 against 6,979.
 np.empty(1 << 20)
 
 

@@ -82,10 +82,8 @@ class ParamGrads:
 
     @staticmethod
     def zeros_like(net: Network) -> "ParamGrads":
-        return ParamGrads(
-            [np.zeros_like(w) for w in net.weights],
-            [np.zeros_like(b) for b in net.biases],
-        )
+        return ParamGrads([np.zeros(w.shape) for w in net.weights],
+                          [np.zeros(b.shape) for b in net.biases])
 
     def scale(self, factor: float) -> "ParamGrads":
         for a in (*self.weights, *self.biases):

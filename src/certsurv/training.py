@@ -271,7 +271,9 @@ def train(config: TrainConfig, split: SplitDataset):
             else:
                 epoch_finite = True
                 last_good = net
-            sums += astuple(breakdown)
+            sums += (breakdown.neg_ll, breakdown.rank,
+                     breakdown.clean_combined, breakdown.certified_upper,
+                     breakdown.total)
             n_batches += 1
         if not epoch_finite:
             raise TrainingDivergenceError(

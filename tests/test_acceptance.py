@@ -175,7 +175,7 @@ def _kink_margin(net, batch, eps):
     tie = np.abs(_ll_term(ub, batch.t, batch.e) - _ll_term(lb, batch.t, batch.e))
     margin = min(margin, float(tie.min()))
     from certsurv.bounds import _interval_forward
-    lows, ups, _, _ = _interval_forward(net, batch.X, eps)
+    lows, ups = _interval_forward(net, batch.X, eps)[:2]
     for l, u in zip(lows[:-1], ups[:-1]):
         margin = min(margin, float(np.abs(l).min()), float(np.abs(u).min()),
                      float(np.abs(np.abs(u) - np.abs(l)).min()))

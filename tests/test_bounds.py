@@ -1,11 +1,12 @@
+from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from certsurv.bounds import (PerturbationSet, ScalarBounds,
-                             _interval_forward, _relaxation, crown_ibp_batch,
+from certsurv.bounds import (BoundTape, PerturbationSet, ScalarBounds,
+                             Stage, crown_ibp_batch,
                              crown_ibp_batch_tape, crown_ibp_batch_vjp,
                              crown_ibp_bounds, ibp_bounds, worst_case_hazard,
                              worst_case_log_hazard_batch)
@@ -13,7 +14,7 @@ from certsurv.losses import (Batch, _certified_terms, certified_upper_loss,
                              certified_upper_loss_grads, fgsm_perturb,
                              noise_perturb, pgd_perturb, sawar_loss)
 from certsurv.network import (InputError, Network, ParamGrads, forward,
-                              forward_batch, leaky_relu_grad)
+                              forward_batch, leaky_relu, leaky_relu_grad)
 
 from conftest import random_batch, random_net
 
@@ -260,9 +261,48 @@ def _two_chain_backward_pass(net, X, eps, up_slope, up_icpt, low_slope,
     return lb, ub, stages_u, stages_l, AU, AL
 
 
+def _reference_interval_forward(net, X, eps):
+    """Interval propagation with one fresh array per result."""
+    alpha = net.leaky_slope
+    c, r = X, np.full_like(X, eps)
+    lows, ups, centers, radii = [], [], [c], [r]
+    for k, (W, b) in enumerate(zip(net.weights, net.biases)):
+        m = c @ W.T + b
+        s = r @ np.abs(W).T
+        lows.append(m - s)
+        ups.append(m + s)
+        if k < net.n_layers - 1:
+            al = leaky_relu(lows[-1], alpha)
+            au = leaky_relu(ups[-1], alpha)
+            c = 0.5 * (au + al)
+            r = 0.5 * (au - al)
+            centers.append(c)
+            radii.append(r)
+    return lows, ups, centers, radii
+
+
+def _reference_relaxation(net, lows, ups):
+    """(up_slope, up_icpt, low_slope, crossing, width, chord) per activation
+    layer, with one fresh array per result."""
+    alpha = net.leaky_slope
+    pieces = tuple([] for _ in range(6))
+    for l, u in zip(lows[:-1], ups[:-1]):
+        base = leaky_relu_grad(l, alpha)
+        cross = (l < 0.0) & (u > 0.0)
+        width = np.where(cross, u - l, 1.0)
+        chord = np.where(cross, (u - alpha * l) / width, 1.0)
+        layer = (np.where(cross, chord, base),
+                 np.where(cross, (alpha - chord) * l, 0.0),
+                 np.where(u >= -l, 1.0, base), cross, width, chord)
+        for piece, value in zip(pieces, layer):
+            piece.append(value)
+    return pieces
+
+
 def _two_chain_tape(net, X, eps, lower_pos):
-    lows, ups, centers, radii = _interval_forward(net, X, eps)
-    up_slope, up_icpt, low_slope, crossing = _relaxation(net, lows, ups)[:4]
+    lows, ups, centers, radii = _reference_interval_forward(net, X, eps)
+    up_slope, up_icpt, low_slope, crossing = _reference_relaxation(
+        net, lows, ups)[:4]
     crown_lb, crown_ub, stages_u, stages_l, AU, AL = _two_chain_backward_pass(
         net, X, eps, up_slope, up_icpt, low_slope, lower_pos)
     ibp_lb, ibp_ub = lows[-1][:, 0], ups[-1][:, 0]
@@ -400,7 +440,159 @@ def _discrete_choices(net, tape):
     return b"".join(np.ascontiguousarray(p).tobytes() for p in parts)
 
 
+def _reference_upper_chain(net, X, eps, w_out, b_out, up_slope, up_icpt,
+                           low_slope):
+    """The one backward chain, with one fresh array per result."""
+    A = np.broadcast_to(w_out, (X.shape[0], w_out.shape[0])).copy()
+    d = np.full(X.shape[0], b_out)
+    stages = []
+    for k in range(net.n_layers - 2, -1, -1):
+        W, b = net.weights[k], net.biases[k]
+        pos = A >= 0.0
+        lam = np.where(pos, up_slope[k], low_slope[k])
+        mu = np.where(pos, up_icpt[k], 0.0)
+        d = d + (A * mu).sum(axis=1)
+        B = A * lam
+        stages.append(Stage(A, pos, lam, mu, B))
+        A = B @ W
+        d = d + B @ b
+    ub = (A * X).sum(axis=1) + eps * np.abs(A).sum(axis=1) + d
+    return ub, stages, A
+
+
+def _reference_tape(net, X, eps, lower):
+    """(lb, ub, fields): crown_ibp_batch_tape written out of place, and the
+    value of every field its BoundTape must hold."""
+    alpha = net.leaky_slope
+    lows, ups, centers, radii = _reference_interval_forward(net, X, eps)
+    up_slope, up_icpt, low_slope, crossing, width, chord = (
+        _reference_relaxation(net, lows, ups))
+    w, b = net.weights[-1][0], net.biases[-1][0]
+    lines = (up_slope, up_icpt, low_slope)
+    crown_ub, stages_u, AU = _reference_upper_chain(net, X, eps, w, b, *lines)
+    if lower:
+        neg_lb, stages_l, AL = _reference_upper_chain(net, X, eps, -w, -b,
+                                                      *lines)
+        crown_lb = -neg_lb
+    else:
+        crown_lb, stages_l, AL = np.full_like(crown_ub, -np.inf), None, None
+    ibp_lb, ibp_ub = lows[-1][:, 0], ups[-1][:, 0]
+    use_crown_ub = crown_ub <= ibp_ub
+    use_crown_lb = crown_lb >= ibp_lb
+    lb = np.where(use_crown_lb, crown_lb, ibp_lb)
+    ub = np.where(use_crown_ub, crown_ub, ibp_ub)
+    lb = np.minimum(lb, ub)
+    return lb, ub, dict(
+        X=X, eps=eps, lows=lows, ups=ups, centers=centers, radii=radii,
+        slope_l=[leaky_relu_grad(l, alpha) for l in lows[:-1]],
+        slope_u=[leaky_relu_grad(u, alpha) for u in ups[:-1]],
+        abs_w=[np.abs(W) for W in net.weights], crossing=crossing,
+        width=width, chord=chord, stages_u=stages_u, stages_l=stages_l,
+        A_u=AU, A_l=AL, crown_lb=crown_lb, crown_ub=crown_ub, ibp_lb=ibp_lb,
+        ibp_ub=ibp_ub, use_crown_ub=use_crown_ub, use_crown_lb=use_crown_lb)
+
+
+def _as_bytes(value):
+    """A tape field with every array, in lists and Stages too, replaced by
+    its (dtype, shape, bytes)."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, (list, tuple)):
+        return [_as_bytes(v) for v in value]
+    return value
+
+
+def _arrays(value):
+    """Every array in a value, walking lists and tuples."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, (list, tuple)):
+        return [a for v in value for a in _arrays(v)]
+    return []
+
+
+def _scaled_case(rng, dims, slope, scale, n, eps):
+    """A net whose weights and biases are scaled by `scale`, about half its
+    biases -0.0, and n normal rows.  Huge scales overflow the interval
+    arithmetic to inf and then NaN (inf - inf); 1e-170 underflows from the
+    second layer on, which leaves -0.0."""
+    net = random_net(rng, dims, slope=slope, scale=2.0)
+    for p in net.params:
+        p *= scale
+    for b in net.biases:
+        b[rng.random(b.shape) < 0.5] = -0.0
+    return net, rng.normal(size=(n, dims[0])), eps
+
+
+@st.composite
+def scaled_cases(draw):
+    """Depth 1-4, widths 1-60, any slope, weight scales 1e-170 to 1e300 and
+    radii 0, 1e-12, 0.5 and 3."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    dims = [draw(st.integers(1, 60)),
+            *draw(st.lists(st.integers(1, 60), max_size=3)), 1]
+    return _scaled_case(rng, dims, draw(st.floats(0.01, 0.9)),
+                        draw(st.sampled_from([1e-170, 1.0, 1e150, 1e300])),
+                        draw(st.integers(1, 16)),
+                        draw(st.sampled_from([0.0, 1e-12, 0.5, 3.0])))
+
+
+def _tape_matches_reference(net, X, eps, lower):
+    """Assert that lb, ub and every field of the tape equal the out-of-place
+    reference byte for byte; returns the tape's arrays."""
+    with np.errstate(all="ignore"):
+        lb, ub, tape = crown_ibp_batch_tape(net, X, eps, lower=lower)
+        ref_lb, ref_ub, ref = _reference_tape(net, X, eps, lower)
+    assert set(ref) == {f.name for f in fields(BoundTape)}
+    assert lb.tobytes() == ref_lb.tobytes()
+    assert ub.tobytes() == ref_ub.tobytes()
+    for name, want in ref.items():
+        assert _as_bytes(getattr(tape, name)) == _as_bytes(want), name
+    return _arrays([getattr(tape, name) for name in ref])
+
+
 class TestBoundEngineProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(scaled_cases(), st.booleans())
+    def test_tape_equals_out_of_place_reference(self, case, lower):
+        _tape_matches_reference(*case, lower)
+
+    @pytest.mark.parametrize("lower", [True, False])
+    def test_reference_cases_reach_inf_nan_and_negative_zero(self, lower):
+        rng = np.random.default_rng(3)
+        held = []
+        for scale in (1e-170, 1e300):
+            net, X, eps = _scaled_case(rng, [4, 30, 30, 1], 0.1, scale, 8,
+                                       0.5)
+            held += _tape_matches_reference(net, X, eps, lower)
+        floats = np.concatenate([a.ravel() for a in held
+                                 if a.dtype == np.float64])
+        assert np.isinf(floats).any() and np.isnan(floats).any()
+        assert ((floats == 0.0) & np.signbit(floats)).any()
+
+    @settings(max_examples=100, deadline=None)
+    @given(bound_cases())
+    def test_adjoint_and_later_calls_write_no_tape_and_no_seed(self, case):
+        # Nothing a bound call returns or is given may be written later:
+        # not by the tape's own adjoint, and not by calls on other rows of
+        # the same shape, which a buffer kept between calls would share.
+        net, X, eps, rng = case
+        dlb, dub = rng.normal(size=len(X)), rng.normal(size=len(X))
+        lb, ub, tape = crown_ibp_batch_tape(net, X, eps)
+        held = [lb, ub, dlb, dub,
+                *_arrays([getattr(tape, f.name) for f in fields(tape)])]
+        before = [a.tobytes() for a in held]
+        grads, dX = crown_ibp_batch_vjp(net, tape, dlb, dub)
+        assert [a.tobytes() for a in held] == before
+        held += [*grads.weights, *grads.biases, dX]
+        before = [a.tobytes() for a in held]
+        X2 = rng.normal(size=X.shape)
+        crown_ibp_batch_tape(net, X2, eps, lower=False)
+        other = crown_ibp_batch_tape(net, X2, eps)[2]
+        crown_ibp_batch_vjp(net, other, rng.normal(size=len(X)),
+                            rng.normal(size=len(X)))
+        assert [a.tobytes() for a in held] == before
+
     @settings(max_examples=150, deadline=None)
     @given(bound_cases())
     def test_bounds_and_vjp_equal_two_chain_reference(self, case):
