@@ -26,6 +26,16 @@ its (batch x batch) terms on them alone, the other rows being zero.  Row
 and column sums come out the same bit for bit, but numpy sums a whole array
 pairwise, so every sum of the ranking terms over all pairs, clean and
 certified, is `_whole_sum`: a full-size matrix with the zero rows put back.
+
+The kernel makes six (rows x batch) passes for a value and ten with
+gradients, at sigma = 1 (one more otherwise): it builds -(t_i * lambda_j)
+in one outer product and keeps F's difference negated, so no pass negates
+a matrix.  Its results equal the plain formula's bytes, except that a NaN
+entry may carry the other sign where a score is NaN; no output file can
+show that sign.  It opens no `np.errstate`: exp overflow and inf * 0 are
+expected there, and `_clean_engine`, `_certified_terms`, `pgd_perturb` and
+`_fgsm_scores` each open one per call around the kernel and the gradient
+arithmetic (for `pgd_perturb`, around all its steps).
 """
 
 from __future__ import annotations
@@ -49,10 +59,9 @@ log = logging.getLogger(__name__)
 # matrix is that large, and the bound engine's per-layer arrays come and go
 # at the heap top.  Freeing one large mapped block raises the mmap threshold
 # to its size, and the trim threshold with it.  One warm cycle on the three
-# fixtures (seed 5; 100 epochs of sawar, 50 of pgd) makes 2 minor page
-# faults with this line and 314,640 without it for sawar training, 88% of
-# them inside `crown_ibp_batch_tape` and `crown_ibp_batch_vjp`; pgd training
-# makes 10 against 6,979.
+# fixtures (seed 5; 100 epochs of sawar, 50 of pgd; two runs each) makes 0
+# minor page faults with this line and 261,460-285,722 without it for sawar
+# training; pgd training makes 3 against 0-5,935.
 np.empty(1 << 20)
 
 
@@ -79,8 +88,7 @@ def _ll_term(G, t, e):
 
 
 def _ll_term_grad(G, t, e):
-    with np.errstate(over="ignore"):
-        return -np.asarray(e, dtype=float) + np.exp(G) * t
+    return -np.asarray(e, dtype=float) + np.exp(G) * t
 
 
 def _pair_terms(G_own, G_cross, batch: Batch, sigma, need_grads=True):
@@ -100,36 +108,45 @@ def _pair_terms(G_own, G_cross, batch: Batch, sigma, need_grads=True):
     stands in for every record that is not.  The last three are None
     without need_grads.
 
-    The (rows x batch) terms are built in two work arrays: `tl` holds
-    t_i * lambda_j, then t_i * lambda_j * S, then eta * D; one `eta`
-    buffer holds S and each step of the ranking term in turn.  Each ufunc
-    writes into its input with the arithmetic of the plain expression, so
-    every result keeps its bits.  Only the final `np.where` that applies A
-    allocates a third.
+    The (rows x batch) terms take six passes, four more with need_grads:
+    `ntl` = -(t_i * lambda_j), one outer product; `eta` = exp(ntl), which
+    is S; with need_grads, ntl *= S, so ntl = -D; eta = 1 - S, then
+    eta -= 1 - S_own, the negated F difference; eta /= sigma, skipped at
+    sigma = 1, since x / 1 is x; exp; the `np.where` that applies A; and
+    with need_grads the row sums of eta, ntl *= eta and the column sums
+    of ntl, which cross_sums negates.  IEEE rounding is symmetric in sign,
+    so every result is NaN in exactly the entries where the plain formula
+    gives NaN, and every other entry has the plain formula's bytes.  Only
+    a NaN's sign may differ, where a NaN score, or a time t <= 0, meets a
+    skipped negation; scores that are not NaN (+-inf included) at times
+    t > 0 give the plain formula's bytes everywhere.
+
+    The caller opens the `np.errstate` that lets exp overflow and inf * 0
+    make NaN without a warning.
     """
     t, (rows, A) = batch.t, batch.pairs
-    with np.errstate(over="ignore", invalid="ignore"):
-        lam_own = np.exp(G_own)
-        lam_cross = lam_own if G_cross is G_own else np.exp(G_cross)
-        tl = np.outer(t[rows], lam_cross)
-        S_own = np.exp(-lam_own * t)  # S(t_i | G_own_i)
-        eta = np.negative(tl)
-        np.exp(eta, out=eta)          # S[r, j] = S(t_rows[r] | G_cross_j)
-        if need_grads:
-            tl *= eta                 # dF(t|g)/dg = t * exp(g) * S(t|g)
-        np.subtract(1.0, eta, out=eta)
-        np.subtract((1.0 - S_own[rows])[:, None], eta, out=eta)
-        np.negative(eta, out=eta)
+    lam_own = np.exp(G_own)
+    lam_cross = lam_own if G_cross is G_own else np.exp(G_cross)
+    ntl = np.multiply.outer(-t[rows], lam_cross)
+    S_own = np.exp(-lam_own * t)  # S(t_i | G_own_i)
+    eta = np.exp(ntl)             # S[r, j] = S(t_rows[r] | G_cross_j)
+    if need_grads:
+        ntl *= eta                # -dF(t|g)/dg = -t * exp(g) * S(t|g)
+    np.subtract(1.0, eta, out=eta)
+    eta -= (1.0 - S_own[rows])[:, None]
+    if sigma != 1.0:
         eta /= sigma
-        np.exp(eta, out=eta)
-        eta = np.where(A, eta, 0.0)
-        if not need_grads:
-            return eta, None, None, None
-        row_sums = np.zeros(len(t))
-        row_sums[rows] = eta.sum(axis=1)
-        tl *= eta
-        cross_sums = tl.sum(axis=0) + 0.0 * (t.max() * lam_cross)
-        return eta, t * lam_own * S_own, row_sums, cross_sums
+    np.exp(eta, out=eta)
+    eta = np.where(A, eta, 0.0)
+    if not need_grads:
+        return eta, None, None, None
+    row_sums = np.zeros(len(t))
+    row_sums[rows] = eta.sum(axis=1)
+    ntl *= eta
+    # the stand-in term goes first: where both operands are NaN, the first
+    # one's NaN is kept, and it is the one the full matrix's sum holds
+    cross_sums = 0.0 * (t.max() * lam_cross) - ntl.sum(axis=0)
+    return eta, t * lam_own * S_own, row_sums, cross_sums
 
 
 def _whole_sum(eta: np.ndarray, rows: np.ndarray) -> float:
@@ -167,9 +184,8 @@ def _loss_grad(G: np.ndarray, batch: Batch, w_val: float, sigma: float):
     """(eta, dG): `_pair_terms` at (G, G) and the gradient of neg_ll +
     w_val * (sum of eta) with respect to G."""
     eta, D_own, row_sums, cross_sums = _pair_terms(G, G, batch, sigma)
-    with np.errstate(invalid="ignore", over="ignore"):
-        dG = _ll_term_grad(G, batch.t, batch.e) + (w_val / sigma) * (
-            cross_sums - D_own * row_sums)
+    dG = _ll_term_grad(G, batch.t, batch.e) + (w_val / sigma) * (
+        cross_sums - D_own * row_sums)
     return eta, dG
 
 
@@ -178,10 +194,11 @@ def _clean_engine(net: Network, batch: Batch, w_val: float, sigma: float,
     """The clean loss: (neg_ll, rank, value, pgrads, igrads), the last two
     None without need_grads.  Every clean value is read from here."""
     G, caches = forward_batch(net, batch.X)
-    if need_grads:
-        eta, dG = _loss_grad(G, batch, w_val, sigma)
-    else:
-        eta = _pair_terms(G, G, batch, sigma, need_grads=False)[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        if need_grads:
+            eta, dG = _loss_grad(G, batch, w_val, sigma)
+        else:
+            eta = _pair_terms(G, G, batch, sigma, need_grads=False)[0]
     neg_ll = float(_ll_term(G, batch.t, batch.e).sum())
     rank = _whole_sum(eta, batch.pairs.rows)
     grads = backward_batch(net, caches, dG) if need_grads else (None, None)
@@ -221,18 +238,20 @@ def pgd_perturb(net: Network, batch: Batch, eps: float, steps: int,
     alpha = eps / steps
     # times and events never change, so neither do the pairs and the weight
     w_val = _resolve_w(w, batch)
-    for _ in range(steps):
-        # the direction is a fresh array: the step is built in it, so that
-        # batch.X is never written
-        step = _ascent_step(net, X, batch, w_val, sigma, sign_mode)[1]
-        step *= alpha
-        step += X
-        X = np.clip(step, lo, hi, out=step)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(steps):
+            # the direction is a fresh array: the step is built in it, so
+            # that batch.X is never written
+            step = _ascent_step(net, X, batch, w_val, sigma, sign_mode)[1]
+            step *= alpha
+            step += X
+            X = np.clip(step, lo, hi, out=step)
     return batch.with_X(X)
 
 
 def _ascent_step(net: Network, X, batch: Batch, w_val, sigma, sign_mode):
-    """(G, ascent direction) at X; a row with a non-finite gradient gets 0."""
+    """(G, ascent direction) at X; a row with a non-finite gradient gets 0.
+    The caller opens the errstate, once for all its steps."""
     G, caches = forward_batch(net, X)
     dG = _loss_grad(G, batch, w_val, sigma)[1]
     igrads = input_grads_batch(net, caches, dG)
@@ -258,8 +277,9 @@ def _fgsm_scores(net: Network, batch: Batch, eps_grid, w, sigma, sign_mode):
     X0 = batch.X
     if not any(eps != 0.0 for eps in eps_grid):
         return [forward_batch(net, X0)[0]] * len(eps_grid)
-    G0, step = _ascent_step(net, X0, batch, _resolve_w(w, batch), sigma,
-                            sign_mode)
+    with np.errstate(over="ignore", invalid="ignore"):
+        G0, step = _ascent_step(net, X0, batch, _resolve_w(w, batch), sigma,
+                                sign_mode)
     return [forward_batch(net, _project_ball(X0 + eps * step, X0, eps))[0]
             if eps != 0.0 else G0 for eps in eps_grid]
 
@@ -290,16 +310,16 @@ def _certified_terms(lb, ub, batch: Batch, w_val: float, sigma: float,
     value = float(np.where(take_ub, ll_ub, ll_lb).sum())
     rows = batch.pairs.rows
     paired = rows.size > 0
-    if paired:
-        eta, D_own, row_sums, cross_sums = _pair_terms(lb, ub, batch, sigma,
-                                                       need_grads)
-        value += w_val * _whole_sum(eta, rows)
-    if not need_grads:
-        return value, None, None
-    dlb = np.where(take_ub, 0.0, _ll_term_grad(lb, t, e))
-    dub = np.where(take_ub, _ll_term_grad(ub, t, e), 0.0)
-    if paired:
-        with np.errstate(invalid="ignore", over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        if paired:
+            eta, D_own, row_sums, cross_sums = _pair_terms(lb, ub, batch,
+                                                           sigma, need_grads)
+            value += w_val * _whole_sum(eta, rows)
+        if not need_grads:
+            return value, None, None
+        dlb = np.where(take_ub, 0.0, _ll_term_grad(lb, t, e))
+        dub = np.where(take_ub, _ll_term_grad(ub, t, e), 0.0)
+        if paired:
             dlb = dlb + (w_val / sigma) * (-D_own) * row_sums
             dub = dub + (w_val / sigma) * cross_sums
     return value, dlb, dub

@@ -8,6 +8,12 @@ finite differences.
 
 `Network` checks its own structure whenever one is built, loaded or updated,
 and `adam_step` never writes into its inputs.
+
+A `Network` and a `ParamGrads` each copy their parameters, when built, into
+one C-contiguous float64 buffer, `flat`, in `Network.params` order
+([*weights, *biases]), and their `weights[k]` and `biases[k]` are views of
+it.  `adam_step` and the `ParamGrads` arithmetic then work on one array
+instead of one per layer; a write into a view is a write into `flat`.
 """
 
 from __future__ import annotations
@@ -51,6 +57,7 @@ class Network:
     weights: list[np.ndarray]
     biases: list[np.ndarray]
     leaky_slope: float = 0.01
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         dims = self.layer_dims
@@ -58,6 +65,7 @@ class Network:
         if ([w.shape for w in self.weights] != list(zip(dims[1:], dims[:-1]))
                 or [b.shape for b in self.biases] != list(zip(dims[1:]))):
             raise ShapeError(f"parameter shapes do not match layer_dims {dims}")
+        _pack(self)
 
     @property
     def n_layers(self) -> int:
@@ -79,6 +87,10 @@ class ParamGrads:
 
     weights: list[np.ndarray]
     biases: list[np.ndarray]
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        _pack(self)
 
     @staticmethod
     def zeros_like(net: Network) -> "ParamGrads":
@@ -86,18 +98,35 @@ class ParamGrads:
                           [np.zeros(b.shape) for b in net.biases])
 
     def scale(self, factor: float) -> "ParamGrads":
-        for a in (*self.weights, *self.biases):
-            a *= factor
+        self.flat *= factor
         return self
 
     def add_scaled(self, other: "ParamGrads", scale: float = 1.0) -> "ParamGrads":
-        for a, o in zip((*self.weights, *self.biases),
-                        (*other.weights, *other.biases)):
-            a += scale * o
+        self.flat += scale * other.flat
         return self
 
     def is_finite(self) -> bool:
-        return all(np.isfinite(a).all() for a in (*self.weights, *self.biases))
+        return bool(np.isfinite(self.flat).all())
+
+
+def _pack(obj) -> None:
+    """Copy obj's weights and biases into one new C-contiguous float64
+    buffer, `obj.flat`, in `Network.params` order, and rebind them to views
+    of it."""
+    arrays = [*obj.weights, *obj.biases]
+    obj.flat = np.concatenate([np.ravel(a) for a in arrays], dtype=float)
+    views = _views(obj.flat, arrays)
+    obj.weights, obj.biases = views[:len(obj.weights)], views[len(obj.weights):]
+
+
+def _views(flat: np.ndarray, like) -> list[np.ndarray]:
+    """Consecutive slices of `flat`, as views in the shapes of `like`."""
+    views, start = [], 0
+    for a in like:
+        stop = start + a.size
+        views.append(flat[start:stop].reshape(a.shape))
+        start = stop
+    return views
 
 
 def _check_architecture(dims, leaky_slope) -> None:
@@ -220,41 +249,39 @@ def backward(net: Network, x, upstream: float = 1.0):
 
 @dataclass
 class AdamState:
-    """Adam accumulators (bias-corrected update); the moments m and v follow
-    `Network.params`, [*weights, *biases]."""
+    """Adam accumulators (bias-corrected update); the moments m and v are
+    flat vectors in `Network.params` order, as `Network.flat` is."""
 
     lr: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
     step: int = 0
-    m: list[np.ndarray] = field(default_factory=list)
-    v: list[np.ndarray] = field(default_factory=list)
+    m: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    v: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
 
 def init_adam(net: Network, lr: float = 1e-3, beta1: float = 0.9,
               beta2: float = 0.999, eps: float = 1e-8) -> AdamState:
     # adam_step never writes into its state, so m and v share the zeros
-    zeros = [np.zeros_like(p) for p in net.params]
-    return AdamState(lr, beta1, beta2, eps, 0, zeros, list(zeros))
+    zeros = np.zeros_like(net.flat)
+    return AdamState(lr, beta1, beta2, eps, 0, zeros, zeros)
 
 
 def adam_step(state: AdamState, net: Network, grads: ParamGrads):
-    """One Adam update.  Returns (new_network, new_state); inputs unchanged."""
+    """One Adam update.  Returns (new_network, new_state); inputs unchanged:
+    every result is a fresh array."""
     if not grads.is_finite():
         raise TrainingDivergenceError("non-finite gradient in optimizer step")
     t = state.step + 1
     b1, b2, lr, eps = state.beta1, state.beta2, state.lr, state.eps
     corr1 = 1.0 - b1 ** t
     corr2 = 1.0 - b2 ** t
-    params, ms, vs = [], [], []
-    for p, g, m, v in zip(net.params, [*grads.weights, *grads.biases],
-                          state.m, state.v):
-        m = b1 * m + (1.0 - b1) * g
-        v = b2 * v + (1.0 - b2) * g * g
-        params.append(p - lr * (m / corr1) / (np.sqrt(v / corr2) + eps))
-        ms.append(m)
-        vs.append(v)
+    g = grads.flat
+    m = b1 * state.m + (1.0 - b1) * g
+    v = b2 * state.v + (1.0 - b2) * g * g
+    flat = net.flat - lr * (m / corr1) / (np.sqrt(v / corr2) + eps)
+    params = _views(flat, net.params)
     n = net.n_layers
     new_net = Network(net.layer_dims, params[:n], params[n:], net.leaky_slope)
-    return new_net, AdamState(lr, b1, b2, eps, t, ms, vs)
+    return new_net, AdamState(lr, b1, b2, eps, t, m, v)

@@ -357,6 +357,6 @@ def load_checkpoint(path):
     except (AttributeError, LookupError, OverflowError, TypeError,
             ValueError) as exc:  # a value of the wrong type, size or range
         raise CheckpointError(f"malformed checkpoint {path}: {exc}") from exc
-    if not all(np.isfinite(p).all() for p in net.params):
+    if not np.isfinite(net.flat).all():
         raise CheckpointError(f"checkpoint {path} has non-finite parameters")
     return net, codec, config

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from certsurv.losses import (Batch, _clean_engine, _loss_grad,
+from certsurv.losses import (Batch, _clean_engine, _loss_grad, _pair_terms,
                              certified_upper_loss,
                              certified_upper_loss_grads, combined_loss,
                              combined_loss_grads, fgsm_perturb, loglik,
@@ -402,6 +402,108 @@ def test_pair_plan_holds_the_nonzero_rows_of_the_pair_matrix(case):
     pairs = batch.pairs
     assert np.array_equal(pairs.rows, np.flatnonzero(A.any(axis=1)))
     assert np.array_equal(pairs.A, A[pairs.rows])
+
+
+def _out_of_place_pair_terms(G_own, G_cross, batch, sigma, need_grads):
+    """`_pair_terms` written with one fresh array per expression, in the
+    order of its plain formula."""
+    t, (rows, A) = batch.t, batch.pairs
+    lam_own = np.exp(G_own)
+    lam_cross = np.exp(G_cross)
+    tl = np.outer(t[rows], lam_cross)
+    S = np.exp(-tl)
+    S_own = np.exp(-lam_own * t)
+    eta = np.where(A, np.exp(-((1.0 - S_own[rows])[:, None] - (1.0 - S))
+                             / sigma), 0.0)
+    if not need_grads:
+        return eta, None, None, None
+    row_sums = np.zeros(len(t))
+    row_sums[rows] = eta.sum(axis=1)
+    D = tl * S
+    cross_sums = (D * eta).sum(axis=0) + 0.0 * (t.max() * lam_cross)
+    return eta, t * lam_own * S_own, row_sums, cross_sums
+
+
+def _equal_but_nan_sign(got, want):
+    """Same shape, NaN in exactly want's NaN entries, and every other entry
+    the same bytes: the kernel's rule, which leaves a NaN's sign open
+    where a score is NaN."""
+    if want is None:
+        return got is None
+    nan = np.isnan(want)
+    return (got.shape == want.shape and np.array_equal(np.isnan(got), nan)
+            and got[~nan].tobytes() == want[~nan].tobytes())
+
+
+@st.composite
+def pair_kernel_cases(draw):
+    """Scores and a batch of 1-60 rows: tied, distinct or all-censored
+    times; scores that may hold NaN, +-inf, -0.0, 709.5 (t * exp(G)
+    overflows for t > 1.32) or 800 (exp(G) overflows); shared or distinct
+    score vectors for the two members of a pair."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.just(1) | st.integers(1, 60))
+    t = (rng.choice([0.5, 1.0, 2.0], size=n) if draw(st.booleans())
+         else rng.uniform(0.2, 3.0, size=n))
+    e = (np.zeros(n, dtype=int) if draw(st.booleans())
+         else (rng.random(n) < 0.6).astype(int))
+    G = rng.normal(size=n) * draw(st.sampled_from([1.0, 30.0]))
+    odd = draw(st.lists(st.sampled_from(
+        [np.nan, np.inf, -np.inf, -0.0, 709.5, 800.0]), max_size=3))
+    G[rng.integers(n, size=len(odd))] = odd
+    G_cross = G if draw(st.booleans()) else G + rng.normal(size=n)
+    sigma = draw(st.sampled_from([1e-3, 1.0, 4.0]))  # 1e-3: eta overflows
+    return G, G_cross, Batch(np.zeros((n, 1)), t, e), sigma
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair_kernel_cases(), st.booleans())
+def test_pair_kernel_equals_out_of_place_formula(case, need_grads):
+    G, G_cross, batch, sigma = case
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = _pair_terms(G, G_cross, batch, sigma, need_grads)
+        want = _out_of_place_pair_terms(G, G_cross, batch, sigma, need_grads)
+    exact = not (np.isnan(G).any() or np.isnan(G_cross).any())
+    for g, w in zip(got, want):
+        assert _equal_but_nan_sign(g, w)
+        # only a NaN score can flip a NaN's sign
+        assert not exact or w is None or g.tobytes() == w.tobytes()
+
+
+def _overflowing_nets():
+    """Nets whose scores are finite but exp(score) overflows: a single
+    affine layer, and a hidden layer under an output layer, each with its
+    weights (the output layer's only, for the second) times 1e300."""
+    rng = np.random.default_rng(8)
+    single = random_net(rng, [3, 1])
+    deep = random_net(rng, [3, 4, 1])
+    single.weights[0] *= 1e300
+    deep.weights[-1] *= 1e300
+    return {"single": single, "deep": deep}
+
+
+@pytest.mark.parametrize("net_name", ["single", "deep"])
+@pytest.mark.parametrize("sigma", [1e-3, 1.0])
+@pytest.mark.parametrize("call", [
+    lambda net, b, s: loglik(net, b),
+    lambda net, b, s: rank_loss(net, b, s),
+    lambda net, b, s: combined_loss(net, b, sigma=s),
+    lambda net, b, s: certified_upper_loss(net, b, 0.1, sigma=s),
+    lambda net, b, s: sawar_loss(net, b, 0.1, sigma=s),
+    lambda net, b, s: pgd_perturb(net, b, 0.1, 3, sigma=s),
+    lambda net, b, s: pgd_perturb(net, b, 0.1, 3, sigma=s, sign_mode=True),
+    lambda net, b, s: fgsm_perturb(net, b, 0.1, sigma=s),
+], ids=["loglik", "rank_loss", "combined_loss", "certified_upper_loss",
+        "sawar_loss", "pgd_perturb", "pgd_perturb_sign", "fgsm_perturb"])
+def test_overflowing_scores_raise_no_warning(call, sigma, net_name):
+    # pytest makes a RuntimeWarning an error: each public loss and attack
+    # holds the errstate its pair kernel and gradients need
+    net = _overflowing_nets()[net_name]
+    rng = np.random.default_rng(9)
+    batch = random_batch(rng, 40, 3)
+    G, _ = forward_batch(net, batch.X)
+    assert np.isfinite(G).all() and G.max() > 710.0  # exp(710) overflows
+    call(net, batch, sigma)
 
 
 class TestNoise:

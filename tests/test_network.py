@@ -250,11 +250,14 @@ class TestAdam:
         grads = ParamGrads([rng.normal(size=w.shape) for w in net.weights],
                            [rng.normal(size=b.shape) for b in net.biases])
         state = adam_step(init_adam(net), net, grads)[1]
-        arrays = (*net.params, *state.m, *state.v, *grads.weights,
-                  *grads.biases)
+        arrays = (*net.params, net.flat, state.m, state.v, *grads.weights,
+                  *grads.biases, grads.flat)
         before = [a.tobytes() for a in arrays]
-        adam_step(state, net, grads)
+        new_net, new_state = adam_step(state, net, grads)
         assert [a.tobytes() for a in arrays] == before
+        # nor may a result share an input's memory, to be written later
+        for out in (new_net.flat, new_state.m, new_state.v):
+            assert not any(np.shares_memory(out, a) for a in arrays)
 
     def test_nonfinite_gradient_raises(self):
         net = init_network([2, 1], seed=0)
@@ -300,7 +303,7 @@ def _same_bytes(xs, ys):
        log_scales=st.lists(st.floats(-8.0, 8.0), min_size=6, max_size=6))
 def test_adam_step_matches_four_list_update(seed, d, hidden, steps, lr,
                                             log_scales):
-    # one moment list in parameter order changes no bit of the update
+    # one flat moment vector in parameter order changes no bit of the update
     rng = np.random.default_rng(seed)
     net = random_net(rng, [d, *hidden, 1])
     state = init_adam(net, lr=lr)
@@ -318,5 +321,47 @@ def test_adam_step_matches_four_list_update(seed, d, hidden, steps, lr,
         assert state.step == t
         assert _same_bytes(net.weights, weights)
         assert _same_bytes(net.biases, biases)
-        assert _same_bytes(state.m, [*m_w, *m_b])
-        assert _same_bytes(state.v, [*v_w, *v_b])
+        # the moments are flat vectors in parameter order
+        assert state.m.tobytes() == b"".join(a.tobytes() for a in (*m_w, *m_b))
+        assert state.v.tobytes() == b"".join(a.tobytes() for a in (*v_w, *v_b))
+
+
+def _is_flat_layout(obj):
+    """obj.weights and obj.biases are views of obj.flat, one C-contiguous
+    float64 vector, end to end in [*weights, *biases] order."""
+    flat, start = obj.flat, 0
+    if not (flat.ndim == 1 and flat.dtype == np.float64
+            and flat.flags.c_contiguous and flat.flags.owndata):
+        return False
+    for a in (*obj.weights, *obj.biases):
+        if (a.base is not flat
+                or a.ctypes.data != flat.ctypes.data + start * flat.itemsize):
+            return False
+        start += a.size
+    return start == flat.size
+
+
+class TestFlatLayout:
+    def test_every_network_and_gradient_is_one_buffer(self):
+        rng = np.random.default_rng(3)
+        net = random_net(rng, [3, 5, 4, 1])
+        _, caches = forward_batch(net, rng.normal(size=(6, 3)))
+        built = Network([1, 1], [np.array([[1.0]])], [np.array([0.0])])
+        grads = ParamGrads([rng.normal(size=w.shape) for w in net.weights],
+                           [rng.normal(size=b.shape) for b in net.biases])
+        stepped, _ = adam_step(init_adam(net), net, grads)
+        objects = [net, init_network([2, 1], seed=1), built, stepped, grads,
+                   ParamGrads.zeros_like(net),
+                   backward_batch(net, caches, rng.normal(size=6))[0],
+                   ParamGrads([np.array([[2.0]])], [np.array([0.0])]),
+                   ParamGrads.zeros_like(net).add_scaled(grads, 0.5).scale(3.0)]
+        for obj in objects:
+            assert _is_flat_layout(obj)
+
+    def test_built_from_separate_arrays_copies_them(self):
+        w, b = np.array([[1.0, 2.0]]), np.array([3])
+        net = Network([2, 1], [w], [b])
+        assert net.flat.tobytes() == np.array([1.0, 2.0, 3.0]).tobytes()
+        assert not np.shares_memory(net.flat, w)
+        net.weights[0][0, 1] = 5.0  # a view writes into the buffer
+        assert net.flat[1] == 5.0 and w[0, 1] == 2.0
