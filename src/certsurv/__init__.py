@@ -10,15 +10,12 @@ sweeps.
 
 __version__ = "0.1.0"
 
-from .network import (AdamState, Network, ParamGrads, adam_step, backward,
-                      forward, init_adam, init_network)
-from .bounds import (LayerBounds, PerturbationSet, ScalarBounds,
-                     crown_ibp_bounds, ibp_bounds, worst_case_hazard)
-from .survival import (StepCurve, hazard, km_estimator, log_pdf, log_survival,
-                       population_curve, survival, survival_quantiles)
-from .losses import (LossBreakdown, certified_upper_loss, combined_loss,
-                     fgsm_perturb, loglik, noise_perturb, pgd_perturb,
-                     rank_loss, sawar_loss)
+from .network import (AdamState, Network, ParamGrads, adam_step, init_adam,
+                      init_network)
+from .survival import (StepCurve, hazard, km_estimator, population_curve,
+                       survival_quantiles)
+from .losses import (LossBreakdown, combined_loss, fgsm_perturb, noise_perturb,
+                     pgd_perturb)
 from .data import (Batch, FeatureCodec, RawDataset, SplitDataset, apply_codec,
                    fit_codec, load_csv, split_indices, stratified_split)
 from .training import (TrainConfig, TrainReport, eps_schedule,

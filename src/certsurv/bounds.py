@@ -42,50 +42,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .network import Network, ParamGrads, _check_batch
-from .survival import hazard
 
 
 def _check_radius(eps) -> None:
     """Reject a radius that is negative or not finite (NaN included)."""
     if not 0.0 <= eps < math.inf:
         raise ValueError(f"radius must be finite and nonnegative, got {eps}")
-
-
-@dataclass(frozen=True)
-class PerturbationSet:
-    """l-inf ball of radius eps around a covariate vector."""
-
-    center: np.ndarray
-    eps: float
-
-    def __post_init__(self):
-        c = np.asarray(self.center, dtype=float)
-        if not np.all(np.isfinite(c)):
-            raise ValueError("perturbation center must be finite")
-        _check_radius(self.eps)
-        object.__setattr__(self, "center", c)
-
-
-@dataclass(frozen=True)
-class ScalarBounds:
-    lb: float
-    ub: float
-
-    def __post_init__(self):
-        if self.lb > self.ub:
-            raise ValueError(f"lb {self.lb} exceeds ub {self.ub}")
-
-    @property
-    def width(self) -> float:
-        return self.ub - self.lb
-
-
-@dataclass
-class LayerBounds:
-    """Pre-activation lower/upper vectors for every layer (output last)."""
-
-    lower: list[np.ndarray]
-    upper: list[np.ndarray]
 
 
 def _interval_forward(net: Network, X: np.ndarray, eps: float):
@@ -400,25 +362,6 @@ def crown_ibp_batch_vjp(net: Network, tape: BoundTape, dlb, dub):
             lbar += np.where(cross, np.add(dchord_dl, dicpt_dl, out=dicpt_dl),
                              0.0)
     return grads, dX
-
-
-def ibp_bounds(net: Network, pset: PerturbationSet):
-    """Interval output bounds plus all pre-activation layer bounds."""
-    X = _check_batch(net, pset.center[None, :])
-    lows, ups = _interval_forward(net, X, pset.eps)[:2]
-    layer = LayerBounds([l[0] for l in lows], [u[0] for u in ups])
-    return ScalarBounds(float(lows[-1][0, 0]), float(ups[-1][0, 0])), layer
-
-
-def crown_ibp_bounds(net: Network, pset: PerturbationSet) -> ScalarBounds:
-    """Backward linear-relaxation bounds, never wider than the interval ones."""
-    lb, ub = crown_ibp_batch(net, pset.center[None, :], pset.eps)
-    return ScalarBounds(float(lb[0]), float(ub[0]))
-
-
-def worst_case_hazard(net: Network, pset: PerturbationSet) -> float:
-    """Certified upper bound on exp(G) over the ball (+inf on overflow)."""
-    return float(hazard(crown_ibp_bounds(net, pset).ub))
 
 
 def worst_case_log_hazard_batch(net: Network, X, eps: float) -> np.ndarray:

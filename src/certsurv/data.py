@@ -402,10 +402,6 @@ class SplitDataset:
     validation: Batch
     test: Batch
     codec: FeatureCodec
-    seed: int
-    train_idx: np.ndarray = None
-    val_idx: np.ndarray = None
-    test_idx: np.ndarray = None
 
 
 def split_indices(raw: RawDataset, seed: int = 0):
@@ -435,4 +431,4 @@ def stratified_split(raw: RawDataset, seed: int = 0,
     parts = split_indices(raw, seed)
     codec = fit_codec(raw.take(parts[0]), normalize_onehot)
     return SplitDataset(*(apply_codec(codec, raw.take(p)) for p in parts),
-                        codec, seed, *parts)
+                        codec)

@@ -16,8 +16,8 @@ both: the clean loss evaluates them at the scores G, the certified bound at
 the score endpoints.  Both expose exact gradients with respect to
 parameters and inputs (the certified one via the bound-engine adjoint).
 `_clean_engine` is the only code that computes the clean value:
-`combined_loss`, `rank_loss`, `combined_loss_grads`, `sawar_loss_grads` and
-training read its fields, so they agree bit for bit.
+`combined_loss`, `sawar_loss_grads` and training read its fields, so they
+agree bit for bit.
 
 Only a record with an event and a later time in its batch can be the
 earlier member of a pair.  `Batch.pairs`, the one plan, lists those rows
@@ -48,7 +48,7 @@ import numpy as np
 from .bounds import (_check_radius, crown_ibp_batch_tape,
                      crown_ibp_batch_vjp)
 from .data import Batch
-from .network import (Network, ParamGrads, backward_batch, forward_batch,
+from .network import (Network, backward_batch, forward_batch,
                       input_grads_batch)
 
 log = logging.getLogger(__name__)
@@ -159,20 +159,6 @@ def _whole_sum(eta: np.ndarray, rows: np.ndarray) -> float:
     return float(full.sum())
 
 
-def loglik(net: Network, batch: Batch) -> float:
-    """Right-censored log likelihood: sum of e*log f + (1-e)*log S."""
-    G, _ = forward_batch(net, batch.X)
-    return -float(_ll_term(G, batch.t, batch.e).sum())
-
-
-def rank_loss(net: Network, batch: Batch, sigma: float = 1.0) -> float:
-    """Pairwise penalty exp(-(F(t_i|x_i) - F(t_i|x_j)) / sigma) over
-    comparable pairs; zero when no pair is comparable."""
-    if sigma <= 0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    return _clean_engine(net, batch, 0.0, sigma, need_grads=False)[1]
-
-
 def combined_loss(net: Network, batch: Batch, w: float | None = None,
                   sigma: float = 1.0) -> float:
     """Negative log likelihood plus w times the ranking penalty."""
@@ -203,13 +189,6 @@ def _clean_engine(net: Network, batch: Batch, w_val: float, sigma: float,
     rank = _whole_sum(eta, batch.pairs.rows)
     grads = backward_batch(net, caches, dG) if need_grads else (None, None)
     return neg_ll, rank, neg_ll + w_val * rank, *grads
-
-
-def combined_loss_grads(net: Network, batch: Batch, w: float | None = None,
-                        sigma: float = 1.0):
-    """Value plus exact parameter and input gradients of the clean loss."""
-    return _clean_engine(net, batch, _resolve_w(w, batch), sigma,
-                         need_grads=True)[2:]
 
 
 def _project_ball(X_new: np.ndarray, X0: np.ndarray, eps: float) -> np.ndarray:
@@ -325,14 +304,6 @@ def _certified_terms(lb, ub, batch: Batch, w_val: float, sigma: float,
     return value, dlb, dub
 
 
-def certified_upper_loss(net: Network, batch: Batch, eps: float,
-                         w: float | None = None, sigma: float = 1.0) -> float:
-    """Sound upper bound on the combined loss over per-record input balls."""
-    value, _, _ = certified_upper_loss_grads(net, batch, eps, w, sigma,
-                                             need_grads=False)
-    return value
-
-
 def certified_upper_loss_grads(net: Network, batch: Batch, eps: float,
                                w: float | None = None, sigma: float = 1.0,
                                need_grads: bool = True):
@@ -345,14 +316,6 @@ def certified_upper_loss_grads(net: Network, batch: Batch, eps: float,
     grads = (crown_ibp_batch_vjp(net, tape, dlb, dub) if need_grads
              else (None, None))
     return value, *grads
-
-
-def sawar_loss(net: Network, batch: Batch, eps: float, kappa: float = 0.5,
-               w: float | None = None, sigma: float = 1.0) -> LossBreakdown:
-    """Convex mix of the clean objective and its certified upper bound."""
-    breakdown, _, _ = sawar_loss_grads(net, batch, eps, kappa, w, sigma,
-                                       need_grads=False)
-    return breakdown
 
 
 def sawar_loss_grads(net: Network, batch: Batch, eps: float,

@@ -159,10 +159,14 @@ def init_network(layer_dims, leaky_slope: float = 0.01, seed: int = 0) -> Networ
 
 
 def leaky_relu(z: np.ndarray, slope: float) -> np.ndarray:
+    """The plain activation formula that the tests compare the fused passes
+    against."""
     return np.where(z >= 0.0, z, slope * z)
 
 
 def leaky_relu_grad(z: np.ndarray, slope: float) -> np.ndarray:
+    """The plain activation slope formula that the tests compare the fused
+    passes against."""
     # Subgradient at the kink is taken from the positive branch (slope 1).
     return np.where(z >= 0.0, 1.0, slope)
 
@@ -226,25 +230,6 @@ def input_grads_batch(net: Network, caches, upstream: np.ndarray):
         dz = dz @ net.weights[k]
         dz *= slopes[k - 1]
     return dz @ net.weights[0]
-
-
-def forward(net: Network, x) -> float:
-    """Scalar model output G(x) for a single covariate vector."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ShapeError(f"expected a 1-d covariate vector, got shape {x.shape}")
-    out, _ = forward_batch(net, x[None, :])
-    return float(out[0])
-
-
-def backward(net: Network, x, upstream: float = 1.0):
-    """Gradients of upstream * G(x) w.r.t. parameters and the input vector."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ShapeError(f"expected a 1-d covariate vector, got shape {x.shape}")
-    _, caches = forward_batch(net, x[None, :])
-    grads, input_grads = backward_batch(net, caches, np.array([float(upstream)]))
-    return grads, input_grads[0]
 
 
 @dataclass

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bounds import crown_ibp_batch, ibp_bounds, PerturbationSet
-from .losses import Batch, certified_upper_loss, combined_loss
+from .bounds import crown_ibp_batch_tape
+from .losses import Batch, certified_upper_loss_grads, combined_loss
 from .metrics import brier_ipcw, concordance_index
-from .network import backward, forward, forward_batch, init_network
+from .network import backward_batch, forward_batch, init_network
 from .survival import StepCurve, km_estimator
 
 
@@ -27,6 +27,11 @@ def _random_net(rng, dims, slope=0.01):
     return net
 
 
+def _output(net, x) -> float:
+    """G(x) for one covariate vector."""
+    return float(forward_batch(net, x[None, :])[0][0])
+
+
 def check_gradients(seed: int, trials: int) -> tuple[bool, str]:
     rng = np.random.default_rng((seed, 1))
     h = 1e-5
@@ -34,19 +39,21 @@ def check_gradients(seed: int, trials: int) -> tuple[bool, str]:
     for _ in range(trials):
         net = _random_net(rng, [3, 6, 1])
         x = rng.normal(size=3)
-        grads, igrad = backward(net, x, 1.0)
+        grads, igrads = backward_batch(net, forward_batch(net, x[None, :])[1],
+                                       np.ones(1))
+        igrad = igrads[0]
         for j in range(3):
             xp, xm = x.copy(), x.copy()
             xp[j] += h
             xm[j] -= h
-            fd = (forward(net, xp) - forward(net, xm)) / (2 * h)
+            fd = (_output(net, xp) - _output(net, xm)) / (2 * h)
             worst = max(worst, abs(fd - igrad[j]) / max(abs(fd), 1e-7))
         W = net.weights[0]
         i, j = int(rng.integers(W.shape[0])), int(rng.integers(W.shape[1]))
         W[i, j] += h
-        fp = forward(net, x)
+        fp = _output(net, x)
         W[i, j] -= 2 * h
-        fm = forward(net, x)
+        fm = _output(net, x)
         W[i, j] += h
         fd = (fp - fm) / (2 * h)
         worst = max(worst, abs(fd - grads.weights[0][i, j]) / max(abs(fd), 1e-7))
@@ -65,12 +72,12 @@ def check_bound_soundness(seed: int, trials: int) -> tuple[bool, str]:
         for eps in (0.01, 0.1, 0.5):
             pts = x0[None, :] + eps * unit_grid
             vals, _ = forward_batch(net, pts)
-            lb, ub = crown_ibp_batch(net, x0[None, :], eps)
-            ib, _ = ibp_bounds(net, PerturbationSet(x0, eps))
+            lb, ub, tape = crown_ibp_batch_tape(net, x0[None, :], eps)
+            ib_lb, ib_ub = float(tape.ibp_lb[0]), float(tape.ibp_ub[0])
             worst = max(worst, float(vals.max() - ub[0]),
                         float(lb[0] - vals.min()),
-                        float(vals.max() - ib.ub), float(ib.lb - vals.min()),
-                        float((ub[0] - lb[0]) - (ib.ub - ib.lb)))
+                        float(vals.max() - ib_ub), float(ib_lb - vals.min()),
+                        float((ub[0] - lb[0]) - (ib_ub - ib_lb)))
     return worst < 1e-6, f"max violation {worst:.3e}"
 
 
@@ -85,7 +92,8 @@ def check_certified_dominance(seed: int, trials: int) -> tuple[bool, str]:
         e = (rng.random(n) < 0.6).astype(int)
         batch = Batch(X, t, e)
         eps = float(rng.choice([0.1, 0.3, 0.5]))
-        cert = certified_upper_loss(net, batch, eps)
+        cert = certified_upper_loss_grads(net, batch, eps,
+                                          need_grads=False)[0]
         for _ in range(200):
             delta = rng.uniform(-eps, eps, size=X.shape)
             worst = max(worst, combined_loss(net, batch.with_X(X + delta)) - cert)

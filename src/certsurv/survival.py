@@ -28,19 +28,16 @@ def hazard(G):
 
 
 def log_survival(G: float, t: float) -> float:
-    """log S(t) = -exp(G) * t for t >= 0."""
+    """log S(t) = -exp(G) * t for t >= 0: the plain formula that the tests
+    compare the likelihood term against."""
     if t < 0:
         raise DomainError(f"survival requires t >= 0, got {t}")
     return float(-hazard(G) * t)
 
 
-def survival(G: float, t: float) -> float:
-    """S(t) = exp(-exp(G) t), in [0, 1]."""
-    return float(np.exp(log_survival(G, t)))
-
-
 def log_pdf(G: float, t: float) -> float:
-    """log f(t) = G - exp(G) * t for t > 0 (never exponentiate-then-log)."""
+    """log f(t) = G - exp(G) * t for t > 0 (never exponentiate-then-log):
+    the plain formula that the tests compare the likelihood term against."""
     if t <= 0:
         raise DomainError(f"event density requires t > 0, got {t}")
     return float(G - hazard(G) * t)

@@ -12,10 +12,10 @@ import time
 import numpy as np
 import pytest
 
-from certsurv.bounds import crown_ibp_batch, ibp_bounds, PerturbationSet
+from certsurv.bounds import crown_ibp_batch, crown_ibp_batch_tape
 from certsurv.data import load_csv, stratified_split
-from certsurv.losses import (Batch, certified_upper_loss, combined_loss,
-                             combined_loss_grads, fgsm_perturb, noise_perturb,
+from certsurv.losses import (Batch, _clean_engine, certified_upper_loss_grads,
+                             combined_loss, fgsm_perturb, noise_perturb,
                              pgd_perturb, sawar_loss_grads)
 from certsurv.metrics import (attack_sweep, average_ranks, brier_ipcw,
                               censoring_km, concordance_index, friedman_test,
@@ -56,10 +56,10 @@ def bound_trials():
         x0 = rng.normal(size=2)
         for eps in (0.01, 0.1, 0.5):
             vals, _ = forward_batch(net, x0[None, :] + eps * probe)
-            ib, _ = ibp_bounds(net, PerturbationSet(x0, eps))
-            clb, cub = crown_ibp_batch(net, x0[None, :], eps)
+            clb, cub, tape = crown_ibp_batch_tape(net, x0[None, :], eps)
             results.append((float(vals.min()), float(vals.max()),
-                            ib.lb, ib.ub, float(clb[0]), float(cub[0])))
+                            float(tape.ibp_lb[0]), float(tape.ibp_ub[0]),
+                            float(clb[0]), float(cub[0])))
     elapsed = time.perf_counter() - start
     return results, elapsed
 
@@ -122,7 +122,8 @@ def test_criterion_3_certified_dominance():
                       (rng.random(n) < 0.6).astype(int))
         eps = float(rng.choice([0.1, 0.5]))
         w = 1.0 / n
-        cert = certified_upper_loss(net, batch, eps, w)
+        cert = certified_upper_loss_grads(net, batch, eps, w,
+                                          need_grads=False)[0]
         # cross-check the vectorized oracle against the library on 3 draws
         check = rng.uniform(-eps, eps, size=(3, n, 2))
         fast = _multi_draw_combined(net, batch, check, w)
@@ -162,7 +163,8 @@ def _loss_for_method(method, net, batch, eps):
         return value, pg, ig, batch
     def value():
         return combined_loss(net, frozen)
-    _, pg, ig = combined_loss_grads(net, frozen)
+    _, pg, ig = _clean_engine(net, frozen, 1.0 / len(frozen), 1.0,
+                              need_grads=True)[2:]
     return value, pg, ig, frozen
 
 

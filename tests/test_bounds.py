@@ -5,16 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from certsurv.bounds import (BoundTape, PerturbationSet, ScalarBounds,
-                             Stage, crown_ibp_batch,
+from certsurv.bounds import (BoundTape, Stage, crown_ibp_batch,
                              crown_ibp_batch_tape, crown_ibp_batch_vjp,
-                             crown_ibp_bounds, ibp_bounds, worst_case_hazard,
                              worst_case_log_hazard_batch)
-from certsurv.losses import (Batch, _certified_terms, certified_upper_loss,
+from certsurv.losses import (Batch, _certified_terms,
                              certified_upper_loss_grads, fgsm_perturb,
-                             noise_perturb, pgd_perturb, sawar_loss)
-from certsurv.network import (InputError, Network, ParamGrads, forward,
-                              forward_batch, leaky_relu, leaky_relu_grad)
+                             noise_perturb, pgd_perturb, sawar_loss_grads)
+from certsurv.network import (InputError, Network, ParamGrads, forward_batch,
+                              leaky_relu, leaky_relu_grad)
+from certsurv.survival import hazard
 
 from conftest import random_batch, random_net
 
@@ -31,36 +30,22 @@ def corner_grid_extrema(net, center, eps, n_grid=101):
     return vals.min(), vals.max()
 
 
-class TestPerturbationSet:
-    def test_negative_radius_rejected(self):
-        with pytest.raises(ValueError):
-            PerturbationSet(np.zeros(2), -0.1)
-
-    def test_nonfinite_center_rejected(self):
-        with pytest.raises(ValueError):
-            PerturbationSet(np.array([np.inf, 0.0]), 0.1)
-
-    def test_bounds_ordering_enforced(self):
-        with pytest.raises(ValueError):
-            ScalarBounds(1.0, 0.0)
-
-
 class TestIbp:
     def test_single_layer_radius(self):
         net = Network([2, 1], [np.array([[1.0, -2.0]])], [np.array([0.5])])
-        sb, layer = ibp_bounds(net, PerturbationSet(np.zeros(2), 0.1))
-        assert sb.lb == pytest.approx(0.2, abs=1e-12)
-        assert sb.ub == pytest.approx(0.8, abs=1e-12)
-        assert layer.lower[-1][0] == sb.lb
+        tape = crown_ibp_batch_tape(net, np.zeros((1, 2)), 0.1)[2]
+        assert tape.ibp_lb[0] == pytest.approx(0.2, abs=1e-12)
+        assert tape.ibp_ub[0] == pytest.approx(0.8, abs=1e-12)
+        assert tape.lows[-1][0, 0] == tape.ibp_lb[0]
 
     def test_eps_zero_collapses_to_forward(self):
         rng = np.random.default_rng(0)
         net = random_net(rng, [3, 6, 1])
-        x = rng.normal(size=3)
-        sb, _ = ibp_bounds(net, PerturbationSet(x, 0.0))
-        g = forward(net, x)
-        assert sb.lb == pytest.approx(g, abs=1e-12)
-        assert sb.ub == pytest.approx(g, abs=1e-12)
+        X = rng.normal(size=(1, 3))
+        tape = crown_ibp_batch_tape(net, X, 0.0)[2]
+        g = forward_batch(net, X)[0][0]
+        assert tape.ibp_lb[0] == pytest.approx(g, abs=1e-12)
+        assert tape.ibp_ub[0] == pytest.approx(g, abs=1e-12)
 
     def test_contains_corner_and_sample_extrema(self):
         rng = np.random.default_rng(1)
@@ -70,14 +55,14 @@ class TestIbp:
             vmin, vmax = corner_grid_extrema(net, x, 0.25)
             samples = x[None, :] + rng.uniform(-0.25, 0.25, size=(10_000, 2))
             svals, _ = forward_batch(net, samples)
-            sb, _ = ibp_bounds(net, PerturbationSet(x, 0.25))
-            assert sb.lb <= min(vmin, svals.min()) + 1e-9
-            assert sb.ub >= max(vmax, svals.max()) - 1e-9
+            tape = crown_ibp_batch_tape(net, x[None, :], 0.25)[2]
+            assert tape.ibp_lb[0] <= min(vmin, svals.min()) + 1e-9
+            assert tape.ibp_ub[0] >= max(vmax, svals.max()) - 1e-9
 
     def test_dimension_mismatch(self):
         net = Network([2, 1], [np.array([[1.0, -2.0]])], [np.array([0.5])])
         with pytest.raises(Exception):
-            ibp_bounds(net, PerturbationSet(np.zeros(3), 0.1))
+            crown_ibp_batch_tape(net, np.zeros((1, 3)), 0.1)
 
 
 class TestCrownIbp:
@@ -85,11 +70,9 @@ class TestCrownIbp:
         # No activation layers at all: both propagators reduce to the same
         # center/radius formula.
         net = Network([2, 1], [np.array([[1.5, -0.5]])], [np.array([0.2])])
-        pset = PerturbationSet(np.array([0.3, -0.1]), 0.25)
-        ib, _ = ibp_bounds(net, pset)
-        cb = crown_ibp_bounds(net, pset)
-        assert cb.lb == pytest.approx(ib.lb, abs=1e-12)
-        assert cb.ub == pytest.approx(ib.ub, abs=1e-12)
+        lb, ub, tape = crown_ibp_batch_tape(net, np.array([[0.3, -0.1]]), 0.25)
+        assert lb[0] == pytest.approx(tape.ibp_lb[0], abs=1e-12)
+        assert ub[0] == pytest.approx(tape.ibp_ub[0], abs=1e-12)
 
     def test_stable_activations_give_exact_linear_bounds(self):
         # All pre-activations provably positive at small radius: the
@@ -102,23 +85,22 @@ class TestCrownIbp:
         b2 = np.array([0.0])
         net = Network([2, 2, 1], [W1, W2], [b1, b2])
         eps = 0.05
-        pset = PerturbationSet(np.zeros(2), eps)
-        cb = crown_ibp_bounds(net, pset)
-        ib, _ = ibp_bounds(net, pset)
+        lb, ub, tape = crown_ibp_batch_tape(net, np.zeros((1, 2)), eps)
         eff_W = (W2 @ W1)[0]
         eff_b = float((W2 @ b1 + b2)[0])
-        assert cb.ub == pytest.approx(eff_b + eps * np.abs(eff_W).sum(), abs=1e-12)
-        assert cb.lb == pytest.approx(eff_b - eps * np.abs(eff_W).sum(), abs=1e-12)
-        assert cb.ub <= ib.ub + 1e-12 and cb.lb >= ib.lb - 1e-12
+        assert ub[0] == pytest.approx(eff_b + eps * np.abs(eff_W).sum(), abs=1e-12)
+        assert lb[0] == pytest.approx(eff_b - eps * np.abs(eff_W).sum(), abs=1e-12)
+        assert ub[0] <= tape.ibp_ub[0] + 1e-12
+        assert lb[0] >= tape.ibp_lb[0] - 1e-12
 
     def test_eps_zero_collapse(self):
         rng = np.random.default_rng(3)
         net = random_net(rng, [3, 7, 1])
-        x = rng.normal(size=3)
-        cb = crown_ibp_bounds(net, PerturbationSet(x, 0.0))
-        g = forward(net, x)
-        assert abs(cb.ub - cb.lb) <= 1e-12
-        assert cb.lb == pytest.approx(g, abs=1e-12)
+        X = rng.normal(size=(1, 3))
+        lb, ub = crown_ibp_batch(net, X, 0.0)
+        g = forward_batch(net, X)[0][0]
+        assert abs(ub[0] - lb[0]) <= 1e-12
+        assert lb[0] == pytest.approx(g, abs=1e-12)
 
     def test_sound_and_no_looser_than_ibp(self):
         rng = np.random.default_rng(4)
@@ -126,27 +108,25 @@ class TestCrownIbp:
             net = random_net(rng, [2, 8, 1])
             x = rng.normal(size=2)
             for eps in (0.01, 0.1, 0.5):
-                pset = PerturbationSet(x, eps)
-                ib, _ = ibp_bounds(net, pset)
-                cb = crown_ibp_bounds(net, pset)
+                lb, ub, tape = crown_ibp_batch_tape(net, x[None, :], eps)
                 vmin, vmax = corner_grid_extrema(net, x, eps)
-                assert cb.ub <= ib.ub + 1e-9
-                assert cb.lb >= ib.lb - 1e-9
-                assert cb.lb <= vmin + 1e-9
-                assert cb.ub >= vmax - 1e-9
+                assert ub[0] <= tape.ibp_ub[0] + 1e-9
+                assert lb[0] >= tape.ibp_lb[0] - 1e-9
+                assert lb[0] <= vmin + 1e-9
+                assert ub[0] >= vmax - 1e-9
 
     def test_monotone_in_radius(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
             net = random_net(rng, [3, 6, 6, 1])
-            x = rng.normal(size=3)
+            X = rng.normal(size=(1, 3))
             prev = None
             for eps in (0.0, 0.05, 0.1, 0.2, 0.4, 0.8):
-                cb = crown_ibp_bounds(net, PerturbationSet(x, eps))
+                lb, ub = crown_ibp_batch(net, X, eps)
                 if prev is not None:
-                    assert cb.lb <= prev.lb + 1e-9
-                    assert cb.ub >= prev.ub - 1e-9
-                prev = cb
+                    assert lb[0] <= prev[0][0] + 1e-9
+                    assert ub[0] >= prev[1][0] - 1e-9
+                prev = lb, ub
 
     def test_batch_matches_single(self):
         rng = np.random.default_rng(6)
@@ -154,9 +134,9 @@ class TestCrownIbp:
         X = rng.normal(size=(4, 3))
         lb, ub = crown_ibp_batch(net, X, 0.2)
         for i in range(4):
-            cb = crown_ibp_bounds(net, PerturbationSet(X[i], 0.2))
-            assert cb.lb == pytest.approx(lb[i], abs=1e-12)
-            assert cb.ub == pytest.approx(ub[i], abs=1e-12)
+            row_lb, row_ub = crown_ibp_batch(net, X[i:i + 1], 0.2)
+            assert row_lb[0] == pytest.approx(lb[i], abs=1e-12)
+            assert row_ub[0] == pytest.approx(ub[i], abs=1e-12)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     @pytest.mark.parametrize("bound", [crown_ibp_batch,
@@ -173,11 +153,12 @@ class TestCrownIbp:
 class TestWorstCaseHazard:
     def test_zero_radius_zero_score(self):
         net = Network([1, 1], [np.array([[1.0]])], [np.array([0.0])])
-        assert worst_case_hazard(net, PerturbationSet(np.zeros(1), 0.0)) == 1.0
+        assert hazard(worst_case_log_hazard_batch(net, np.zeros((1, 1)),
+                                                  0.0))[0] == 1.0
 
     def test_linear_exact(self):
         net = Network([1, 1], [np.array([[1.0]])], [np.array([0.0])])
-        wc = worst_case_hazard(net, PerturbationSet(np.zeros(1), 0.3))
+        wc = hazard(worst_case_log_hazard_batch(net, np.zeros((1, 1)), 0.3))[0]
         assert wc == pytest.approx(np.exp(0.3), rel=1e-12)
 
     def test_dominates_sampled_hazards(self):
@@ -187,28 +168,27 @@ class TestWorstCaseHazard:
         eps = 0.4
         samples = x[None, :] + rng.uniform(-eps, eps, size=(10_000, 2))
         vals, _ = forward_batch(net, samples)
-        wc = worst_case_hazard(net, PerturbationSet(x, eps))
+        wc = hazard(worst_case_log_hazard_batch(net, x[None, :], eps))[0]
         assert wc >= np.exp(vals).max()
 
     def test_overflow_sentinel(self):
         net = Network([1, 1], [np.array([[1000.0]])], [np.array([800.0])])
-        wc = worst_case_hazard(net, PerturbationSet(np.zeros(1), 1.0))
+        wc = hazard(worst_case_log_hazard_batch(net, np.zeros((1, 1)), 1.0))[0]
         assert np.isinf(wc)
 
 
 _RADIUS_ENTRY_POINTS = {
-    "PerturbationSet": lambda net, b, eps: PerturbationSet(b.X[0], eps),
     "crown_ibp_batch": lambda net, b, eps: crown_ibp_batch(net, b.X, eps),
     "crown_ibp_batch_tape":
         lambda net, b, eps: crown_ibp_batch_tape(net, b.X, eps),
+    "worst_case_log_hazard_batch":
+        lambda net, b, eps: worst_case_log_hazard_batch(net, b.X, eps),
     "pgd_perturb": lambda net, b, eps: pgd_perturb(net, b, eps, 3),
     "fgsm_perturb": lambda net, b, eps: fgsm_perturb(net, b, eps),
     "noise_perturb": lambda net, b, eps: noise_perturb(b, eps, 0),
-    "certified_upper_loss":
-        lambda net, b, eps: certified_upper_loss(net, b, eps),
     "certified_upper_loss_grads":
         lambda net, b, eps: certified_upper_loss_grads(net, b, eps),
-    "sawar_loss": lambda net, b, eps: sawar_loss(net, b, eps),
+    "sawar_loss_grads": lambda net, b, eps: sawar_loss_grads(net, b, eps),
 }
 
 

@@ -714,7 +714,7 @@ class TestEvaluateEncoding:
         assert got.read_bytes() != ref.read_bytes()
 
     def test_unseen_level_sets_no_indicator(self, model, tmp_path):
-        from certsurv.data import apply_codec, load_csv, stratified_split
+        from certsurv.data import apply_codec, load_csv, split_indices
         from certsurv.training import load_checkpoint
 
         def rename(_, row):
@@ -731,7 +731,7 @@ class TestEvaluateEncoding:
         assert proc.returncode == 0, proc.stderr
         _, codec, config = load_checkpoint(model)
         raw = load_csv(str(renamed))
-        test = raw.take(stratified_split(raw, config.seed).test_idx)
+        test = raw.take(split_indices(raw, config.seed)[2])
         X = np.load(matrix)
         assert np.array_equal(X, apply_codec(codec, test).X)
         block = [j for j, name in enumerate(codec.feature_names)

@@ -339,14 +339,15 @@ class TestStratifiedSplit:
         raw = self._toy(tmp_path)
         a = stratified_split(raw, seed=5)
         b = stratified_split(raw, seed=5)
-        assert np.array_equal(a.train_idx, b.train_idx)
-        assert np.array_equal(a.test_idx, b.test_idx)
+        assert np.array_equal(a.train.X, b.train.X)
+        assert np.array_equal(a.test.X, b.test.X)
+        for got, want in zip(split_indices(raw, seed=5),
+                             split_indices(raw, seed=5)):
+            assert np.array_equal(got, want)
 
     def test_partition(self, tmp_path):
         raw = self._toy(tmp_path, n=103, events=41)
-        split = stratified_split(raw, seed=3)
-        all_idx = np.concatenate([split.train_idx, split.val_idx,
-                                  split.test_idx])
+        all_idx = np.concatenate(split_indices(raw, seed=3))
         assert len(all_idx) == 103
         assert len(set(all_idx.tolist())) == 103
 
@@ -370,15 +371,16 @@ class TestStratifiedSplit:
         raw = self._toy(tmp_path, events=events)
         split = stratified_split(raw, seed=4)
         parts = split_indices(raw, seed=4)
-        for got, want in zip((split.train_idx, split.val_idx,
-                              split.test_idx), parts):
-            assert np.array_equal(got, want)
-        assert np.array_equal(split.test.t, raw.time[parts[2]])
+        for got, want in zip((split.train, split.validation, split.test),
+                             parts):
+            assert np.array_equal(got.t, raw.time[want])
+            assert np.array_equal(got.X,
+                                  apply_codec(split.codec, raw.take(want)).X)
 
     def test_codec_fitted_on_train_only(self, tmp_path):
         raw = self._toy(tmp_path)
         split = stratified_split(raw, seed=2)
-        refit = fit_codec(raw.take(split.train_idx))
+        refit = fit_codec(raw.take(split_indices(raw, seed=2)[0]))
         assert refit.num_stats == split.codec.num_stats
 
 

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from certsurv.losses import (Batch, _clean_engine, _loss_grad, _pair_terms,
-                             certified_upper_loss,
+from certsurv.losses import (Batch, _clean_engine, _ll_term, _loss_grad,
+                             _pair_terms, _resolve_w,
                              certified_upper_loss_grads, combined_loss,
-                             combined_loss_grads, fgsm_perturb, loglik,
-                             noise_perturb, pgd_perturb, rank_loss,
-                             sawar_loss, sawar_loss_grads)
+                             fgsm_perturb, noise_perturb, pgd_perturb,
+                             sawar_loss_grads)
 from certsurv.network import (Network, ParamGrads, backward_batch,
                               forward_batch, input_grads_batch)
 from certsurv.survival import log_pdf, log_survival
@@ -32,61 +31,67 @@ class TestLogLik:
     def test_all_censored_zero_score(self):
         t = np.array([1.0, 2.5, 0.5])
         batch = identity_batch(t, [0, 0, 0])
-        assert loglik(linear_net(1.0, 0.0), batch) == pytest.approx(-t.sum())
+        neg_ll = _clean_engine(linear_net(1.0, 0.0), batch, 0.0, 1.0,
+                               need_grads=False)[0]
+        assert neg_ll == pytest.approx(t.sum())
 
     def test_single_event(self):
         batch = identity_batch([1.0], [1])
-        assert loglik(linear_net(1.0, 0.0), batch) == pytest.approx(-1.0)
+        neg_ll = _clean_engine(linear_net(1.0, 0.0), batch, 0.0, 1.0,
+                               need_grads=False)[0]
+        assert neg_ll == pytest.approx(1.0)
 
     def test_mixed_matches_per_record_sum(self):
         rng = np.random.default_rng(0)
         net = random_net(rng, [2, 4, 1])
         batch = random_batch(rng, 5, 2)
-        from certsurv.network import forward
+        G, _ = forward_batch(net, batch.X)
         expected = 0.0
         for i in range(5):
-            G = forward(net, batch.X[i])
             if batch.e[i] == 1:
-                expected += log_pdf(G, batch.t[i])
+                expected += log_pdf(G[i], batch.t[i])
             else:
-                expected += log_survival(G, batch.t[i])
-        assert loglik(net, batch) == pytest.approx(expected, rel=1e-12)
+                expected += log_survival(G[i], batch.t[i])
+        neg_ll = _clean_engine(net, batch, 0.0, 1.0, need_grads=False)[0]
+        assert -neg_ll == pytest.approx(expected, rel=1e-12)
 
 
 class TestRankLoss:
     def test_no_comparable_pairs(self):
         batch = identity_batch([1.0, 2.0], [0, 0])
-        assert rank_loss(linear_net(1.0), batch) == 0.0
+        assert _clean_engine(linear_net(1.0), batch, 0.0, 1.0,
+                             need_grads=False)[1] == 0.0
 
     def test_equal_cdfs_give_unit_term(self):
         # identical covariates: F(t1|x1) == F(t1|x2), one comparable pair
         batch = identity_batch([1.0, 2.0], [1, 0])
-        assert rank_loss(linear_net(1.0, 0.3), batch) == pytest.approx(1.0)
+        assert _clean_engine(linear_net(1.0, 0.3), batch, 0.0, 1.0,
+                             need_grads=False)[1] == pytest.approx(1.0)
 
     def test_matches_exhaustive_enumeration(self):
         rng = np.random.default_rng(1)
         net = random_net(rng, [2, 3, 1])
         batch = random_batch(rng, 6, 2)
-        from certsurv.network import forward
+        G, _ = forward_batch(net, batch.X)
         sigma = 1.0
         expected = 0.0
         for i in range(6):
             for j in range(6):
                 if i == j or not (batch.t[i] < batch.t[j] and batch.e[i] == 1):
                     continue
-                Gi = forward(net, batch.X[i])
-                Gj = forward(net, batch.X[j])
+                Gi, Gj = G[i], G[j]
                 Fi = 1 - np.exp(-np.exp(Gi) * batch.t[i])
                 Fj = 1 - np.exp(-np.exp(Gj) * batch.t[i])
                 expected += np.exp(-(Fi - Fj) / sigma)
-        assert rank_loss(net, batch, sigma) == pytest.approx(expected, rel=1e-12)
+        rank = _clean_engine(net, batch, 0.0, sigma, need_grads=False)[1]
+        assert rank == pytest.approx(expected, rel=1e-12)
 
     def test_nonnegative_and_zero_iff_no_pairs(self):
         rng = np.random.default_rng(2)
         for _ in range(30):
             net = random_net(rng, [2, 3, 1])
             batch = random_batch(rng, 5, 2)
-            val = rank_loss(net, batch)
+            val = _clean_engine(net, batch, 0.0, 1.0, need_grads=False)[1]
             has_pair = any(
                 batch.t[i] < batch.t[j] and batch.e[i] == 1
                 for i in range(5) for j in range(5) if i != j
@@ -100,16 +105,19 @@ class TestCombinedLoss:
         rng = np.random.default_rng(3)
         net = random_net(rng, [2, 3, 1])
         batch = random_batch(rng, 5, 2)
+        neg_ll = _clean_engine(net, batch, 0.0, 1.0, need_grads=False)[0]
         assert combined_loss(net, batch, w=0.0) == pytest.approx(
-            -loglik(net, batch), rel=1e-12
+            neg_ll, rel=1e-12
         )
 
     def test_w_one_is_sum(self):
         rng = np.random.default_rng(4)
         net = random_net(rng, [2, 3, 1])
         batch = random_batch(rng, 5, 2)
+        neg_ll, rank = _clean_engine(net, batch, 0.0, 1.0,
+                                     need_grads=False)[:2]
         assert combined_loss(net, batch, w=1.0) == pytest.approx(
-            -loglik(net, batch) + rank_loss(net, batch), rel=1e-12
+            neg_ll + rank, rel=1e-12
         )
 
     def test_default_weight_is_one_over_batch(self):
@@ -246,13 +254,15 @@ def _written_out_input_grads(net, batch, w, sigma):
 
 def _stepwise_pgd(net, batch, eps, steps, w, sigma, sign_mode):
     """Projected gradient ascent that takes every step's input gradient
-    from combined_loss_grads (parameter gradients included)."""
+    from the clean engine (parameter gradients included)."""
     if eps == 0.0:
         return batch.X
     X0 = batch.X
     X = X0.copy()
     for _ in range(steps):
-        _, _, ig = combined_loss_grads(net, batch.with_X(X), w, sigma)
+        moved = batch.with_X(X)
+        ig = _clean_engine(net, moved, _resolve_w(w, moved), sigma,
+                           need_grads=True)[4]
         ig[~np.all(np.isfinite(ig), axis=1)] = 0.0
         step = np.sign(ig) if sign_mode else ig
         X = np.clip(X + (eps / steps) * step, X0 - eps, X0 + eps)
@@ -290,7 +300,8 @@ class TestAttackPath:
             w_val = 1.0 / len(batch) if w is None else w
             _, dG = _loss_grad(G, batch, w_val, sigma)
             got = input_grads_batch(net, caches, dG)
-            full = combined_loss_grads(net, batch, w, sigma)[2]
+            full = _clean_engine(net, batch, _resolve_w(w, batch), sigma,
+                                 need_grads=True)[4]
             spelled = _written_out_input_grads(net, batch, w, sigma)
         assert got.tobytes() == full.tobytes()
         assert got.tobytes() == spelled.tobytes()
@@ -379,15 +390,16 @@ def test_clean_engine_equals_written_out_full_matrix(case):
 @settings(max_examples=100, deadline=None)
 @given(engine_cases(), st.sampled_from([0.05, 0.5]))
 def test_every_clean_value_is_the_clean_engine_value(case, eps):
-    # One sum order: combined_loss, rank_loss and the kappa = 1 mix read
-    # the clean engine's fields, so they agree bit for bit.
+    # One sum order: combined_loss, the kappa = 1 mix and the ranking term
+    # at w = 0 read the clean engine's fields, so they agree bit for bit.
     net, batch, w_val, sigma = case
     with np.errstate(all="ignore"):
         _, rank, value, _, _ = _clean_engine(net, batch, w_val, sigma,
                                              need_grads=False)
         combined = combined_loss(net, batch, w_val, sigma)
-        mixed = sawar_loss(net, batch, eps, 1.0, w_val, sigma).total
-        ranked = rank_loss(net, batch, sigma)
+        mixed = sawar_loss_grads(net, batch, eps, 1.0, w_val, sigma,
+                                 need_grads=False)[0].total
+        ranked = _clean_engine(net, batch, 0.0, sigma, need_grads=False)[1]
     assert np.float64(combined).tobytes() == np.float64(value).tobytes()
     assert np.float64(mixed).tobytes() == np.float64(value).tobytes()
     assert np.float64(ranked).tobytes() == np.float64(rank).tobytes()
@@ -485,11 +497,12 @@ def _overflowing_nets():
 @pytest.mark.parametrize("net_name", ["single", "deep"])
 @pytest.mark.parametrize("sigma", [1e-3, 1.0])
 @pytest.mark.parametrize("call", [
-    lambda net, b, s: loglik(net, b),
-    lambda net, b, s: rank_loss(net, b, s),
+    lambda net, b, s: _ll_term(forward_batch(net, b.X)[0], b.t, b.e),
+    lambda net, b, s: _clean_engine(net, b, 0.0, s, need_grads=False),
     lambda net, b, s: combined_loss(net, b, sigma=s),
-    lambda net, b, s: certified_upper_loss(net, b, 0.1, sigma=s),
-    lambda net, b, s: sawar_loss(net, b, 0.1, sigma=s),
+    lambda net, b, s: certified_upper_loss_grads(net, b, 0.1, sigma=s,
+                                                 need_grads=False),
+    lambda net, b, s: sawar_loss_grads(net, b, 0.1, sigma=s, need_grads=False),
     lambda net, b, s: pgd_perturb(net, b, 0.1, 3, sigma=s),
     lambda net, b, s: pgd_perturb(net, b, 0.1, 3, sigma=s, sign_mode=True),
     lambda net, b, s: fgsm_perturb(net, b, 0.1, sigma=s),
@@ -546,9 +559,8 @@ class TestCertifiedUpper:
         rng = np.random.default_rng(13)
         net = random_net(rng, [2, 4, 1])
         batch = random_batch(rng, 5, 2)
-        assert certified_upper_loss(net, batch, 0.0) == pytest.approx(
-            combined_loss(net, batch), abs=1e-9
-        )
+        cert = certified_upper_loss_grads(net, batch, 0.0, need_grads=False)[0]
+        assert cert == pytest.approx(combined_loss(net, batch), abs=1e-9)
 
     def test_single_censored_linear_exact(self):
         # one censored record, G(x) = x: the loss is exp(x) * t, maximized
@@ -557,7 +569,8 @@ class TestCertifiedUpper:
         t = 1.7
         batch = Batch(np.zeros((1, 1)), [t], [0])
         for eps in (0.1, 0.5):
-            got = certified_upper_loss(net, batch, eps, w=0.0)
+            got = certified_upper_loss_grads(net, batch, eps, w=0.0,
+                                             need_grads=False)[0]
             assert got == pytest.approx(np.exp(eps) * t, rel=1e-12)
 
     def test_dominates_samples_and_corners(self):
@@ -566,7 +579,8 @@ class TestCertifiedUpper:
             net = random_net(rng, [2, 5, 1])
             batch = random_batch(rng, 4, 2)
             for eps in (0.1, 0.5):
-                cert = certified_upper_loss(net, batch, eps)
+                cert = certified_upper_loss_grads(net, batch, eps,
+                                                  need_grads=False)[0]
                 worst = combined_loss(net, batch)
                 for _ in range(2000):
                     delta = rng.uniform(-eps, eps, size=batch.X.shape)
@@ -583,7 +597,7 @@ class TestCertifiedUpper:
         rng = np.random.default_rng(15)
         net = random_net(rng, [3, 4, 1])
         batch = random_batch(rng, 6, 3)
-        vals = [certified_upper_loss(net, batch, eps)
+        vals = [certified_upper_loss_grads(net, batch, eps, need_grads=False)[0]
                 for eps in (0.0, 0.1, 0.2, 0.4, 0.8)]
         assert all(b >= a - 1e-9 for a, b in zip(vals, vals[1:]))
 
@@ -595,7 +609,8 @@ class TestCertifiedUpper:
         for eps in (0.1, 0.5):
             clean = combined_loss(net, batch)
             attacked = combined_loss(net, pgd_perturb(net, batch, eps, 5))
-            cert = certified_upper_loss(net, batch, eps)
+            cert = certified_upper_loss_grads(net, batch, eps,
+                                              need_grads=False)[0]
             assert clean <= attacked + 1e-12
             assert attacked <= cert + 1e-9
 
@@ -605,7 +620,7 @@ class TestSawar:
         rng = np.random.default_rng(16)
         net = random_net(rng, [2, 4, 1])
         batch = random_batch(rng, 5, 2)
-        bd = sawar_loss(net, batch, 0.3, kappa=1.0)
+        bd = sawar_loss_grads(net, batch, 0.3, kappa=1.0, need_grads=False)[0]
         assert (np.float64(bd.total).tobytes()
                 == np.float64(combined_loss(net, batch)).tobytes())
 
@@ -613,18 +628,17 @@ class TestSawar:
         rng = np.random.default_rng(17)
         net = random_net(rng, [2, 4, 1])
         batch = random_batch(rng, 5, 2)
-        bd = sawar_loss(net, batch, 0.3, kappa=0.0)
-        assert bd.total == pytest.approx(
-            certified_upper_loss(net, batch, 0.3), rel=1e-12
-        )
+        bd = sawar_loss_grads(net, batch, 0.3, kappa=0.0, need_grads=False)[0]
+        cert = certified_upper_loss_grads(net, batch, 0.3, need_grads=False)[0]
+        assert bd.total == pytest.approx(cert, rel=1e-12)
 
     def test_half_mix(self):
         rng = np.random.default_rng(18)
         net = random_net(rng, [2, 4, 1])
         batch = random_batch(rng, 5, 2)
-        bd = sawar_loss(net, batch, 0.3, kappa=0.5)
+        bd = sawar_loss_grads(net, batch, 0.3, kappa=0.5, need_grads=False)[0]
         a = combined_loss(net, batch)
-        b = certified_upper_loss(net, batch, 0.3)
+        b = certified_upper_loss_grads(net, batch, 0.3, need_grads=False)[0]
         assert bd.total == pytest.approx(0.5 * (a + b), rel=1e-12)
         assert bd.certified_upper >= bd.clean_combined - 1e-9
 
@@ -661,7 +675,8 @@ class TestSawar:
         net = random_net(rng, [3, 5, 4, 1])
         batch = random_batch(rng, 9, 3)
         _, pgrads, igrads = sawar_loss_grads(net, batch, 0.2, kappa=kappa)
-        _, clean_pg, clean_ig = combined_loss_grads(net, batch)
+        clean_pg, clean_ig = _clean_engine(net, batch, 1.0 / 9, 1.0,
+                                           need_grads=True)[3:]
         _, cert_pg, cert_ig = certified_upper_loss_grads(net, batch, 0.2)
         want = ParamGrads.zeros_like(net)
         want.add_scaled(clean_pg, kappa)
@@ -673,7 +688,7 @@ class TestSawar:
         net = linear_net(1.0)
         batch = Batch(np.zeros((1, 1)), [1.0], [0])
         with pytest.raises(ValueError):
-            sawar_loss(net, batch, 0.1, kappa=1.5)
+            sawar_loss_grads(net, batch, 0.1, kappa=1.5)
 
 
 def _grad_bytes(pgrads, igrads):
@@ -708,9 +723,11 @@ class TestGradients:
             eps = 0.2
             if which == "combined":
                 fn = lambda: combined_loss(net, batch)
-                _, pg, ig = combined_loss_grads(net, batch)
+                pg, ig = _clean_engine(net, batch, 1.0 / 4, 1.0,
+                                       need_grads=True)[3:]
             elif which == "certified":
-                fn = lambda: certified_upper_loss(net, batch, eps)
+                fn = lambda: certified_upper_loss_grads(
+                    net, batch, eps, need_grads=False)[0]
                 _, pg, ig = certified_upper_loss_grads(net, batch, eps)
             else:
                 def fn():
@@ -745,4 +762,4 @@ def test_value_only_certified_loss_keeps_its_bits(seed, n, eps):
     assert pgrads is None and igrads is None
     assert np.float64(got).tobytes() == np.float64(want).tobytes()
     full, _, _ = sawar_loss_grads(net, batch, eps)
-    assert sawar_loss(net, batch, eps) == full
+    assert sawar_loss_grads(net, batch, eps, need_grads=False)[0] == full

@@ -4,8 +4,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from certsurv.network import (ConfigurationError, InputError, Network,
                               ParamGrads, ShapeError,
-                              TrainingDivergenceError, adam_step, backward,
-                              backward_batch, forward, forward_batch,
+                              TrainingDivergenceError, adam_step,
+                              backward_batch, forward_batch,
                               init_adam, init_network, input_grads_batch,
                               leaky_relu, leaky_relu_grad)
 
@@ -79,8 +79,8 @@ class TestStructure:
 class TestForward:
     def test_affine_identity_case(self):
         net = Network([2, 1], [np.array([[1.0, -2.0]])], [np.array([0.5])])
-        assert forward(net, [0.0, 0.0]) == 0.5
-        assert forward(net, [1.0, 1.0]) == -0.5
+        out, _ = forward_batch(net, np.array([[0.0, 0.0], [1.0, 1.0]]))
+        assert out.tolist() == [0.5, -0.5]
 
     def test_leaky_relu_definition(self):
         z = np.array([-1.0, 0.0, 2.0])
@@ -106,23 +106,24 @@ class TestForward:
                     a = z
             return a[0]
 
-        assert forward(net, x) == pytest.approx(naive(net, x), rel=1e-12)
+        out, _ = forward_batch(net, x[None, :])
+        assert out[0] == pytest.approx(naive(net, x), rel=1e-12)
 
     def test_deterministic(self):
         rng = np.random.default_rng(9)
         net = random_net(rng, [3, 5, 1])
-        x = rng.normal(size=3)
-        assert forward(net, x) == forward(net, x)
+        X = rng.normal(size=(1, 3))
+        assert np.array_equal(forward_batch(net, X)[0], forward_batch(net, X)[0])
 
     def test_shape_error(self):
         net = init_network([3, 1])
         with pytest.raises(ShapeError):
-            forward(net, [1.0, 2.0])
+            forward_batch(net, [[1.0, 2.0]])
 
     def test_nonfinite_input(self):
         net = init_network([2, 1])
         with pytest.raises(InputError):
-            forward(net, [np.nan, 0.0])
+            forward_batch(net, [[np.nan, 0.0]])
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 5),
@@ -156,16 +157,18 @@ class TestForward:
 class TestBackward:
     def test_affine_gradient(self):
         net = Network([2, 1], [np.array([[1.0, -2.0]])], [np.array([0.5])])
-        grads, input_grad = backward(net, [0.3, 0.7], upstream=1.0)
-        assert np.allclose(input_grad, [1.0, -2.0])
+        _, caches = forward_batch(net, [[0.3, 0.7]])
+        grads, input_grads = backward_batch(net, caches, np.ones(1))
+        assert np.allclose(input_grads[0], [1.0, -2.0])
         assert np.allclose(grads.weights[0], [[0.3, 0.7]])
         assert np.allclose(grads.biases[0], [1.0])
 
     def test_zero_upstream(self):
         rng = np.random.default_rng(2)
         net = random_net(rng, [3, 4, 1])
-        grads, input_grad = backward(net, rng.normal(size=3), upstream=0.0)
-        assert np.all(input_grad == 0.0)
+        _, caches = forward_batch(net, rng.normal(size=(1, 3)))
+        grads, input_grads = backward_batch(net, caches, np.zeros(1))
+        assert np.all(input_grads == 0.0)
         assert all(np.all(w == 0.0) for w in grads.weights)
 
     def test_finite_difference_agreement(self):
@@ -174,21 +177,23 @@ class TestBackward:
         h = 1e-5
         for _ in range(100):
             net = random_net(rng, [3, 5, 1])
-            x = rng.normal(size=3)
-            grads, input_grad = backward(net, x, upstream=1.0)
+            x = rng.normal(size=(1, 3))
+            _, caches = forward_batch(net, x)
+            grads, input_grads = backward_batch(net, caches, np.ones(1))
             for j in range(3):
                 xp, xm = x.copy(), x.copy()
-                xp[j] += h
-                xm[j] -= h
-                fd = (forward(net, xp) - forward(net, xm)) / (2 * h)
-                assert abs(fd - input_grad[j]) <= 1e-4 * max(abs(fd), 1e-3)
+                xp[0, j] += h
+                xm[0, j] -= h
+                fd = (forward_batch(net, xp)[0][0]
+                      - forward_batch(net, xm)[0][0]) / (2 * h)
+                assert abs(fd - input_grads[0, j]) <= 1e-4 * max(abs(fd), 1e-3)
             for k, W in enumerate(net.weights):
                 i = int(rng.integers(W.shape[0]))
                 j = int(rng.integers(W.shape[1]))
                 W[i, j] += h
-                fp = forward(net, x)
+                fp = forward_batch(net, x)[0][0]
                 W[i, j] -= 2 * h
-                fm = forward(net, x)
+                fm = forward_batch(net, x)[0][0]
                 W[i, j] += h
                 fd = (fp - fm) / (2 * h)
                 got = grads.weights[k][i, j]

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from certsurv.network import Network, forward_batch
 from certsurv.survival import (DomainError, StepCurve, hazard, km_estimator,
                                log_pdf, log_survival, population_curve,
-                               survival, survival_matrix, survival_quantiles)
+                               survival_matrix, survival_quantiles)
 
 
 def linear_net(weight, bias=0.0):
@@ -32,13 +32,15 @@ class TestPointwiseFunctions:
         assert np.isinf(hazard(1000.0))
 
     def test_survival_values(self):
-        assert survival(0.0, 1.0) == pytest.approx(np.exp(-1.0), rel=1e-15)
-        assert survival(5.0, 0.0) == 1.0
-        assert survival(np.log(2.0), 3.0) == pytest.approx(np.exp(-6.0), rel=1e-12)
+        S = survival_matrix(hazard(np.array([0.0, 5.0, np.log(2.0)])),
+                            [0.0, 1.0, 3.0])
+        assert S[0, 1] == pytest.approx(np.exp(-1.0), rel=1e-15)
+        assert S[1, 0] == 1.0
+        assert S[2, 2] == pytest.approx(np.exp(-6.0), rel=1e-12)
 
     def test_survival_negative_time(self):
         with pytest.raises(DomainError):
-            survival(0.0, -1.0)
+            survival_matrix(np.ones(1), [-1.0])
 
     def test_log_pdf_values(self):
         assert log_pdf(0.0, 2.0) == -2.0
