@@ -11,26 +11,41 @@ Two propagators are provided:
   otherwise.  One chain (`_upper_chain`) computes upper bounds; the lower
   bound of the output f is the negated upper bound of -f.
 
+The chains of f and of -f run the same ops, so one pass runs both, on
+arrays with a leading chain axis: index 0 is f and index 1 is -f (with
+`lower=False` the axis has length 1).  At the batch sizes training uses (3
+to 128 rows), a numpy call's fixed cost outweighs its arithmetic below
+about 100 rows, so one stacked call costs little more than either of the
+two it replaces.  Each layer's relaxation lines broadcast over the axis,
+and a product with a weight matrix runs the same gemm on each chain's
+slice, so each chain's slice of the tape holds the bits of that chain run
+alone.
+
 The refined bound is intersected elementwise with the interval bound, so
 the refined interval is never wider.  `crown_ibp_batch_tape` additionally
 returns a `BoundTape` holding every intermediate needed to pull loss
 gradients back through the whole bound computation (used by the certified
 training objective): the interval boxes, each hidden layer's box-edge
-slopes and each layer's |W| from `_interval_forward`, each layer's crossing
-mask, chord and chord denominator from `_relaxation`, and each chain step's
-line choice, slope, intercept and scaled coefficients from `_upper_chain`.
-The adjoint, written out by hand in `crown_ibp_batch_vjp`, only reads the
-tape and recomputes none of it.
+slopes and each layer's |W| from `_interval_forward`, each layer's sign(W),
+each layer's crossing mask, chord and chord denominator from `_relaxation`,
+and each stacked chain step's line choice, slope, intercept and scaled
+coefficients from `_upper_chain`.  The adjoint, written out by hand in
+`crown_ibp_batch_vjp`, walks both chains in one stacked loop too; it only
+reads the tape and recomputes none of it.
 
 Each of these functions builds its elementwise results in arrays it made
 itself (`out=`, `+=`), with the arithmetic of the plain expression, so the
 bits are those of one fresh array per result, NaN signs included.  Two
-operands that can both be NaN keep their order, since the result is the
-first one's NaN; only a finite operand (a scalar, a slope or X) trades
-places.  An add of two such operands writes into the second: numpy adds
-into a one-element array as a reduction, which returns the second NaN.  No
-array outlives its call other than as a result: a returned tape is never
-written again.
+operands that can both be NaN keep their order: which NaN a numpy loop
+returns depends on it, and on where the element falls in the loop.  Only a
+finite operand (a scalar, a slope or X) trades places.  An add of two such
+operands writes into the second: numpy adds into a one-element array as a
+reduction, which returns the second NaN.  The adjoint's elementwise ops
+on two stacked operands are the one exception: they run both chains in
+one loop, so where both operands are NaN, the NaN's sign may differ from
+the one the chains run apart give.  Such a gradient is not finite, and
+`adam_step` refuses it.  No array outlives its call other than as a result: a returned
+tape is never written again.
 """
 
 from __future__ import annotations
@@ -124,7 +139,8 @@ def _relaxation(net: Network, lows, ups, bases):
 
 
 class Stage(NamedTuple):
-    """One step of a backward chain through activation layer k."""
+    """One step of the stacked backward chains through activation layer k;
+    every field is (chains, rows, neurons of layer k)."""
 
     A: np.ndarray    # coefficients entering the step
     pos: np.ndarray  # A >= 0: the neuron takes its upper line
@@ -139,8 +155,10 @@ class BoundTape:
 
     The forward pass writes every value the adjoint needs; the adjoint only
     reads them.  Per-layer lists run over layers 0 .. L-1 (pre-activations,
-    |W|) or over activation layers 0 .. L-2 (box-edge slopes, relaxation
-    pieces).
+    |W|, sign(W)) or over activation layers 0 .. L-2 (box-edge slopes,
+    relaxation pieces).  `stages` and `A` carry the backward chains stacked
+    on a leading chain axis: index 0 is the upper chain of f and index 1,
+    present only when the lower bound was asked for, the upper chain of -f.
     """
 
     X: np.ndarray
@@ -152,13 +170,12 @@ class BoundTape:
     slope_l: list   # box-edge slopes: 1 where l >= 0, else the leaky slope
     slope_u: list   # the same at u
     abs_w: list     # |W| of every layer
+    sign_w: list    # sign(W) of every layer (None if no chain of -f)
     crossing: list  # l < 0 < u, per activation layer
     width: list     # u - l on crossing neurons, 1 elsewhere
     chord: list     # chord slope on crossing neurons, 1 elsewhere
-    stages_u: list  # Stage of the upper chain of f, for k = L-2 .. 0
-    stages_l: list  # the same for the upper chain of -f (None if skipped)
-    A_u: np.ndarray  # final input-space coefficients, upper chain of f
-    A_l: np.ndarray  # the same for -f (None if skipped)
+    stages: list    # stacked Stage of the chains, for k = L-2 .. 0
+    A: np.ndarray   # stacked final input-space coefficients
     crown_lb: np.ndarray
     crown_ub: np.ndarray
     ibp_lb: np.ndarray
@@ -169,13 +186,19 @@ class BoundTape:
 
 def _upper_chain(net: Network, X, eps, w_out, b_out, up_slope, up_icpt,
                  low_slope):
-    """Backward linear upper bound on w_out . z + b_out, z the last hidden
-    layer (or the input); returns it, the Stage of every step and the final
-    input-space coefficients."""
+    """Backward linear upper bounds on w_out[c] . z + b_out[c] for every
+    chain c at once, z the last hidden layer (or the input); returns them
+    (one array per chain), the Stage of every step and the final
+    input-space coefficients (chains, rows, inputs)."""
     n = X.shape[0]
-    A = np.empty((n, w_out.shape[0]))
-    A[...] = w_out
-    d = np.full(n, b_out)
+    A = np.empty((len(w_out), n, w_out.shape[1]))
+    A[...] = w_out[:, None, :]
+    # An add of two stacked operands that can both be NaN would run both
+    # chains in one loop and could change a NaN's sign, so the constant
+    # terms d add chain by chain.  A and mu, or A and lam, are never both
+    # NaN: a NaN coefficient takes the lower line, of finite slope and
+    # intercept 0.
+    d = [np.full(n, b) for b in b_out]
     stages = []
     for k in range(net.n_layers - 2, -1, -1):
         W, b = net.weights[k], net.biases[k]
@@ -183,27 +206,27 @@ def _upper_chain(net: Network, X, eps, w_out, b_out, up_slope, up_icpt,
         lam = np.where(pos, up_slope[k], low_slope[k])
         mu = np.where(pos, up_icpt[k], 0.0)
         B = A * mu
-        d = d + B.sum(axis=1)
+        d = [*map(np.add, d, B.sum(axis=2))]
         np.multiply(A, lam, out=B)
         stages.append(Stage(A, pos, lam, mu, B))
         A = B @ W
-        d = d + B @ b
+        d = [*map(np.add, d, B @ b)]
     work = A * X
-    ub = work.sum(axis=1) + eps * np.abs(A, out=work).sum(axis=1) + d
-    return ub, stages, A
+    ub = map(np.add, work.sum(axis=2), eps * np.abs(A, out=work).sum(axis=2))
+    return [*map(np.add, ub, d)], stages, A
 
 
 def _backward_pass(net: Network, X, eps, up_slope, up_icpt, low_slope, lower):
-    """Backward linear bounds on the output f, and their tape pieces; the
-    lower bound is minus the upper chain of -f, or -inf if not `lower`."""
-    w, b = net.weights[-1][0], net.biases[-1][0]
-    ub, stages_u, AU = _upper_chain(net, X, eps, w, b, up_slope, up_icpt,
-                                    low_slope)
-    if not lower:
-        return np.full_like(ub, -np.inf), ub, stages_u, None, AU, None
-    neg_lb, stages_l, AL = _upper_chain(net, X, eps, -w, -b, up_slope,
-                                        up_icpt, low_slope)
-    return -neg_lb, ub, stages_u, stages_l, AU, AL
+    """Backward linear bounds on the output f, and their tape pieces: the
+    upper chains of f and, if `lower`, of -f run stacked, and the lower
+    bound is minus the second one, or -inf if not `lower`."""
+    w, b = net.weights[-1], net.biases[-1]
+    if lower:
+        w, b = np.concatenate((w, -w)), np.concatenate((b, -b))
+    ub, stages, A = _upper_chain(net, X, eps, w, b, up_slope, up_icpt,
+                                 low_slope)
+    lb = -ub[1] if lower else np.full_like(ub[0], -np.inf)
+    return lb, ub[0], stages, A
 
 
 def crown_ibp_batch_tape(net: Network, X, eps: float, lower: bool = True):
@@ -214,9 +237,11 @@ def crown_ibp_batch_tape(net: Network, X, eps: float, lower: bool = True):
     _check_radius(eps)
     lows, ups, centers, radii, slope_l, slope_u, abs_w = _interval_forward(
         net, X, eps)
+    # only a tape with the chain of -f has an adjoint, which reads sign(W)
+    sign_w = [np.sign(W) for W in net.weights] if lower else None
     up_slope, up_icpt, low_slope, crossing, width, chord = _relaxation(
         net, lows, ups, slope_l)
-    crown_lb, crown_ub, stages_u, stages_l, AU, AL = _backward_pass(
+    crown_lb, crown_ub, stages, A = _backward_pass(
         net, X, eps, up_slope, up_icpt, low_slope, lower
     )
     ibp_lb, ibp_ub = lows[-1][:, 0], ups[-1][:, 0]
@@ -228,8 +253,8 @@ def crown_ibp_batch_tape(net: Network, X, eps: float, lower: bool = True):
     # ulp above ub after the intersection, so repair downward.
     lb = np.minimum(lb, ub)
     tape = BoundTape(
-        X, eps, lows, ups, centers, radii, slope_l, slope_u, abs_w, crossing,
-        width, chord, stages_u, stages_l, AU, AL, crown_lb, crown_ub, ibp_lb,
+        X, eps, lows, ups, centers, radii, slope_l, slope_u, abs_w, sign_w,
+        crossing, width, chord, stages, A, crown_lb, crown_ub, ibp_lb,
         ibp_ub, use_crown_ub, use_crown_lb,
     )
     return lb, ub, tape
@@ -250,7 +275,7 @@ def crown_ibp_batch_vjp(net: Network, tape: BoundTape, dlb, dub):
     array it writes in place is one it made itself, never the tape's or
     dlb and dub.
     """
-    if tape.stages_l is None:
+    if len(tape.A) == 1:
         raise ValueError("a tape recorded with lower=False has no adjoint")
     X, eps = tape.X, tape.eps
     L = net.n_layers
@@ -258,9 +283,9 @@ def crown_ibp_batch_vjp(net: Network, tape: BoundTape, dlb, dub):
     dlb = np.asarray(dlb, dtype=float)
     dub = np.asarray(dub, dtype=float)
     # The accumulators start at +0.0, so an entry that sums to zero is +0.0.
+    # Each one adds chain f's slice, then chain -f's.
     grads = ParamGrads.zeros_like(net)
     dX = np.zeros(X.shape)
-    work_x = np.empty(X.shape)
 
     guC = np.where(tape.use_crown_ub, dub, 0.0)
     glC = np.where(tape.use_crown_lb, dlb, 0.0)
@@ -270,48 +295,48 @@ def crown_ibp_batch_vjp(net: Network, tape: BoundTape, dlb, dub):
     us_bar = [None] * (L - 1)
     ui_bar = [None] * (L - 1)
 
-    # The same adjoint serves the upper chain of f (seeded with guC) and the
-    # upper chain of -f, whose bound is -lb (seeded with -glC).  A chain's
-    # constant term d has the seed itself as its adjoint at every step.
-    seed_bars = []
-    for stages, A_fin, d_bar in ((tape.stages_u, tape.A_u, guC),
-                                 (tape.stages_l, tape.A_l, -glC)):
-        g = d_bar[:, None]
-        # Adjoint of the concretization step.
-        A_bar = np.sign(A_fin)
-        A_bar *= eps
-        A_bar += X
-        np.multiply(g, A_bar, out=A_bar)
-        dX += np.multiply(g, A_fin, out=work_x)
-        # Walk the chain in reverse: stages were recorded for
-        # k = L-2 .. 0, so the adjoint visits k = 0 .. L-2.
-        for idx in range(len(stages) - 1, -1, -1):
-            k = L - 2 - idx
-            W, b = net.weights[k], net.biases[k]
-            st = stages[idx]
-            work = A_bar @ W.T
-            B_bar = np.multiply(g, b)
-            np.add(work, B_bar, out=B_bar)
-            grads.weights[k] += st.B.T @ A_bar
-            grads.biases[k] += st.B.T @ d_bar
-            sel = st.pos & tape.crossing[k]
-            us = np.where(sel, np.multiply(B_bar, st.A, out=work), 0.0)
-            ui = np.where(sel, np.multiply(g, st.A, out=work), 0.0)
-            if us_bar[k] is None:
-                us_bar[k], ui_bar[k] = us, ui
-            else:
-                us_bar[k] += us
-                ui_bar[k] += ui
-            B_bar *= st.lam
-            A_bar = np.add(B_bar, np.multiply(g, st.mu, out=work), out=work)
-        seed_bars.append((A_bar, d_bar))
+    # The chain of f is seeded with guC, and the chain of -f, whose bound is
+    # -lb, with -glC.  A chain's constant term d has the seed itself as its
+    # adjoint at every step.
+    d_bar = np.array((guC, -glC))
+    g = d_bar[:, :, None]
+    # Adjoint of the concretization step.
+    A_bar = np.sign(tape.A)
+    A_bar *= eps
+    A_bar += X
+    np.multiply(g, A_bar, out=A_bar)
+    work = np.multiply(g, tape.A)
+    dX += work[0]
+    dX += work[1]
+    # Walk the chains in reverse: stages were recorded for k = L-2 .. 0, so
+    # the adjoint visits k = 0 .. L-2.
+    for idx in range(len(tape.stages) - 1, -1, -1):
+        k = L - 2 - idx
+        W, b = net.weights[k], net.biases[k]
+        st = tape.stages[idx]
+        work = A_bar @ W.T
+        B_bar = np.multiply(g, b)
+        np.add(work, B_bar, out=B_bar)
+        gW = st.B.mT @ A_bar
+        gb = st.B.mT @ g
+        for c in (0, 1):
+            grads.weights[k] += gW[c]
+            grads.biases[k] += gb[c, :, 0]
+        sel = st.pos & tape.crossing[k]
+        us = np.where(sel, np.multiply(B_bar, st.A, out=work), 0.0)
+        ui = np.where(sel, np.multiply(g, st.A, out=work), 0.0)
+        us_bar[k], ui_bar[k] = us[0], ui[0]
+        us_bar[k] += us[1]
+        ui_bar[k] += ui[1]
+        B_bar *= st.lam
+        A_bar = np.add(B_bar, np.multiply(g, st.mu, out=work), out=work)
 
     # Each chain's initial coefficients were the output layer's weights and
     # bias, negated for the chain of -f.
-    (Au_bar, du_bar), (Al_bar, dl_bar) = seed_bars
-    Au_bar -= Al_bar
+    Au_bar = A_bar[0]
+    Au_bar -= A_bar[1]
     grads.weights[L - 1] += Au_bar.sum(axis=0, keepdims=True)
-    grads.biases[L - 1] += np.array([(du_bar - dl_bar).sum()])
+    grads.biases[L - 1] += np.array([(d_bar[0] - d_bar[1]).sum()])
 
     # Adjoint of the interval recursion, deepest layer first.  The output's
     # interval bounds pick up the non-refined branch of the intersection.
@@ -323,7 +348,7 @@ def crown_ibp_batch_vjp(net: Network, tape: BoundTape, dlb, dub):
         s_bar = np.subtract(ubar, lbar, out=ubar)
         c_prev, r_prev = tape.centers[k], tape.radii[k]
         gW = s_bar.T @ r_prev
-        np.multiply(np.sign(W), gW, out=gW)
+        np.multiply(tape.sign_w[k], gW, out=gW)
         grads.weights[k] += np.add(m_bar.T @ c_prev, gW, out=gW)
         grads.biases[k] += m_bar.sum(axis=0)
         c_bar = m_bar @ W

@@ -6,14 +6,18 @@ no computation graph.  Gradients with respect to parameters and inputs are
 produced by an explicit reverse pass so that they can be checked against
 finite differences.
 
-`Network` checks its own structure whenever one is built, loaded or updated,
-and `adam_step` never writes into its inputs.
+`Network` checks its own structure whenever one is built or loaded; an
+`adam_step` result keeps the layout of the checked network it steps, and
+`adam_step` never writes into its inputs.
 
 A `Network` and a `ParamGrads` each copy their parameters, when built, into
 one C-contiguous float64 buffer, `flat`, in `Network.params` order
 ([*weights, *biases]), and their `weights[k]` and `biases[k]` are views of
 it.  `adam_step` and the `ParamGrads` arithmetic then work on one array
 instead of one per layer; a write into a view is a write into `flat`.
+`adam_step` and `ParamGrads.zeros_like` build theirs on a buffer they have
+just made, laid out as an already checked network's, without copying or
+checking it again.
 """
 
 from __future__ import annotations
@@ -94,8 +98,7 @@ class ParamGrads:
 
     @staticmethod
     def zeros_like(net: Network) -> "ParamGrads":
-        return ParamGrads([np.zeros(w.shape) for w in net.weights],
-                          [np.zeros(b.shape) for b in net.biases])
+        return _on_flat(ParamGrads, np.zeros(net.flat.size), net)
 
     def scale(self, factor: float) -> "ParamGrads":
         self.flat *= factor
@@ -114,19 +117,31 @@ def _pack(obj) -> None:
     buffer, `obj.flat`, in `Network.params` order, and rebind them to views
     of it."""
     arrays = [*obj.weights, *obj.biases]
-    obj.flat = np.concatenate([np.ravel(a) for a in arrays], dtype=float)
-    views = _views(obj.flat, arrays)
-    obj.weights, obj.biases = views[:len(obj.weights)], views[len(obj.weights):]
+    _adopt(obj, np.concatenate([np.ravel(a) for a in arrays], dtype=float),
+           obj)
 
 
-def _views(flat: np.ndarray, like) -> list[np.ndarray]:
-    """Consecutive slices of `flat`, as views in the shapes of `like`."""
+def _on_flat(cls, flat: np.ndarray, like, **attrs):
+    """A `cls` (Network or ParamGrads) on the buffer `flat` in `like`'s
+    layout, with the other fields `attrs`, built without `__post_init__`:
+    neither copied nor checked, so `flat` must be a new buffer of
+    `like.flat`'s size and `like` a checked network."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(attrs)
+    _adopt(obj, flat, like)
+    return obj
+
+
+def _adopt(obj, flat: np.ndarray, like) -> None:
+    """Make `flat` obj's buffer, and obj's weights and biases consecutive
+    views of it in the shapes of `like`'s."""
     views, start = [], 0
-    for a in like:
+    for a in (*like.weights, *like.biases):
         stop = start + a.size
         views.append(flat[start:stop].reshape(a.shape))
         start = stop
-    return views
+    n = len(like.weights)
+    obj.flat, obj.weights, obj.biases = flat, views[:n], views[n:]
 
 
 def _check_architecture(dims, leaky_slope) -> None:
@@ -266,7 +281,6 @@ def adam_step(state: AdamState, net: Network, grads: ParamGrads):
     m = b1 * state.m + (1.0 - b1) * g
     v = b2 * state.v + (1.0 - b2) * g * g
     flat = net.flat - lr * (m / corr1) / (np.sqrt(v / corr2) + eps)
-    params = _views(flat, net.params)
-    n = net.n_layers
-    new_net = Network(net.layer_dims, params[:n], params[n:], net.leaky_slope)
+    new_net = _on_flat(Network, flat, net, layer_dims=net.layer_dims,
+                       leaky_slope=net.leaky_slope)
     return new_net, AdamState(lr, b1, b2, eps, t, m, v)

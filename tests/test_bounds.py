@@ -1,21 +1,25 @@
-from dataclasses import fields
+import os
+from dataclasses import astuple, fields
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from certsurv import losses
 from certsurv.bounds import (BoundTape, Stage, crown_ibp_batch,
                              crown_ibp_batch_tape, crown_ibp_batch_vjp,
                              worst_case_log_hazard_batch)
+from certsurv.data import load_csv, stratified_split
 from certsurv.losses import (Batch, _certified_terms,
                              certified_upper_loss_grads, fgsm_perturb,
                              noise_perturb, pgd_perturb, sawar_loss_grads)
 from certsurv.network import (InputError, Network, ParamGrads, forward_batch,
                               leaky_relu, leaky_relu_grad)
 from certsurv.survival import hazard
+from certsurv.training import TrainConfig, train
 
-from conftest import random_batch, random_net
+from conftest import DATA_DIR, random_batch, random_net
 
 
 def corner_grid_extrema(net, center, eps, n_grid=101):
@@ -203,9 +207,9 @@ def test_bad_radius_rejected(entry, eps):
 
 
 # Reference copies of the bound engine as it was written with two mirrored
-# chains (an upper and a lower one).  `lower_pos` decides which line the
-# lower chain takes: np.greater_equal puts an exactly-zero coefficient on the
-# lower line, np.greater on the upper line.
+# chains (an upper and a lower one), each run on its own.  `lower_pos`
+# decides which line the lower chain takes: np.greater_equal puts an
+# exactly-zero coefficient on the lower line, np.greater on the upper line.
 
 def _two_chain_backward_pass(net, X, eps, up_slope, up_icpt, low_slope,
                              lower_pos):
@@ -279,7 +283,7 @@ def _reference_relaxation(net, lows, ups):
     return pieces
 
 
-def _two_chain_tape(net, X, eps, lower_pos):
+def _two_chain_tape(net, X, eps, lower_pos=np.greater_equal):
     lows, ups, centers, radii = _reference_interval_forward(net, X, eps)
     up_slope, up_icpt, low_slope, crossing = _reference_relaxation(
         net, lows, ups)[:4]
@@ -300,7 +304,7 @@ def _two_chain_tape(net, X, eps, lower_pos):
     return lb, ub, tape
 
 
-def _two_chain_vjp(net, tape, dlb, dub, lower_pos):
+def _two_chain_vjp(net, tape, dlb, dub, lower_pos=np.greater_equal):
     X, eps = tape.X, tape.eps
     L = net.n_layers
     alpha = net.leaky_slope
@@ -412,11 +416,10 @@ def _discrete_choices(net, tape):
     for l, u in zip(tape.lows, tape.ups):
         parts += [l >= 0.0, u >= 0.0, u >= -l]
     parts += tape.crossing
-    parts += [stage.pos for stage in (*tape.stages_u, *tape.stages_l)]
+    parts += [stage.pos for stage in tape.stages]
     lb = np.where(tape.use_crown_lb, tape.crown_lb, tape.ibp_lb)
     ub = np.where(tape.use_crown_ub, tape.crown_ub, tape.ibp_ub)
-    parts += [np.sign(tape.A_u), np.sign(tape.A_l), tape.use_crown_ub,
-              tape.use_crown_lb, lb <= ub]
+    parts += [np.sign(tape.A), tape.use_crown_ub, tape.use_crown_lb, lb <= ub]
     return b"".join(np.ascontiguousarray(p).tobytes() for p in parts)
 
 
@@ -442,7 +445,9 @@ def _reference_upper_chain(net, X, eps, w_out, b_out, up_slope, up_icpt,
 
 def _reference_tape(net, X, eps, lower):
     """(lb, ub, fields): crown_ibp_batch_tape written out of place, and the
-    value of every field its BoundTape must hold."""
+    value of every field its BoundTape must hold.  The chains run one at a
+    time, so `stages` and `A` hold one list of Stages and one array per
+    chain: the values of the tape's slices along its chain axis."""
     alpha = net.leaky_slope
     lows, ups, centers, radii = _reference_interval_forward(net, X, eps)
     up_slope, up_icpt, low_slope, crossing, width, chord = (
@@ -450,12 +455,15 @@ def _reference_tape(net, X, eps, lower):
     w, b = net.weights[-1][0], net.biases[-1][0]
     lines = (up_slope, up_icpt, low_slope)
     crown_ub, stages_u, AU = _reference_upper_chain(net, X, eps, w, b, *lines)
+    stages, A = [stages_u], [AU]
     if lower:
         neg_lb, stages_l, AL = _reference_upper_chain(net, X, eps, -w, -b,
                                                       *lines)
         crown_lb = -neg_lb
+        stages.append(stages_l)
+        A.append(AL)
     else:
-        crown_lb, stages_l, AL = np.full_like(crown_ub, -np.inf), None, None
+        crown_lb = np.full_like(crown_ub, -np.inf)
     ibp_lb, ibp_ub = lows[-1][:, 0], ups[-1][:, 0]
     use_crown_ub = crown_ub <= ibp_ub
     use_crown_lb = crown_lb >= ibp_lb
@@ -466,10 +474,11 @@ def _reference_tape(net, X, eps, lower):
         X=X, eps=eps, lows=lows, ups=ups, centers=centers, radii=radii,
         slope_l=[leaky_relu_grad(l, alpha) for l in lows[:-1]],
         slope_u=[leaky_relu_grad(u, alpha) for u in ups[:-1]],
-        abs_w=[np.abs(W) for W in net.weights], crossing=crossing,
-        width=width, chord=chord, stages_u=stages_u, stages_l=stages_l,
-        A_u=AU, A_l=AL, crown_lb=crown_lb, crown_ub=crown_ub, ibp_lb=ibp_lb,
-        ibp_ub=ibp_ub, use_crown_ub=use_crown_ub, use_crown_lb=use_crown_lb)
+        abs_w=[np.abs(W) for W in net.weights],
+        sign_w=[np.sign(W) for W in net.weights] if lower else None,
+        crossing=crossing, width=width, chord=chord, stages=stages, A=A,
+        crown_lb=crown_lb, crown_ub=crown_ub, ibp_lb=ibp_lb, ibp_ub=ibp_ub,
+        use_crown_ub=use_crown_ub, use_crown_lb=use_crown_lb)
 
 
 def _as_bytes(value):
@@ -517,18 +526,39 @@ def scaled_cases(draw):
                         draw(st.sampled_from([0.0, 1e-12, 0.5, 3.0])))
 
 
+def _chains(tape):
+    """The tape's stacked `stages` and `A` split along the chain axis: per
+    chain, its list of Stages and its final coefficients.  Every stacked
+    field must have the same number of chains."""
+    n_chains = len(tape.A)
+    assert all(len(field) == n_chains for st in tape.stages for field in st)
+    return ([[Stage(*(field[c] for field in st)) for st in tape.stages]
+             for c in range(n_chains)],
+            [tape.A[c] for c in range(n_chains)])
+
+
 def _tape_matches_reference(net, X, eps, lower):
     """Assert that lb, ub and every field of the tape equal the out-of-place
-    reference byte for byte; returns the tape's arrays."""
+    reference byte for byte, each chain's slice of the stacked fields equal
+    to that chain run alone; returns the tape's arrays."""
     with np.errstate(all="ignore"):
         lb, ub, tape = crown_ibp_batch_tape(net, X, eps, lower=lower)
         ref_lb, ref_ub, ref = _reference_tape(net, X, eps, lower)
     assert set(ref) == {f.name for f in fields(BoundTape)}
     assert lb.tobytes() == ref_lb.tobytes()
     assert ub.tobytes() == ref_ub.tobytes()
+    stages, A = _chains(tape)
+    assert len(A) == (2 if lower else 1)
+    got = dict(vars(tape), stages=stages, A=A)
     for name, want in ref.items():
-        assert _as_bytes(getattr(tape, name)) == _as_bytes(want), name
+        assert _as_bytes(got[name]) == _as_bytes(want), name
     return _arrays([getattr(tape, name) for name in ref])
+
+
+# Shapes the random strategies may miss: a network with no hidden layer,
+# whose chains have no step, and a batch of one row.
+_EDGE_SHAPES = [([1, 1], 5), ([4, 1], 7), ([3, 5, 1], 1), ([4, 8, 8, 1], 1),
+                ([1, 1], 1)]
 
 
 class TestBoundEngineProperties:
@@ -536,6 +566,16 @@ class TestBoundEngineProperties:
     @given(scaled_cases(), st.booleans())
     def test_tape_equals_out_of_place_reference(self, case, lower):
         _tape_matches_reference(*case, lower)
+
+    @pytest.mark.parametrize("lower", [True, False])
+    @pytest.mark.parametrize("scale", [1.0, 1e300])
+    @pytest.mark.parametrize("dims,rows", _EDGE_SHAPES)
+    def test_edge_shape_tape_equals_out_of_place_reference(self, dims, rows,
+                                                            scale, lower):
+        rng = np.random.default_rng(len(dims) * 10 + rows)
+        for eps in (0.0, 0.5):
+            _tape_matches_reference(
+                *_scaled_case(rng, dims, 0.1, scale, rows, eps), lower)
 
     @pytest.mark.parametrize("lower", [True, False])
     def test_reference_cases_reach_inf_nan_and_negative_zero(self, lower):
@@ -549,6 +589,30 @@ class TestBoundEngineProperties:
                                  if a.dtype == np.float64])
         assert np.isinf(floats).any() and np.isnan(floats).any()
         assert ((floats == 0.0) & np.signbit(floats)).any()
+
+    @pytest.mark.parametrize("rows", [1, 9, 17])
+    @pytest.mark.parametrize("hidden", [False, True])
+    def test_chain_slices_keep_the_nan_signs_of_chains_run_alone(self, hidden,
+                                                                 rows):
+        # A chain's constant term adds NaN to NaN: the output bias is NaN,
+        # with its sign flipped in the chain of -f, and the rest is
+        # inf - inf, or, behind a hidden neuron whose box is (-inf, inf),
+        # the NaN intercept of its chord.  Which NaN an add of two NaNs
+        # returns depends on where the element falls in numpy's vector
+        # loop, so adding both chains in one loop would change some signs.
+        big = np.array([[1e308, 1e308]])
+        if hidden:
+            net = Network([2, 1, 1], [big, np.array([[1.0]])],
+                          [np.zeros(1), np.array([np.nan])])
+            X, eps = np.tile([1.0, -1.0], (rows, 1)), 3.0
+        else:
+            net = Network([2, 1], [big], [np.array([np.nan])])
+            X, eps = np.tile([2.0, -2.0], (rows, 1)), 0.5
+        for lower in (True, False):
+            _tape_matches_reference(net, X, eps, lower)
+        with np.errstate(all="ignore"):
+            tape = crown_ibp_batch_tape(net, X, eps)[2]
+        assert np.isnan(tape.crown_ub).all() and np.isnan(tape.crown_lb).all()
 
     @settings(max_examples=100, deadline=None)
     @given(bound_cases())
@@ -576,17 +640,16 @@ class TestBoundEngineProperties:
     @settings(max_examples=150, deadline=None)
     @given(bound_cases())
     def test_bounds_and_vjp_equal_two_chain_reference(self, case):
-        net, X, eps, rng = case
-        dlb, dub = rng.normal(size=len(X)), rng.normal(size=len(X))
-        lb, ub, tape = crown_ibp_batch_tape(net, X, eps)
-        got = _grad_bytes(*crown_ibp_batch_vjp(net, tape, dlb, dub))
-        ref_lb, ref_ub, ref_tape = _two_chain_tape(net, X, eps,
-                                                   np.greater_equal)
-        want = _grad_bytes(*_two_chain_vjp(net, ref_tape, dlb, dub,
-                                           np.greater_equal))
-        assert lb.tobytes() == ref_lb.tobytes()
-        assert ub.tobytes() == ref_ub.tobytes()
-        assert got == want
+        _bounds_and_vjp_match_two_chain_reference(*case)
+
+    @pytest.mark.parametrize("dims,rows", _EDGE_SHAPES)
+    def test_edge_shape_bounds_and_vjp_equal_two_chain_reference(self, dims,
+                                                                 rows):
+        rng = np.random.default_rng(len(dims) * 10 + rows)
+        for eps in (0.0, 0.05, 0.5, 2.0):
+            net = random_net(rng, dims)
+            X = rng.normal(size=(rows, dims[0]))
+            _bounds_and_vjp_match_two_chain_reference(net, X, eps, rng)
 
     @settings(max_examples=100, deadline=None)
     @given(bound_cases())
@@ -671,17 +734,14 @@ class TestBoundEngineProperties:
     @settings(max_examples=50, deadline=None)
     @given(bound_cases())
     def test_upper_only_tape_keeps_ub_and_has_no_adjoint(self, case):
-        net, X, eps, _ = case
-        lb, ub, tape = crown_ibp_batch_tape(net, X, eps)
-        lb1, ub1, tape1 = crown_ibp_batch_tape(net, X, eps, lower=False)
-        assert ub1.tobytes() == ub.tobytes()
-        assert tape1.crown_ub.tobytes() == tape.crown_ub.tobytes()
-        assert tape1.stages_l is None and tape1.A_l is None
-        # no linear lower bound: the interval one stands (repaired below ub)
-        np.testing.assert_array_equal(lb1, np.minimum(tape.ibp_lb, ub))
-        assert np.all(lb1 <= lb)
-        with pytest.raises(ValueError, match="lower=False"):
-            crown_ibp_batch_vjp(net, tape1, np.ones(len(X)), np.ones(len(X)))
+        _upper_only_tape_keeps_ub_and_has_no_adjoint(*case[:3])
+
+    @pytest.mark.parametrize("dims,rows", _EDGE_SHAPES)
+    def test_edge_shape_upper_only_tape_keeps_ub(self, dims, rows):
+        rng = np.random.default_rng(len(dims) * 10 + rows)
+        for eps in (0.0, 0.5):
+            _upper_only_tape_keeps_ub_and_has_no_adjoint(
+                random_net(rng, dims), rng.normal(size=(rows, dims[0])), eps)
 
     def test_zero_output_weight_takes_the_upper_line_in_both_chains(self):
         # Every hidden neuron crosses zero and the output ignores the first.
@@ -717,6 +777,57 @@ class TestBoundEngineProperties:
         from_right = (lb_at(h) - lb[0]) / h
         assert grads.weights[1][0, 0] == pytest.approx(from_left, abs=1e-6)
         assert abs(from_right - from_left) > 0.1
+
+
+def _bounds_and_vjp_match_two_chain_reference(net, X, eps, rng):
+    dlb, dub = rng.normal(size=len(X)), rng.normal(size=len(X))
+    lb, ub, tape = crown_ibp_batch_tape(net, X, eps)
+    got = _grad_bytes(*crown_ibp_batch_vjp(net, tape, dlb, dub))
+    ref_lb, ref_ub, ref_tape = _two_chain_tape(net, X, eps)
+    want = _grad_bytes(*_two_chain_vjp(net, ref_tape, dlb, dub))
+    assert lb.tobytes() == ref_lb.tobytes()
+    assert ub.tobytes() == ref_ub.tobytes()
+    assert got == want
+
+
+def _upper_only_tape_keeps_ub_and_has_no_adjoint(net, X, eps):
+    lb, ub, tape = crown_ibp_batch_tape(net, X, eps)
+    lb1, ub1, tape1 = crown_ibp_batch_tape(net, X, eps, lower=False)
+    assert ub1.tobytes() == ub.tobytes()
+    assert tape1.crown_ub.tobytes() == tape.crown_ub.tobytes()
+    # one chain, the chain of f, byte for byte as the full tape's first
+    (stages1,), (A1,) = _chains(tape1)
+    (stages, _), (A, _) = _chains(tape)
+    assert _as_bytes([stages1, A1]) == _as_bytes([stages, A])
+    assert tape1.sign_w is None
+    # no linear lower bound: the interval one stands (repaired below ub)
+    np.testing.assert_array_equal(lb1, np.minimum(tape.ibp_lb, ub))
+    assert np.all(lb1 <= lb)
+    with pytest.raises(ValueError, match="lower=False"):
+        crown_ibp_batch_vjp(net, tape1, np.ones(len(X)), np.ones(len(X)))
+
+
+@pytest.mark.parametrize("name", ["stagec", "zinc"])
+def test_sawar_training_equals_two_chain_engine(name, monkeypatch):
+    # 45 epochs run past the warmup, through the radius ramp and on at
+    # eps_max; zinc's last training batch has 3 rows.  The certified
+    # objective reads the engine through the names losses imported.
+    split = stratified_split(load_csv(os.path.join(DATA_DIR, f"{name}.csv")),
+                             seed=0)
+    config = TrainConfig(method="sawar", max_epochs=45)
+
+    def run():
+        net, report = train(config, split)
+        return net.flat.tobytes(), [astuple(row) for row in report.rows]
+
+    stacked = run()
+    monkeypatch.setattr(losses, "crown_ibp_batch_tape", _two_chain_tape)
+    monkeypatch.setattr(losses, "crown_ibp_batch_vjp", _two_chain_vjp)
+    two_chain = run()
+    assert stacked[0] == two_chain[0]
+    assert [np.array(row).tobytes() for row in stacked[1]] == [
+        np.array(row).tobytes() for row in two_chain[1]]
+    assert len(stacked[1]) == 45
 
 
 def _one_piece_certified_terms(lb, ub, t, e, w_val, sigma):

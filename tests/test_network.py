@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from certsurv import network
 from certsurv.network import (ConfigurationError, InputError, Network,
                               ParamGrads, ShapeError,
                               TrainingDivergenceError, adam_step,
@@ -46,7 +47,7 @@ class TestInit:
 
 
 class TestStructure:
-    """Network checks every built, loaded and updated model."""
+    """Network checks every model built or loaded from outside."""
 
     @staticmethod
     def _params(dims):
@@ -370,3 +371,30 @@ class TestFlatLayout:
         assert not np.shares_memory(net.flat, w)
         net.weights[0][0, 1] = 5.0  # a view writes into the buffer
         assert net.flat[1] == 5.0 and w[0, 1] == 2.0
+
+    def test_step_and_zero_gradients_take_their_new_buffer_as_is(
+            self, monkeypatch):
+        # adam_step and zeros_like make their buffer themselves, so they
+        # build on it without the copy that packing separate arrays makes
+        rng = np.random.default_rng(4)
+        net = random_net(rng, [3, 5, 4, 1])
+        grads = ParamGrads([rng.normal(size=w.shape) for w in net.weights],
+                           [rng.normal(size=b.shape) for b in net.biases])
+        state = init_adam(net)
+
+        def no_copy(obj):
+            raise AssertionError("copied into a second buffer")
+
+        monkeypatch.setattr(network, "_pack", no_copy)
+        stepped, _ = adam_step(state, net, grads)
+        zeros = ParamGrads.zeros_like(net)
+        for obj in (stepped, zeros):
+            assert _is_flat_layout(obj)
+            assert all(np.shares_memory(a, obj.flat)
+                       for a in (*obj.weights, *obj.biases))
+            assert not np.shares_memory(obj.flat, net.flat)
+        assert (stepped.layer_dims, stepped.leaky_slope) == (
+            net.layer_dims, net.leaky_slope)
+        assert zeros.flat.tobytes() == np.zeros(net.flat.size).tobytes()
+        zeros.biases[1][2] = 7.0  # a view writes into the buffer
+        assert zeros.flat[net.flat.size - 3] == 7.0
