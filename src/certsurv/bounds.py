@@ -18,8 +18,8 @@ to 128 rows), a numpy call's fixed cost outweighs its arithmetic below
 about 100 rows, so one stacked call costs little more than either of the
 two it replaces.  Each layer's relaxation lines broadcast over the axis,
 and a product with a weight matrix runs the same gemm on each chain's
-slice, so each chain's slice of the tape holds the bits of that chain run
-alone.
+slice, so each chain's slice of the tape holds the values of that chain
+run alone.
 
 The refined bound is intersected elementwise with the interval bound, so
 the refined interval is never wider.  `crown_ibp_batch_tape` additionally
@@ -34,17 +34,14 @@ coefficients from `_upper_chain`.  The adjoint, written out by hand in
 reads the tape and recomputes none of it.
 
 Each of these functions builds its elementwise results in arrays it made
-itself (`out=`, `+=`), with the arithmetic of the plain expression, so the
-bits are those of one fresh array per result, NaN signs included.  Two
-operands that can both be NaN keep their order: which NaN a numpy loop
-returns depends on it, and on where the element falls in the loop.  Only a
-finite operand (a scalar, a slope or X) trades places.  An add of two such
-operands writes into the second: numpy adds into a one-element array as a
-reduction, which returns the second NaN.  The adjoint's elementwise ops
-on two stacked operands are the one exception: they run both chains in
-one loop, so where both operands are NaN, the NaN's sign may differ from
-the one the chains run apart give.  Such a gradient is not finite, and
-`adam_step` refuses it.  No array outlives its call other than as a result: a returned
+itself (`out=`, `+=`), with the arithmetic of the plain expression.  One
+rule decides which bits the code keeps: those of its outputs (the
+checkpoints, `metrics.csv` and `train_report.csv`), and no others.  Every
+entry of the tape and of the gradients holds the plain expression's value,
+NaN in exactly the same entries; only a NaN's sign may differ, which no
+output shows: a NaN linear bound never reaches `lb` or `ub`, where the
+intersection takes the interval bound, and `adam_step` refuses a NaN
+gradient.  No array outlives its call other than as a result: a returned
 tape is never written again.
 """
 
@@ -188,17 +185,13 @@ def _upper_chain(net: Network, X, eps, w_out, b_out, up_slope, up_icpt,
                  low_slope):
     """Backward linear upper bounds on w_out[c] . z + b_out[c] for every
     chain c at once, z the last hidden layer (or the input); returns them
-    (one array per chain), the Stage of every step and the final
-    input-space coefficients (chains, rows, inputs)."""
+    (chains, rows), the Stage of every step and the final input-space
+    coefficients (chains, rows, inputs)."""
     n = X.shape[0]
     A = np.empty((len(w_out), n, w_out.shape[1]))
     A[...] = w_out[:, None, :]
-    # An add of two stacked operands that can both be NaN would run both
-    # chains in one loop and could change a NaN's sign, so the constant
-    # terms d add chain by chain.  A and mu, or A and lam, are never both
-    # NaN: a NaN coefficient takes the lower line, of finite slope and
-    # intercept 0.
-    d = [np.full(n, b) for b in b_out]
+    d = np.empty((len(w_out), n))
+    d[...] = b_out[:, None]
     stages = []
     for k in range(net.n_layers - 2, -1, -1):
         W, b = net.weights[k], net.biases[k]
@@ -206,14 +199,15 @@ def _upper_chain(net: Network, X, eps, w_out, b_out, up_slope, up_icpt,
         lam = np.where(pos, up_slope[k], low_slope[k])
         mu = np.where(pos, up_icpt[k], 0.0)
         B = A * mu
-        d = [*map(np.add, d, B.sum(axis=2))]
+        d += B.sum(axis=2)
         np.multiply(A, lam, out=B)
         stages.append(Stage(A, pos, lam, mu, B))
         A = B @ W
-        d = [*map(np.add, d, B @ b)]
+        d += B @ b
     work = A * X
-    ub = map(np.add, work.sum(axis=2), eps * np.abs(A, out=work).sum(axis=2))
-    return [*map(np.add, ub, d)], stages, A
+    ub = work.sum(axis=2) + eps * np.abs(A, out=work).sum(axis=2)
+    ub += d
+    return ub, stages, A
 
 
 def _backward_pass(net: Network, X, eps, up_slope, up_icpt, low_slope, lower):
@@ -283,7 +277,7 @@ def crown_ibp_batch_vjp(net: Network, tape: BoundTape, dlb, dub):
     dlb = np.asarray(dlb, dtype=float)
     dub = np.asarray(dub, dtype=float)
     # The accumulators start at +0.0, so an entry that sums to zero is +0.0.
-    # Each one adds chain f's slice, then chain -f's.
+    # Each one adds the sum of its two chains' slices.
     grads = ParamGrads.zeros_like(net)
     dX = np.zeros(X.shape)
 
@@ -306,8 +300,7 @@ def crown_ibp_batch_vjp(net: Network, tape: BoundTape, dlb, dub):
     A_bar += X
     np.multiply(g, A_bar, out=A_bar)
     work = np.multiply(g, tape.A)
-    dX += work[0]
-    dX += work[1]
+    dX += work[0] + work[1]
     # Walk the chains in reverse: stages were recorded for k = L-2 .. 0, so
     # the adjoint visits k = 0 .. L-2.
     for idx in range(len(tape.stages) - 1, -1, -1):
@@ -319,15 +312,12 @@ def crown_ibp_batch_vjp(net: Network, tape: BoundTape, dlb, dub):
         np.add(work, B_bar, out=B_bar)
         gW = st.B.mT @ A_bar
         gb = st.B.mT @ g
-        for c in (0, 1):
-            grads.weights[k] += gW[c]
-            grads.biases[k] += gb[c, :, 0]
+        grads.weights[k] += gW[0] + gW[1]
+        grads.biases[k] += gb[0, :, 0] + gb[1, :, 0]
         sel = st.pos & tape.crossing[k]
         us = np.where(sel, np.multiply(B_bar, st.A, out=work), 0.0)
         ui = np.where(sel, np.multiply(g, st.A, out=work), 0.0)
-        us_bar[k], ui_bar[k] = us[0], ui[0]
-        us_bar[k] += us[1]
-        ui_bar[k] += ui[1]
+        us_bar[k], ui_bar[k] = us[0] + us[1], ui[0] + ui[1]
         B_bar *= st.lam
         A_bar = np.add(B_bar, np.multiply(g, st.mu, out=work), out=work)
 

@@ -22,17 +22,18 @@ agree bit for bit.
 Only a record with an event and a later time in its batch can be the
 earlier member of a pair.  `Batch.pairs`, the one plan, lists those rows
 once per batch and is shared by its perturbed copies; the kernel computes
-its (batch x batch) terms on them alone, the other rows being zero.  Row
-and column sums come out the same bit for bit, but numpy sums a whole array
-pairwise, so every sum of the ranking terms over all pairs, clean and
-certified, is `_whole_sum`: a full-size matrix with the zero rows put back.
+the ranking terms on them alone, a compact (plan rows x batch) array.
+The ranking value, clean and certified, is that array's `eta.sum()`: the
+one sum order of the ranking term.
+
+One rule decides which bits the code keeps: those of its outputs (the
+checkpoints, `metrics.csv` and `train_report.csv`), and no others; no code
+exists only to fix a sum order or a NaN's sign that no output shows.
 
 The kernel makes six (rows x batch) passes for a value and ten with
 gradients, at sigma = 1 (one more otherwise): it builds -(t_i * lambda_j)
 in one outer product and keeps F's difference negated, so no pass negates
-a matrix.  Its results equal the plain formula's bytes, except that a NaN
-entry may carry the other sign where a score is NaN; no output file can
-show that sign.  It opens no `np.errstate`: exp overflow and inf * 0 are
+a matrix.  It opens no `np.errstate`: exp overflow and inf * 0 are
 expected there, and `_clean_engine`, `_certified_terms`, `pgd_perturb` and
 `_fgsm_scores` each open one per call around the kernel and the gradient
 arithmetic (for `pgd_perturb`, around all its steps).
@@ -53,15 +54,18 @@ from .network import (Network, backward_batch, forward_batch,
 
 log = logging.getLogger(__name__)
 
-# glibc's malloc maps each block at or above its mmap threshold (128 KiB at
-# start) afresh, and hands free memory at the top of its heap back to the
-# system beyond a trim threshold of twice that.  A 128-row batch's full pair
-# matrix is that large, and the bound engine's per-layer arrays come and go
-# at the heap top.  Freeing one large mapped block raises the mmap threshold
-# to its size, and the trim threshold with it.  One warm cycle on the three
-# fixtures (seed 5; 100 epochs of sawar, 50 of pgd; two runs each) makes 0
-# minor page faults with this line and 261,460-285,722 without it for sawar
-# training; pgd training makes 3 against 0-5,935.
+# glibc's malloc hands free memory at the top of its heap back to the
+# system beyond a trim threshold (256 KiB at start).  At 128 rows the bound
+# engine's stacked per-layer arrays (100 KiB at width 50) and the pair
+# kernel's (plan rows x batch) arrays (up to 127 KiB) come and go at the
+# heap top, so every step would give their pages back and fault them in
+# again.  Freeing one block at or above the mmap threshold (128 KiB at
+# start), as this 8 MiB one is, raises that threshold to its size and the
+# trim threshold to twice that.  One warm cycle on the three fixtures (seed
+# 5; 100 epochs of sawar, 50 of pgd; glibc 2.36; three sets of runs) makes
+# 0-2 minor page faults with this line and 198,240-205,841 without it for
+# sawar training; pgd training makes 0-2 against 2,589-16,389.  A trim
+# threshold of 16 MiB alone (MALLOC_TRIM_THRESHOLD_) gives 0-5 and 0.
 np.empty(1 << 20)
 
 
@@ -96,16 +100,11 @@ def _pair_terms(G_own, G_cross, batch: Batch, sigma, need_grads=True):
     earlier record and G_cross for its later one, over `batch.pairs`.
 
     eta[r, j] is the ranking term of pair (rows[r], j) where A[r, j], else
-    0.  Only the plan's rows are computed; every other row of the full
-    (batch x batch) matrix is 0.  With D[i, j] = dF(t_i|g)/dg at G_cross_j
-    and D_own[i] the same at G_own_i, row_sums[i] is the sum of row i of
-    eta (0 off the plan) and cross_sums[j] the sum of column j of eta * D.
-    Both equal the full matrix's sums bit for bit: a row sum reads only its
-    row, numpy adds a column's rows in order, and a zero row adds +0.0 --
-    or NaN to the column sum, where 0 * D[i, j] is NaN because
-    t_i * exp(G_cross_j) overflows.
-    The latest record is never on the plan and has the largest t_i, so it
-    stands in for every record that is not.  The last three are None
+    0: the plan's rows of the (batch x batch) pair matrix, every other row
+    of which is 0.  With D[i, j] = dF(t_i|g)/dg at G_cross_j and D_own[i]
+    the same at G_own_i, row_sums[i] is the sum of row i of eta (0 off the
+    plan) and cross_sums[j] the sum of column j of eta * D over the plan's
+    rows (+0.0 on a batch with no plan rows).  The last three are None
     without need_grads.
 
     The (rows x batch) terms take six passes, four more with need_grads:
@@ -114,12 +113,10 @@ def _pair_terms(G_own, G_cross, batch: Batch, sigma, need_grads=True):
     eta -= 1 - S_own, the negated F difference; eta /= sigma, skipped at
     sigma = 1, since x / 1 is x; exp; the `np.where` that applies A; and
     with need_grads the row sums of eta, ntl *= eta and the column sums
-    of ntl, which cross_sums negates.  IEEE rounding is symmetric in sign,
-    so every result is NaN in exactly the entries where the plain formula
-    gives NaN, and every other entry has the plain formula's bytes.  Only
-    a NaN's sign may differ, where a NaN score, or a time t <= 0, meets a
-    skipped negation; scores that are not NaN (+-inf included) at times
-    t > 0 give the plain formula's bytes everywhere.
+    of ntl, which cross_sums subtracts from 0.0.  IEEE rounding is
+    symmetric in sign, so every entry is NaN exactly where the plain
+    formula gives NaN and has its bytes elsewhere; only a NaN's sign may
+    differ.
 
     The caller opens the `np.errstate` that lets exp overflow and inf * 0
     make NaN without a warning.
@@ -143,20 +140,9 @@ def _pair_terms(G_own, G_cross, batch: Batch, sigma, need_grads=True):
     row_sums = np.zeros(len(t))
     row_sums[rows] = eta.sum(axis=1)
     ntl *= eta
-    # the stand-in term goes first: where both operands are NaN, the first
-    # one's NaN is kept, and it is the one the full matrix's sum holds
-    cross_sums = 0.0 * (t.max() * lam_cross) - ntl.sum(axis=0)
+    # 0.0 - gives a column with no plan rows +0.0, an empty sum's value
+    cross_sums = 0.0 - ntl.sum(axis=0)
     return eta, t * lam_own * S_own, row_sums, cross_sums
-
-
-def _whole_sum(eta: np.ndarray, rows: np.ndarray) -> float:
-    """eta.sum() of the full (batch x batch) matrix, the one sum order of
-    the ranking term in every clean and certified value.  numpy sums a
-    whole array pairwise, so its rounding depends on where the zero rows
-    sit: eta is put back into a full-size zero matrix before the sum."""
-    full = np.zeros((eta.shape[1], eta.shape[1]))
-    full[rows] = eta
-    return float(full.sum())
 
 
 def combined_loss(net: Network, batch: Batch, w: float | None = None,
@@ -186,7 +172,7 @@ def _clean_engine(net: Network, batch: Batch, w_val: float, sigma: float,
         else:
             eta = _pair_terms(G, G, batch, sigma, need_grads=False)[0]
     neg_ll = float(_ll_term(G, batch.t, batch.e).sum())
-    rank = _whole_sum(eta, batch.pairs.rows)
+    rank = float(eta.sum())
     grads = backward_batch(net, caches, dG) if need_grads else (None, None)
     return neg_ll, rank, neg_ll + w_val * rank, *grads
 
@@ -287,13 +273,12 @@ def _certified_terms(lb, ub, batch: Batch, w_val: float, sigma: float,
     ll_ub = _ll_term(ub, t, e)
     take_ub = ll_ub >= ll_lb  # ties go to the upper endpoint
     value = float(np.where(take_ub, ll_ub, ll_lb).sum())
-    rows = batch.pairs.rows
-    paired = rows.size > 0
+    paired = batch.pairs.rows.size > 0
     with np.errstate(over="ignore", invalid="ignore"):
         if paired:
             eta, D_own, row_sums, cross_sums = _pair_terms(lb, ub, batch,
                                                            sigma, need_grads)
-            value += w_val * _whole_sum(eta, rows)
+            value += w_val * float(eta.sum())
         if not need_grads:
             return value, None, None
         dlb = np.where(take_ub, 0.0, _ll_term_grad(lb, t, e))
