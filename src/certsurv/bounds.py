@@ -8,30 +8,29 @@ Two propagators are provided:
   inactive, or crossing zero.  Crossing neurons are relaxed between the
   chord (the upper envelope of the convex activation) and a line through
   the origin whose slope is 1 when |ub| >= |lb| and the leaky slope
-  otherwise.  One chain (`_upper_chain`) computes upper bounds; the lower
-  bound of the output f is the negated upper bound of -f.
+  otherwise.  The backward pass (`_backward_pass`) computes upper bounds;
+  the lower bound of the output f is the negated upper bound of -f.
 
-The chains of f and of -f run the same ops, so one pass runs both, on
-arrays with a leading chain axis: index 0 is f and index 1 is -f (with
-`lower=False` the axis has length 1).  At the batch sizes training uses (3
-to 128 rows), a numpy call's fixed cost outweighs its arithmetic below
-about 100 rows, so one stacked call costs little more than either of the
-two it replaces.  Each layer's relaxation lines broadcast over the axis,
-and a product with a weight matrix runs the same gemm on each chain's
-slice, so each chain's slice of the tape holds the values of that chain
-run alone.
+The chains of f and of -f run the same ops, so one pass runs both, for
+every caller, on arrays with a leading chain axis: index 0 is f and index
+1 is -f.  At the batch sizes training uses (3 to 128 rows), a numpy call's
+fixed cost outweighs its arithmetic below about 100 rows, so one stacked
+call costs little more than either of the two it replaces.  Each layer's
+relaxation lines broadcast over the axis, and a product with a weight
+matrix runs the same gemm on each chain's slice, so each chain's slice of
+the tape holds the values of that chain run alone.
 
 The refined bound is intersected elementwise with the interval bound, so
 the refined interval is never wider.  `crown_ibp_batch_tape` additionally
 returns a `BoundTape` holding every intermediate needed to pull loss
 gradients back through the whole bound computation (used by the certified
 training objective): the interval boxes, each hidden layer's box-edge
-slopes and each layer's |W| from `_interval_forward`, each layer's sign(W),
-each layer's crossing mask, chord and chord denominator from `_relaxation`,
-and each stacked chain step's line choice, slope, intercept and scaled
-coefficients from `_upper_chain`.  The adjoint, written out by hand in
-`crown_ibp_batch_vjp`, walks both chains in one stacked loop too; it only
-reads the tape and recomputes none of it.
+slopes and each layer's |W| from `_interval_forward`, each layer's crossing
+mask, chord and chord denominator from `_relaxation`, and each stacked
+chain step's line choice, slope, intercept and scaled coefficients from
+`_backward_pass`.  The adjoint, written out by hand in
+`crown_ibp_batch_vjp`, walks both chains in one stacked loop too; it
+recomputes nothing the tape holds, and takes sign(W) from the parameters.
 
 Each of these functions builds its elementwise results in arrays it made
 itself (`out=`, `+=`), with the arithmetic of the plain expression.  One
@@ -152,10 +151,10 @@ class BoundTape:
 
     The forward pass writes every value the adjoint needs; the adjoint only
     reads them.  Per-layer lists run over layers 0 .. L-1 (pre-activations,
-    |W|, sign(W)) or over activation layers 0 .. L-2 (box-edge slopes,
-    relaxation pieces).  `stages` and `A` carry the backward chains stacked
-    on a leading chain axis: index 0 is the upper chain of f and index 1,
-    present only when the lower bound was asked for, the upper chain of -f.
+    |W|) or over activation layers 0 .. L-2 (box-edge slopes, relaxation
+    pieces).  `stages` and `A` carry the backward chains stacked on a
+    leading chain axis: index 0 is the upper chain of f and index 1 the
+    upper chain of -f.
     """
 
     X: np.ndarray
@@ -167,7 +166,6 @@ class BoundTape:
     slope_l: list   # box-edge slopes: 1 where l >= 0, else the leaky slope
     slope_u: list   # the same at u
     abs_w: list     # |W| of every layer
-    sign_w: list    # sign(W) of every layer (None if no chain of -f)
     crossing: list  # l < 0 < u, per activation layer
     width: list     # u - l on crossing neurons, 1 elsewhere
     chord: list     # chord slope on crossing neurons, 1 elsewhere
@@ -181,17 +179,17 @@ class BoundTape:
     use_crown_lb: np.ndarray
 
 
-def _upper_chain(net: Network, X, eps, w_out, b_out, up_slope, up_icpt,
-                 low_slope):
-    """Backward linear upper bounds on w_out[c] . z + b_out[c] for every
-    chain c at once, z the last hidden layer (or the input); returns them
-    (chains, rows), the Stage of every step and the final input-space
-    coefficients (chains, rows, inputs)."""
+def _backward_pass(net: Network, X, eps, up_slope, up_icpt, low_slope):
+    """Backward linear bounds (lb, ub) on the output f, and their tape
+    pieces: the upper chains of f and of -f run stacked, and lb is minus
+    the second.  Also returns the stacked Stage of every step and the final
+    input-space coefficients (chains, rows, inputs)."""
+    w, b = net.weights[-1][0], net.biases[-1][0]
     n = X.shape[0]
-    A = np.empty((len(w_out), n, w_out.shape[1]))
-    A[...] = w_out[:, None, :]
-    d = np.empty((len(w_out), n))
-    d[...] = b_out[:, None]
+    A = np.empty((2, n, len(w)))
+    A[0], A[1] = w, -w
+    d = np.empty((2, n))
+    d[0], d[1] = b, -b
     stages = []
     for k in range(net.n_layers - 2, -1, -1):
         W, b = net.weights[k], net.biases[k]
@@ -207,37 +205,20 @@ def _upper_chain(net: Network, X, eps, w_out, b_out, up_slope, up_icpt,
     work = A * X
     ub = work.sum(axis=2) + eps * np.abs(A, out=work).sum(axis=2)
     ub += d
-    return ub, stages, A
+    return -ub[1], ub[0], stages, A
 
 
-def _backward_pass(net: Network, X, eps, up_slope, up_icpt, low_slope, lower):
-    """Backward linear bounds on the output f, and their tape pieces: the
-    upper chains of f and, if `lower`, of -f run stacked, and the lower
-    bound is minus the second one, or -inf if not `lower`."""
-    w, b = net.weights[-1], net.biases[-1]
-    if lower:
-        w, b = np.concatenate((w, -w)), np.concatenate((b, -b))
-    ub, stages, A = _upper_chain(net, X, eps, w, b, up_slope, up_icpt,
-                                 low_slope)
-    lb = -ub[1] if lower else np.full_like(ub[0], -np.inf)
-    return lb, ub[0], stages, A
-
-
-def crown_ibp_batch_tape(net: Network, X, eps: float, lower: bool = True):
-    """Refined bounds for every row of X, plus the full adjoint tape; with
-    lower=False, lb is the interval bound and the tape has no chain of -f."""
+def crown_ibp_batch_tape(net: Network, X, eps: float):
+    """Refined bounds for every row of X, plus the full adjoint tape."""
     X = _check_batch(net, X)
     eps = float(eps)
     _check_radius(eps)
     lows, ups, centers, radii, slope_l, slope_u, abs_w = _interval_forward(
         net, X, eps)
-    # only a tape with the chain of -f has an adjoint, which reads sign(W)
-    sign_w = [np.sign(W) for W in net.weights] if lower else None
     up_slope, up_icpt, low_slope, crossing, width, chord = _relaxation(
         net, lows, ups, slope_l)
     crown_lb, crown_ub, stages, A = _backward_pass(
-        net, X, eps, up_slope, up_icpt, low_slope, lower
-    )
+        net, X, eps, up_slope, up_icpt, low_slope)
     ibp_lb, ibp_ub = lows[-1][:, 0], ups[-1][:, 0]
     use_crown_ub = crown_ub <= ibp_ub
     use_crown_lb = crown_lb >= ibp_lb
@@ -247,9 +228,9 @@ def crown_ibp_batch_tape(net: Network, X, eps: float, lower: bool = True):
     # ulp above ub after the intersection, so repair downward.
     lb = np.minimum(lb, ub)
     tape = BoundTape(
-        X, eps, lows, ups, centers, radii, slope_l, slope_u, abs_w, sign_w,
-        crossing, width, chord, stages, A, crown_lb, crown_ub, ibp_lb,
-        ibp_ub, use_crown_ub, use_crown_lb,
+        X, eps, lows, ups, centers, radii, slope_l, slope_u, abs_w, crossing,
+        width, chord, stages, A, crown_lb, crown_ub, ibp_lb, ibp_ub,
+        use_crown_ub, use_crown_lb,
     )
     return lb, ub, tape
 
@@ -265,12 +246,11 @@ def crown_ibp_batch_vjp(net: Network, tape: BoundTape, dlb, dub):
     Hand-written adjoint of crown_ibp_batch_tape: routes through the
     bound intersection, the backward linear pass (including the chord
     coefficients of crossing neurons), and the interval recursion.  It
-    reads every forward value from the tape and recomputes none.  Every
-    array it writes in place is one it made itself, never the tape's or
-    dlb and dub.
+    reads every forward value from the tape and recomputes none; sign(W),
+    which only the interval recursion uses, it takes from the parameters.
+    Every array it writes in place is one it made itself, never the tape's
+    or dlb and dub.
     """
-    if len(tape.A) == 1:
-        raise ValueError("a tape recorded with lower=False has no adjoint")
     X, eps = tape.X, tape.eps
     L = net.n_layers
     alpha = net.leaky_slope
@@ -338,7 +318,7 @@ def crown_ibp_batch_vjp(net: Network, tape: BoundTape, dlb, dub):
         s_bar = np.subtract(ubar, lbar, out=ubar)
         c_prev, r_prev = tape.centers[k], tape.radii[k]
         gW = s_bar.T @ r_prev
-        np.multiply(tape.sign_w[k], gW, out=gW)
+        np.multiply(np.sign(W), gW, out=gW)
         grads.weights[k] += np.add(m_bar.T @ c_prev, gW, out=gW)
         grads.biases[k] += m_bar.sum(axis=0)
         c_bar = m_bar @ W
@@ -380,6 +360,6 @@ def crown_ibp_batch_vjp(net: Network, tape: BoundTape, dlb, dub):
 
 
 def worst_case_log_hazard_batch(net: Network, X, eps: float) -> np.ndarray:
-    """Certified per-row upper bounds on G, for evaluation sweeps; only the
-    upper chain runs, so the bits are crown_ibp_batch's upper bound."""
-    return crown_ibp_batch_tape(net, X, eps, lower=False)[1]
+    """Certified per-row upper bounds on G, for evaluation sweeps: the bits
+    of crown_ibp_batch's upper bound."""
+    return crown_ibp_batch_tape(net, X, eps)[1]

@@ -17,7 +17,6 @@ import argparse
 import configparser
 import dataclasses
 import datetime
-import json
 import os
 import sys
 
@@ -25,8 +24,8 @@ import numpy as np
 
 from . import __version__
 from .data import (CodecError, FormatError, RowError, apply_codec,
-                   atomic_open, load_csv, split_indices, stratified_split,
-                   write_csv)
+                   load_csv, split_indices, stratified_split, write_csv,
+                   write_json)
 from .metrics import (ATTACKS, DEFAULT_EPS_GRID, AggregationError,
                       attack_sweep, emit_report, read_metrics_csv,
                       report_tables)
@@ -68,9 +67,7 @@ def _write_manifest(out_dir: str, command: str, args: argparse.Namespace,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
     os.makedirs(out_dir, exist_ok=True)
-    with atomic_open(os.path.join(out_dir, "manifest.json")) as fh:
-        json.dump(doc, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json(os.path.join(out_dir, "manifest.json"), doc)
 
 
 # TrainConfig fields that `certsurv train` also takes as flags
@@ -307,9 +304,6 @@ def main(argv=None) -> int:
     except (FormatError, RowError, CodecError, CheckpointError) as exc:
         print(f"error: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except TrainingDivergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIVERGED
     except OSError as exc:
         # reads raise data errors; filename2 is a failed rename's target
         print(f"error: cannot write {exc.filename2 or exc.filename}: "

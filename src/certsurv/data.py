@@ -23,6 +23,7 @@ written through `atomic_open`, so a failed write never leaves a partial file.
 from __future__ import annotations
 
 import csv
+import json
 import logging
 import math
 import os
@@ -79,6 +80,14 @@ def write_csv(path, header, rows) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def write_json(path, doc, sort_keys=True) -> None:
+    """`doc` as JSON, one-space indents and a final newline, written
+    atomically."""
+    with atomic_open(path) as fh:
+        json.dump(doc, fh, indent=1, sort_keys=sort_keys)
+        fh.write("\n")
 
 
 @dataclass

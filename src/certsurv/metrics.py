@@ -14,7 +14,6 @@ Radius-free work (the Brier plan, FGSM's direction) runs once per sweep.
 from __future__ import annotations
 
 import csv
-import json
 import logging
 import math
 import os
@@ -24,7 +23,7 @@ import numpy as np
 
 from .bounds import worst_case_log_hazard_batch
 from .data import (Batch, FormatError, Pairs, atomic_open, comparable_pairs,
-                   write_csv)
+                   write_csv, write_json)
 from .losses import _fgsm_scores, _ll_term
 from .network import Network
 from .survival import (StepCurve, evaluation_grid, hazard, km_estimator,
@@ -481,7 +480,5 @@ def emit_report(records, out_dir, curves: tuple | None = None,
                                   in zip(times, values, strict=True)]))
     if summary is not None:
         paths["summary"] = os.path.join(out_dir, "summary.json")
-        with atomic_open(paths["summary"]) as fh:
-            json.dump(summary, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        write_json(paths["summary"], summary)
     return paths

@@ -56,13 +56,14 @@ class StepCurve:
 
     def __call__(self, t):
         """Curve value at time(s) t."""
-        idx = np.searchsorted(self.breakpoints, t, side="right") - 1
-        vals = np.where(idx < 0, 1.0, self.values[np.maximum(idx, 0)])
-        return float(vals) if np.isscalar(t) else vals
+        return self._lookup(t, "right")
 
     def at_left(self, t):
         """Left limit: value just before t (1.0 before the first breakpoint)."""
-        idx = np.searchsorted(self.breakpoints, t, side="left") - 1
+        return self._lookup(t, "left")
+
+    def _lookup(self, t, side):
+        idx = np.searchsorted(self.breakpoints, t, side=side) - 1
         vals = np.where(idx < 0, 1.0, self.values[np.maximum(idx, 0)])
         return float(vals) if np.isscalar(t) else vals
 

@@ -18,7 +18,7 @@ from dataclasses import asdict, astuple, dataclass, field, fields
 
 import numpy as np
 
-from .data import Batch, FeatureCodec, SplitDataset, atomic_open, write_csv
+from .data import Batch, FeatureCodec, SplitDataset, write_csv, write_json
 from .losses import (LossBreakdown, _clean_engine, _resolve_w, fgsm_perturb,
                      noise_perturb, pgd_perturb, sawar_loss_grads)
 from .network import (Network, TrainingDivergenceError, _check_architecture,
@@ -320,9 +320,7 @@ def save_checkpoint(net: Network, codec: FeatureCodec, config: TrainConfig,
     }
     if extra:
         doc["extra"] = extra
-    with atomic_open(path) as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    write_json(path, doc, sort_keys=False)
 
 
 def load_checkpoint(path):

@@ -443,7 +443,7 @@ def _reference_upper_chain(net, X, eps, w_out, b_out, up_slope, up_icpt,
     return ub, stages, A
 
 
-def _reference_tape(net, X, eps, lower):
+def _reference_tape(net, X, eps):
     """(lb, ub, fields): crown_ibp_batch_tape written out of place, and the
     value of every field its BoundTape must hold.  The chains run one at a
     time, so `stages` and `A` hold one list of Stages and one array per
@@ -455,15 +455,9 @@ def _reference_tape(net, X, eps, lower):
     w, b = net.weights[-1][0], net.biases[-1][0]
     lines = (up_slope, up_icpt, low_slope)
     crown_ub, stages_u, AU = _reference_upper_chain(net, X, eps, w, b, *lines)
-    stages, A = [stages_u], [AU]
-    if lower:
-        neg_lb, stages_l, AL = _reference_upper_chain(net, X, eps, -w, -b,
-                                                      *lines)
-        crown_lb = -neg_lb
-        stages.append(stages_l)
-        A.append(AL)
-    else:
-        crown_lb = np.full_like(crown_ub, -np.inf)
+    neg_lb, stages_l, AL = _reference_upper_chain(net, X, eps, -w, -b, *lines)
+    crown_lb = -neg_lb
+    stages, A = [stages_u, stages_l], [AU, AL]
     ibp_lb, ibp_ub = lows[-1][:, 0], ups[-1][:, 0]
     use_crown_ub = crown_ub <= ibp_ub
     use_crown_lb = crown_lb >= ibp_lb
@@ -475,20 +469,9 @@ def _reference_tape(net, X, eps, lower):
         slope_l=[leaky_relu_grad(l, alpha) for l in lows[:-1]],
         slope_u=[leaky_relu_grad(u, alpha) for u in ups[:-1]],
         abs_w=[np.abs(W) for W in net.weights],
-        sign_w=[np.sign(W) for W in net.weights] if lower else None,
         crossing=crossing, width=width, chord=chord, stages=stages, A=A,
         crown_lb=crown_lb, crown_ub=crown_ub, ibp_lb=ibp_lb, ibp_ub=ibp_ub,
         use_crown_ub=use_crown_ub, use_crown_lb=use_crown_lb)
-
-
-def _as_bytes(value):
-    """A tape field with every array, in lists and Stages too, replaced by
-    its (dtype, shape, bytes)."""
-    if isinstance(value, np.ndarray):
-        return value.dtype.str, value.shape, value.tobytes()
-    if isinstance(value, (list, tuple)):
-        return [_as_bytes(v) for v in value]
-    return value
 
 
 def _arrays(value):
@@ -548,19 +531,19 @@ def _same_values(got, want):
     return got == want
 
 
-def _tape_matches_reference(net, X, eps, lower):
+def _tape_matches_reference(net, X, eps):
     """Assert that lb and ub equal the out-of-place reference byte for byte,
     and every field of the tape its values, each chain's slice of the
     stacked fields those of that chain run alone; returns the tape's
     arrays."""
     with np.errstate(all="ignore"):
-        lb, ub, tape = crown_ibp_batch_tape(net, X, eps, lower=lower)
-        ref_lb, ref_ub, ref = _reference_tape(net, X, eps, lower)
+        lb, ub, tape = crown_ibp_batch_tape(net, X, eps)
+        ref_lb, ref_ub, ref = _reference_tape(net, X, eps)
     assert set(ref) == {f.name for f in fields(BoundTape)}
     assert lb.tobytes() == ref_lb.tobytes()
     assert ub.tobytes() == ref_ub.tobytes()
     stages, A = _chains(tape)
-    assert len(A) == (2 if lower else 1)
+    assert len(A) == 2
     got = dict(vars(tape), stages=stages, A=A)
     for name, want in ref.items():
         assert _same_values(got[name], want), name
@@ -575,28 +558,26 @@ _EDGE_SHAPES = [([1, 1], 5), ([4, 1], 7), ([3, 5, 1], 1), ([4, 8, 8, 1], 1),
 
 class TestBoundEngineProperties:
     @settings(max_examples=150, deadline=None)
-    @given(scaled_cases(), st.booleans())
-    def test_tape_equals_out_of_place_reference(self, case, lower):
-        _tape_matches_reference(*case, lower)
+    @given(scaled_cases())
+    def test_tape_equals_out_of_place_reference(self, case):
+        _tape_matches_reference(*case)
 
-    @pytest.mark.parametrize("lower", [True, False])
     @pytest.mark.parametrize("scale", [1.0, 1e300])
     @pytest.mark.parametrize("dims,rows", _EDGE_SHAPES)
     def test_edge_shape_tape_equals_out_of_place_reference(self, dims, rows,
-                                                            scale, lower):
+                                                            scale):
         rng = np.random.default_rng(len(dims) * 10 + rows)
         for eps in (0.0, 0.5):
             _tape_matches_reference(
-                *_scaled_case(rng, dims, 0.1, scale, rows, eps), lower)
+                *_scaled_case(rng, dims, 0.1, scale, rows, eps))
 
-    @pytest.mark.parametrize("lower", [True, False])
-    def test_reference_cases_reach_inf_nan_and_negative_zero(self, lower):
+    def test_reference_cases_reach_inf_nan_and_negative_zero(self):
         rng = np.random.default_rng(3)
         held = []
         for scale in (1e-170, 1e300):
             net, X, eps = _scaled_case(rng, [4, 30, 30, 1], 0.1, scale, 8,
                                        0.5)
-            held += _tape_matches_reference(net, X, eps, lower)
+            held += _tape_matches_reference(net, X, eps)
         floats = np.concatenate([a.ravel() for a in held
                                  if a.dtype == np.float64])
         assert np.isinf(floats).any() and np.isnan(floats).any()
@@ -619,14 +600,13 @@ class TestBoundEngineProperties:
         else:
             net = Network([2, 1], [big], [np.array([np.nan])])
             X, eps = np.tile([2.0, -2.0], (rows, 1)), 0.5
-        for lower in (True, False):
-            _tape_matches_reference(net, X, eps, lower)
-            with np.errstate(all="ignore"):
-                lb, ub, tape = crown_ibp_batch_tape(net, X, eps, lower=lower)
-            assert np.isnan(tape.crown_ub).all()
-            assert np.isnan(tape.crown_lb).all() == lower
-            assert lb.tobytes() == tape.ibp_lb.tobytes()
-            assert ub.tobytes() == tape.ibp_ub.tobytes()
+        _tape_matches_reference(net, X, eps)
+        with np.errstate(all="ignore"):
+            lb, ub, tape = crown_ibp_batch_tape(net, X, eps)
+        assert np.isnan(tape.crown_ub).all()
+        assert np.isnan(tape.crown_lb).all()
+        assert lb.tobytes() == tape.ibp_lb.tobytes()
+        assert ub.tobytes() == tape.ibp_ub.tobytes()
 
     @settings(max_examples=100, deadline=None)
     @given(bound_cases())
@@ -645,7 +625,6 @@ class TestBoundEngineProperties:
         held += [*grads.weights, *grads.biases, dX]
         before = [a.tobytes() for a in held]
         X2 = rng.normal(size=X.shape)
-        crown_ibp_batch_tape(net, X2, eps, lower=False)
         other = crown_ibp_batch_tape(net, X2, eps)[2]
         crown_ibp_batch_vjp(net, other, rng.normal(size=len(X)),
                             rng.normal(size=len(X)))
@@ -745,17 +724,19 @@ class TestBoundEngineProperties:
         np.testing.assert_array_equal(got, want)
         assert got.tobytes() == want.tobytes()
 
-    @settings(max_examples=50, deadline=None)
-    @given(bound_cases())
-    def test_upper_only_tape_keeps_ub_and_has_no_adjoint(self, case):
-        _upper_only_tape_keeps_ub_and_has_no_adjoint(*case[:3])
-
+    @pytest.mark.parametrize("scale", [1.0, 1e300])
     @pytest.mark.parametrize("dims,rows", _EDGE_SHAPES)
-    def test_edge_shape_upper_only_tape_keeps_ub(self, dims, rows):
+    def test_edge_shape_worst_case_equals_out_of_place_reference(
+            self, dims, rows, scale):
+        # the sweep's bound is the two-chain tape's ub, NaN rows included
         rng = np.random.default_rng(len(dims) * 10 + rows)
         for eps in (0.0, 0.5):
-            _upper_only_tape_keeps_ub_and_has_no_adjoint(
-                random_net(rng, dims), rng.normal(size=(rows, dims[0])), eps)
+            net, X, _ = _scaled_case(rng, dims, 0.1, scale, rows, eps)
+            with np.errstate(all="ignore"):
+                got = worst_case_log_hazard_batch(net, X, eps)
+                want = _reference_tape(net, X, eps)[1]
+            assert got.shape == (rows,)
+            assert got.tobytes() == want.tobytes()
 
     def test_zero_output_weight_takes_the_upper_line_in_both_chains(self):
         # Every hidden neuron crosses zero and the output ignores the first.
@@ -802,23 +783,6 @@ def _bounds_and_vjp_match_two_chain_reference(net, X, eps, rng):
     assert lb.tobytes() == ref_lb.tobytes()
     assert ub.tobytes() == ref_ub.tobytes()
     assert got == want
-
-
-def _upper_only_tape_keeps_ub_and_has_no_adjoint(net, X, eps):
-    lb, ub, tape = crown_ibp_batch_tape(net, X, eps)
-    lb1, ub1, tape1 = crown_ibp_batch_tape(net, X, eps, lower=False)
-    assert ub1.tobytes() == ub.tobytes()
-    assert tape1.crown_ub.tobytes() == tape.crown_ub.tobytes()
-    # one chain, the chain of f, byte for byte as the full tape's first
-    (stages1,), (A1,) = _chains(tape1)
-    (stages, _), (A, _) = _chains(tape)
-    assert _as_bytes([stages1, A1]) == _as_bytes([stages, A])
-    assert tape1.sign_w is None
-    # no linear lower bound: the interval one stands (repaired below ub)
-    np.testing.assert_array_equal(lb1, np.minimum(tape.ibp_lb, ub))
-    assert np.all(lb1 <= lb)
-    with pytest.raises(ValueError, match="lower=False"):
-        crown_ibp_batch_vjp(net, tape1, np.ones(len(X)), np.ones(len(X)))
 
 
 @pytest.mark.parametrize("name", ["stagec", "zinc"])

@@ -139,6 +139,23 @@ def test_each_command_leaves_exactly_its_outputs(trained_dir, toy_csv,
 
 
 @pytest.mark.parametrize("command,name", [
+    ("train", "manifest.json"), ("train", "checkpoint.ckpt.json"),
+    ("evaluate", "manifest.json"), ("evaluate", "summary.json"),
+    ("report", "manifest.json")])
+def test_json_outputs_have_one_space_indents_and_a_final_newline(
+        trained_dir, toy_csv, tmp_path, command, name):
+    # only the checkpoint keeps its keys in the order they were written
+    out = tmp_path / "out"
+    args = _full_run(command, "worstcase", trained_dir, toy_csv, tmp_path)
+    assert run_cli([*args, "--out", out]) == 0
+    text = (out / name).read_bytes().decode("utf-8")
+    doc = json.loads(text)
+    sort_keys = name != "checkpoint.ckpt.json"
+    assert text == json.dumps(doc, indent=1, sort_keys=sort_keys) + "\n"
+    assert (list(doc) == sorted(doc)) == sort_keys
+
+
+@pytest.mark.parametrize("command,name", [
     ("evaluate", "metrics.csv"), ("evaluate", "curves.csv"),
     ("evaluate", "summary.json"), ("report", "ranks.csv"),
     ("train", "checkpoint.ckpt.json")])

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import os
 import warnings
 
@@ -172,6 +173,28 @@ class TestLoadCsv:
         assert len(raw) == 146
         assert len(raw.fac) == 4
         assert len(raw.num) == 3
+
+
+class TestWriteJson:
+    @pytest.mark.parametrize("sort_keys", [True, False])
+    def test_replaces_the_file_with_indented_json_and_a_newline(
+            self, tmp_path, sort_keys):
+        path = tmp_path / "doc.json"
+        path.write_text("old")
+        doc = {"b": [1, 2.5], "a": {"z": None, "y": "\u00e9"}}
+        data.write_json(path, doc, sort_keys=sort_keys)
+        text = path.read_bytes().decode("utf-8")
+        assert text == json.dumps(doc, indent=1, sort_keys=sort_keys) + "\n"
+        assert (text.index('"a"') < text.index('"b"')) == sort_keys
+        assert os.listdir(tmp_path) == ["doc.json"]
+
+    def test_unserialisable_doc_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_text("old")
+        with pytest.raises(TypeError):
+            data.write_json(path, {"a": object()})
+        assert path.read_text() == "old"
+        assert os.listdir(tmp_path) == ["doc.json"]
 
 
 class TestCodec:

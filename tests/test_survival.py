@@ -219,6 +219,33 @@ class TestKaplanMeier:
         assert curve.at_left(2.0) == 0.5
         assert curve(2.0) == 0.25
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.floats(0.0, 10.0), min_size=1, max_size=8,
+                    unique=True),
+           st.lists(st.floats(-1.0, 12.0), max_size=20))
+    def test_left_limit_differs_only_at_breakpoints(self, bps, ts):
+        bps = np.sort(bps)
+        values = np.linspace(0.9, 0.1, bps.size)
+        curve = StepCurve(bps, values)
+        t = np.concatenate([ts, bps])
+        right, left = curve(t), curve.at_left(t)
+        at_bp = np.isin(t, bps)
+        np.testing.assert_array_equal(left[~at_bp], right[~at_bp])
+        i = np.searchsorted(bps, t[at_bp])
+        np.testing.assert_array_equal(right[at_bp], values[i])
+        np.testing.assert_array_equal(left[at_bp],
+                                      np.where(i > 0, values[i - 1], 1.0))
+
+    @pytest.mark.parametrize("method", ["__call__", "at_left"])
+    def test_scalar_lookup_is_a_float_equal_to_the_array_lookup(self,
+                                                                 method):
+        curve = StepCurve(np.array([1.0, 2.0]), np.array([0.5, 0.25]))
+        look = getattr(curve, method)
+        ts = [0.5, 1.0, 1.5, 2.0, 3.0]
+        got = [look(t) for t in ts]
+        assert all(type(g) is float for g in got)
+        np.testing.assert_array_equal(got, look(np.array(ts)))
+
 
 def _km_loop(times, events):
     """The product-limit estimate as a loop over the distinct times."""
