@@ -22,6 +22,6 @@ from .training import (TrainConfig, TrainReport, eps_schedule,
                        load_checkpoint, save_checkpoint, train)
 from .metrics import (MetricRecord, RankTable, attack_sweep, average_ranks,
                       brier_ipcw, censoring_km, concordance_index,
-                      friedman_test, integrated_brier, relative_percent_change)
+                      friedman_test, integrated_brier)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -9,6 +9,9 @@ the censoring curve fitted on the training split, integrated by the
 trapezoid rule.  A score that is not finite or whose hazard overflows
 flags every metric of its cell instead of being dropped.
 Radius-free work (the Brier plan, FGSM's direction) runs once per sweep.
+The report indexes each attack's records once, into one cell table
+(`RankTable.values`, per dataset, eps, metric and method), and reads its
+ranks, percent changes and Friedman tests from that table.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import csv
 import logging
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -162,8 +165,9 @@ def write_metrics_csv(path, records) -> None:
 
 def read_metrics_csv(path) -> list[MetricRecord]:
     """Inverse of write_metrics_csv.  A missing or repeated column, a short
-    or long row, a bad cell, a file that is not UTF-8 or one that cannot be
-    read raises FormatError naming the file (and the line)."""
+    or long row, a bad cell (an `eps` that is not finite included), a file
+    that is not UTF-8 or one that cannot be read raises FormatError naming
+    the file (and the line)."""
     fields, records = MetricRecord.CSV_FIELDS, []
     kinds = (str,) * 3 + (float,) * 4 + (lambda v: bool(int(v)),) * 3 + (int,)
     try:
@@ -182,6 +186,8 @@ def read_metrics_csv(path) -> list[MetricRecord]:
                                          f"got {len(rec)}")
                     records.append(MetricRecord(
                         *[kind(rec[i]) for kind, i in zip(kinds, at)]))
+                    if not math.isfinite(records[-1].eps):
+                        raise ValueError(f"eps {rec[at[3]]!r} is not finite")
                 except ValueError as exc:
                     raise FormatError(f"{path}: line {reader.line_num}: "
                                       f"{exc}") from None
@@ -263,96 +269,68 @@ def attack_sweep(net: Network, test: Batch, attack: str, eps_grid,
 
 @dataclass
 class RankTable:
-    """Mean rank of each method per (eps, metric); rank 1 is best."""
+    """The one cell table of an attack's records: `values[d, e, k, m]` is
+    metric `metrics[k]` of method `methods[m]` on dataset `datasets[d]` at
+    radius `eps_values[e]`, each axis sorted and every cell present;
+    `mean_ranks[(eps, metric)][method]` is the method's rank averaged
+    over the datasets (rank 1 is best)."""
 
-    methods: list[str]
+    datasets: list[str]
     eps_values: list[float]
     metrics: list[str]
-    mean_ranks: dict = field(default_factory=dict)  # (eps, metric) -> {method: rank}
+    methods: list[str]
+    values: np.ndarray
+    mean_ranks: dict
 
 
-def _oriented(metric: str, values) -> np.ndarray:
-    """Metric values signed so that smaller is better; undefined (NaN)
-    cells become +inf, so they and overflowed cells tie at the worst rank."""
-    oriented = METRIC_DIRECTIONS[metric] * np.asarray(values, dtype=float)
+def _oriented(values, metrics) -> np.ndarray:
+    """`values[..., k, m]` signed so that smaller is better for metric
+    `metrics[k]`; undefined (NaN) cells become +inf, so they and
+    overflowed cells tie at the worst rank."""
+    signs = np.array([METRIC_DIRECTIONS[k] for k in metrics])[:, None]
+    oriented = signs * np.asarray(values, dtype=float)
     return np.where(np.isnan(oriented), np.inf, oriented)
 
 
-def _rank_with_ties(values: np.ndarray) -> np.ndarray:
-    """Average ranks, 1-based, ties share the mean rank."""
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values))
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+def _ranks(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Average 1-based ranks along the last axis (ties share their mean)
+    and each entry's tie count, itself included, from one comparison of
+    every pair, in exact half-integers.  `v` holds no NaN (no order)."""
+    v, w = v[..., :, None], v[..., None, :]
+    below, ties = (v > w).sum(-1), (v == w).sum(-1)
+    return below + (ties + 1) / 2, ties
 
 
 def average_ranks(records: list[MetricRecord],
                   metrics=("ci", "ibs", "negll")) -> RankTable:
-    """Rank methods within each (dataset, eps, metric) cell, then average
-    the ranks across datasets."""
+    """Index one attack's records into its RankTable, rank the methods
+    within each (dataset, eps, metric) cell and average the ranks across
+    datasets.  No records, a repeated (dataset, eps, method) cell, or a
+    (dataset, eps) pair that lacks a method raise AggregationError naming
+    the first such cell."""
     if not records:
         raise AggregationError("no records to rank")
-    methods = sorted({r.method for r in records})
-    datasets = sorted({r.dataset for r in records})
-    eps_values = sorted({r.eps for r in records})
-    by_key = {}
+    cells = {}
     for r in records:
         key = (r.dataset, r.eps, r.method)
-        if key in by_key:
+        if key in cells:
             raise AggregationError(f"duplicate cell {key}")
-        by_key[key] = r
-    table = RankTable(methods, eps_values, list(metrics))
-    for eps in eps_values:
-        for metric in metrics:
-            acc = {m: 0.0 for m in methods}
-            for ds in datasets:
-                vals = []
-                for m in methods:
-                    rec = by_key.get((ds, eps, m))
-                    if rec is None:
-                        raise AggregationError(
-                            f"missing cell dataset={ds} eps={eps} method={m}"
-                        )
-                    vals.append(getattr(rec, metric))
-                ranks = _rank_with_ties(_oriented(metric, vals))
-                for m, rk in zip(methods, ranks):
-                    acc[m] += rk
-            table.mean_ranks[(eps, metric)] = {
-                m: float(acc[m]) / len(datasets) for m in methods
-            }
-    return table
-
-
-def relative_percent_change(baseline_records, method_records,
-                            metrics=("ci", "ibs", "negll")):
-    """Mean percent change from the baseline, and the number of flagged
-    cells, each per (eps, metric).  A cell whose baseline is zero or whose
-    baseline or method value is not finite is skipped and flagged.
-    """
-    base = {(r.dataset, r.eps): r for r in baseline_records}
-    out, flagged = {}, {}
-    for eps in sorted({r.eps for r in method_records}):
-        cells = [r for r in method_records if r.eps == eps]
-        for metric in metrics:
-            changes = []
-            for r in cells:
-                b = base.get((r.dataset, r.eps))
-                if b is None:
-                    raise AggregationError(
-                        f"no baseline cell for dataset={r.dataset} eps={r.eps}"
-                    )
-                bv, v = getattr(b, metric), getattr(r, metric)
-                if bv != 0.0 and math.isfinite(bv) and math.isfinite(v):
-                    changes.append(100.0 * (v - bv) / bv)
-            out[(eps, metric)] = float(np.mean(changes)) if changes else float("nan")
-            flagged[(eps, metric)] = len(cells) - len(changes)
-    return out, flagged
+        cells[key] = r
+    datasets, eps_values, methods = (sorted({getattr(r, a) for r in records})
+                                     for a in ("dataset", "eps", "method"))
+    values = np.empty((len(datasets), len(eps_values), len(metrics),
+                       len(methods)))
+    for e, eps in enumerate(eps_values):
+        for d, ds in enumerate(datasets):
+            for m, method in enumerate(methods):
+                if (rec := cells.get((ds, eps, method))) is None:
+                    raise AggregationError(f"missing cell dataset={ds} "
+                                           f"eps={eps} method={method}")
+                values[d, e, :, m] = [getattr(rec, k) for k in metrics]
+    mean = _ranks(_oriented(values, metrics))[0].sum(axis=0) / len(datasets)
+    return RankTable(datasets, eps_values, list(metrics), methods, values, {
+        (eps, k): dict(zip(methods, mean[e, i].tolist()))
+        for e, eps in enumerate(eps_values) for i, k in enumerate(metrics)})
 
 
 def chi2_sf(x: float, df: int) -> float:
@@ -379,21 +357,22 @@ def chi2_sf(x: float, df: int) -> float:
 
 
 def friedman_test(matrix) -> tuple[float, float]:
-    """Friedman chi-square with tie correction over a blocks x treatments
-    matrix of values (smaller rank = smaller value)."""
+    """Friedman chi-square with tie correction, and its p-value, over a
+    blocks x treatments matrix of values (smaller rank = smaller value);
+    fully tied blocks give (0.0, 1.0).  Fewer than 2 blocks or 2
+    treatments, or a NaN value, which has no rank, raise ValueError."""
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[1] < 2 or m.shape[0] < 2:
         raise ValueError("need at least 2 blocks and 2 treatments")
+    if np.isnan(m).any():
+        raise ValueError("a value is NaN, which has no rank")
     n, k = m.shape
-    ranks = np.vstack([_rank_with_ties(row) for row in m])
+    ranks, ties = _ranks(m)
     rank_sums = ranks.sum(axis=0)
     stat = 12.0 / (n * k * (k + 1)) * float((rank_sums ** 2).sum()) \
         - 3.0 * n * (k + 1)
-    tie_term = 0.0
-    for row in m:
-        _, counts = np.unique(row, return_counts=True)
-        tie_term += float((counts ** 3 - counts).sum())
-    correction = 1.0 - tie_term / (n * k * (k * k - 1))
+    # each entry of a tie of t adds t^2 - 1, so the tie adds t^3 - t
+    correction = 1.0 - float((ties ** 2 - 1).sum()) / (n * k * (k * k - 1))
     if correction <= 0.0:
         return 0.0, 1.0  # every block fully tied
     stat /= correction
@@ -401,53 +380,50 @@ def friedman_test(matrix) -> tuple[float, float]:
 
 
 def report_tables(records: list[MetricRecord]) -> dict:
-    """The tables of `certsurv report`, as {file name: (header, rows)}:
-    per attack, mean ranks per (eps, metric), mean percent change from
-    `baseline`, and a Friedman test per metric over (dataset, eps) blocks.
-    Every (dataset, attack) pair must hold every method (AggregationError)."""
+    """The tables of `certsurv report`, as {file name: (header, rows)}, each
+    read from one attack's RankTable: mean ranks per (eps, metric), mean
+    percent change from `baseline` over the sorted datasets, and a Friedman
+    test per metric over (dataset, eps) blocks.  Every (dataset, attack)
+    pair must hold every method (AggregationError)."""
     by_attack: dict[str, list[MetricRecord]] = {}
-    present: dict[tuple, set] = {}
     for r in records:
         by_attack.setdefault(r.attack, []).append(r)
-        present.setdefault((r.dataset, r.attack), set()).add(r.method)
-    methods = sorted(set().union(*present.values()))
-    for key, have in sorted(present.items()):
-        if missing := set(methods) - have:
-            raise AggregationError(
-                f"dataset/attack {key} lacks methods {sorted(missing)}")
+    methods = sorted({r.method for r in records})
     rank_rows, pc_rows, fr_rows = [], [], []
     for attack, recs in sorted(by_attack.items()):
         table = average_ranks(recs)
-        for eps in table.eps_values:
-            for metric in table.metrics:
-                cell = table.mean_ranks[(eps, metric)]
-                rank_rows.append([attack, repr(float(eps)), metric,
-                                  *[repr(float(cell[m])) for m in methods]])
+        if table.methods != methods:
+            lacks = sorted(set(methods) - set(table.methods))
+            raise AggregationError(f"attack {attack} lacks methods {lacks}")
+        values = table.values
+        for (eps, metric), cell in table.mean_ranks.items():
+            rank_rows.append([attack, repr(float(eps)), metric,
+                              *[repr(float(cell[m])) for m in methods]])
         if "baseline" in methods:
-            base = [r for r in recs if r.method == "baseline"]
-            for method in methods:
+            # skip and count a zero or non-finite baseline or value
+            base = values[..., [methods.index("baseline")]]
+            with np.errstate(all="ignore"):
+                change = 100.0 * (values - base) / base
+            kept = (base != 0.0) & np.isfinite(base) & np.isfinite(values)
+            for m, method in enumerate(methods):
                 if method == "baseline":
                     continue
-                changes, flagged = relative_percent_change(
-                    base, [r for r in recs if r.method == method])
-                for (eps, metric), val in sorted(changes.items()):
-                    pc_rows.append([attack, method, repr(float(eps)), metric,
-                                    repr(float(val)), flagged[(eps, metric)]])
-        # average_ranks has checked that every (dataset, eps, method) exists
-        cell = {(r.dataset, r.eps, r.method): r for r in recs}
-        blocks = sorted({(r.dataset, r.eps) for r in recs})
-        for metric in METRIC_DIRECTIONS:
+                for e, eps in enumerate(table.eps_values):
+                    for k, metric in enumerate(table.metrics):
+                        c = change[:, e, k, m][kept[:, e, k, m]]
+                        mean = float(np.mean(c)) if c.size else float("nan")
+                        pc_rows.append([attack, method, repr(float(eps)),
+                                        metric, repr(mean),
+                                        len(values) - c.size])
+        oriented = _oriented(values, table.metrics)
+        for k, metric in enumerate(table.metrics):
             # a block with an undefined (NaN) value is left out
-            matrix = [row for row in (
-                [getattr(cell[(ds, eps, m)], metric) for m in methods]
-                for ds, eps in blocks) if not np.isnan(row).any()]
-            if len(methods) < 2 or len(matrix) < 2:
-                # test undefined with one treatment or one block
-                fr_rows.append([attack, metric, "", "", len(matrix),
-                                len(methods)])
-                continue
-            stat, p = friedman_test(_oriented(metric, matrix))
-            fr_rows.append([attack, metric, repr(stat), repr(p), len(matrix),
+            block_nan = np.isnan(values[:, :, k]).any(axis=-1).reshape(-1)
+            matrix = oriented[:, :, k].reshape(-1, len(methods))[~block_nan]
+            # the test is undefined with one treatment or one block
+            defined = len(methods) > 1 and len(matrix) > 1
+            stat, p = map(repr, friedman_test(matrix)) if defined else ("", "")
+            fr_rows.append([attack, metric, stat, p, len(matrix),
                             len(methods)])
     return {
         "ranks.csv": (["attack", "eps", "metric", *methods], rank_rows),

@@ -912,8 +912,10 @@ class TestReportCommand:
         lambda path: path.write_bytes(
             path.read_bytes().replace(b"sawar", b"saw\xe4r")),
         _make_dangling_link,
+        lambda path: path.write_text(
+            path.read_text().replace(",0.0,", ",nan,", 1)),
     ], ids=["missing-column", "non-numeric-eps", "short-row", "non-utf8",
-            "dangling-link"])
+            "dangling-link", "nan-eps"])
     def test_malformed_metrics_csv_exits_3(self, metrics_tree, tmp_path,
                                            capsys, edit):
         path = metrics_tree / "d2_sawar" / "metrics.csv"

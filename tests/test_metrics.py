@@ -15,12 +15,11 @@ from certsurv.losses import _ll_term, fgsm_perturb
 from certsurv.metrics import (AggregationError, DEFAULT_EPS_GRID,
                               METRIC_DIRECTIONS, MetricRecord,
                               UndefinedMetricError, _BrierPlan, _concordance,
-                              _metrics_from_scores, attack_scores,
+                              _metrics_from_scores, _ranks, attack_scores,
                               attack_sweep, average_ranks, brier_ipcw,
                               censoring_km, chi2_sf, concordance_index,
                               emit_report, friedman_test, integrated_brier,
-                              read_metrics_csv,
-                              relative_percent_change, report_tables,
+                              read_metrics_csv, report_tables,
                               write_metrics_csv)
 from certsurv.bounds import crown_ibp_batch, worst_case_log_hazard_batch
 from certsurv.network import forward_batch
@@ -627,31 +626,39 @@ class TestRanks:
             average_ranks(self._records(vals))
 
 
+def _percent_change(base, method_records):
+    """Mean percent change and flagged cells per (eps, metric), read from
+    the `percent_change.csv` rows of `report_tables`."""
+    _, rows = report_tables(base + method_records)["percent_change.csv"]
+    out = {(float(r[2]), r[3]): float(r[4]) for r in rows}
+    return out, {(float(r[2]), r[3]): r[5] for r in rows}
+
+
 class TestPercentChange:
     def test_identical_gives_zero(self):
         base = [MetricRecord("a", "baseline", "fgsm", 0.1, 0.5, 0.2, 10.0)]
-        out, flagged = relative_percent_change(base, [
+        out, flagged = _percent_change(base, [
             MetricRecord("a", "m", "fgsm", 0.1, 0.5, 0.2, 10.0)])
         assert out[(0.1, "ci")] == 0.0
         assert flagged == {(0.1, m): 0 for m in ("ci", "ibs", "negll")}
 
     def test_fifty_percent_gain(self):
         base = [MetricRecord("a", "baseline", "fgsm", 0.1, 0.5, 0.2, 10.0)]
-        out, _ = relative_percent_change(base, [
+        out, _ = _percent_change(base, [
             MetricRecord("a", "m", "fgsm", 0.1, 0.75, 0.2, 10.0)])
         assert out[(0.1, "ci")] == pytest.approx(50.0)
 
     def test_mean_across_datasets(self):
         base = [MetricRecord("a", "baseline", "fgsm", 0.1, 0.5, 0.2, 10.0),
                 MetricRecord("b", "baseline", "fgsm", 0.1, 0.4, 0.2, 10.0)]
-        out, _ = relative_percent_change(base, [
+        out, _ = _percent_change(base, [
             MetricRecord("a", "m", "fgsm", 0.1, 0.55, 0.2, 10.0),
             MetricRecord("b", "m", "fgsm", 0.1, 0.5, 0.2, 10.0)])
         assert out[(0.1, "ci")] == pytest.approx((10.0 + 25.0) / 2)
 
     def test_zero_baseline_flagged(self):
         base = [MetricRecord("a", "baseline", "fgsm", 0.1, 0.0, 0.2, 10.0)]
-        out, flagged = relative_percent_change(base, [
+        out, flagged = _percent_change(base, [
             MetricRecord("a", "m", "fgsm", 0.1, 0.5, 0.2, 10.0)])
         assert flagged == {(0.1, "ci"): 1, (0.1, "ibs"): 0, (0.1, "negll"): 0}
         assert np.isnan(out[(0.1, "ci")])
@@ -660,7 +667,7 @@ class TestPercentChange:
     def test_nonfinite_method_value_flagged_per_row(self, bad):
         base = [MetricRecord(ds, "baseline", "fgsm", eps, 0.5, 0.2, 10.0)
                 for ds in ("a", "b") for eps in (0.0, 0.1)]
-        out, flagged = relative_percent_change(base, [
+        out, flagged = _percent_change(base, [
             MetricRecord(ds, "m", "fgsm", eps,
                          bad if (ds, eps) == ("a", 0.1) else 0.75, 0.2, 10.0)
             for ds in ("a", "b") for eps in (0.0, 0.1)])
@@ -710,6 +717,11 @@ class TestFriedman:
     def test_degenerate_rejected(self):
         with pytest.raises(ValueError):
             friedman_test(np.ones((5, 1)))
+
+    def test_nan_rejected(self):
+        # a NaN has no rank, so it must not turn into a p-value
+        with pytest.raises(ValueError, match="NaN"):
+            friedman_test([[math.nan, 1.0], [2.0, 3.0]])
 
 
 class TestChi2Tail:
@@ -772,6 +784,64 @@ class TestReportTables:
             assert float(row[2]) == stat
             assert float(row[3]) == p
             assert row[4:] == [len(kept), len(self.METHODS)]
+
+
+RANKED = st.sampled_from([-math.inf, -1.5, -0.0, 0.0, 0.5, 2.0, math.inf]) \
+    | st.floats(allow_nan=False)
+MAYBE_NAN = st.sampled_from([math.nan, -math.inf, -0.0, 0.0, 1.0, math.inf]) \
+    | st.floats(-1e3, 1e3)
+
+
+def _argsort_ranks(values):
+    """Average 1-based ranks by a stable argsort and a scan of equal runs."""
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(len(values))
+    i = 0
+    while i < len(values):
+        j = i
+        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
+            j += 1
+        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 7), st.data())
+def test_ranks_equal_rankdata_and_an_argsort_scan(n_rows, n_cols, data):
+    rankdata = pytest.importorskip("scipy.stats").rankdata
+    size = n_rows * n_cols
+    v = np.array(data.draw(st.lists(RANKED, min_size=size, max_size=size)))
+    v = v.reshape(n_rows, n_cols)
+    ranks, ties = _ranks(v)
+    for row, got, tie in zip(v, ranks, ties):
+        assert got.tolist() == rankdata(row, method="average").tolist()
+        assert got.tolist() == _argsort_ranks(row).tolist()
+        assert tie.tolist() == [int((row == x).sum()) for x in row]
+        assert [a.tolist() for a in _ranks(row)] == [got.tolist(),
+                                                      tie.tolist()]
+
+
+@st.composite
+def record_trees(draw):
+    """Complete records over 1-4 datasets, 1-3 radii, 1-5 methods and 1-2
+    attacks, whose values hold NaN, +-inf, -0.0 and ties."""
+    axes = [draw(st.lists(st.sampled_from(pool), min_size=1, unique=True))
+            for pool in (("a", "b", "c", "d"), (0.0, 0.5, 1.0),
+                         ("baseline", "fgsm", "noise", "pgd", "sawar"),
+                         ("fgsm", "worstcase"))]
+    return [MetricRecord(ds, m, attack, eps,
+                         *draw(st.lists(MAYBE_NAN, min_size=3, max_size=3)))
+            for ds in axes[0] for eps in axes[1] for m in axes[2]
+            for attack in axes[3]]
+
+
+@settings(max_examples=300, deadline=None)
+@given(record_trees(), st.randoms(use_true_random=False))
+def test_report_tables_do_not_depend_on_record_order(records, rnd):
+    shuffled = list(records)
+    rnd.shuffle(shuffled)
+    assert report_tables(shuffled) == report_tables(records)
 
 
 class TestEmitReport:
