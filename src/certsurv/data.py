@@ -16,7 +16,9 @@ does not name; a column it names that the data lacks is a `CodecError`, and
 `FeatureCodec.from_dict` refuses a codec that `fit_codec` could not make.
 Encoded rows are an immutable `Batch`; `Batch.pairs`, its comparable pairs
 built once by `comparable_pairs`, is the one plan of every ranking term and
-attack, and concordance counts over the same rule.  Output files are
+attack, and concordance counts over the same rule.  The loss's other
+time-and-event constants are cached beside it, so an attack builds them
+once, not at each step.  Output files are
 written through `atomic_open`, so a failed write never leaves a partial file.
 """
 
@@ -136,7 +138,8 @@ def comparable_pairs(t, e) -> Pairs:
 @dataclass(frozen=True)
 class Batch:
     """Covariate rows with observed times and event indicators; frozen, and
-    `t` and `e` are read-only copies, so the cached `pairs` stays valid."""
+    `t` and `e` are read-only copies, so what is cached from them (`pairs`
+    and the loss constants) stays valid."""
 
     X: np.ndarray
     t: np.ndarray
@@ -161,10 +164,23 @@ class Batch:
         """The batch's comparable pairs, built on first use."""
         return comparable_pairs(self.t, self.e)
 
+    @cached_property
+    def minus_pair_times(self) -> np.ndarray:
+        """-t at the pair plan's rows, the outer factor of the loss's
+        survival terms S(t_i | g_j)."""
+        return -self.t[self.pairs.rows]
+
+    @cached_property
+    def minus_events(self) -> np.ndarray:
+        """-e as floats, the constant part of the likelihood gradient."""
+        return -self.e.astype(float)
+
     def with_X(self, X: np.ndarray) -> "Batch":
-        """The records at covariates X, sharing times, events and pairs."""
+        """The records at covariates X, sharing times, events, pairs and
+        the constants built from them."""
         moved = Batch(X, self.t, self.e)
-        object.__setattr__(moved, "pairs", self.pairs)
+        for name in ("pairs", "minus_pair_times", "minus_events"):
+            object.__setattr__(moved, name, getattr(self, name))
         return moved
 
 

@@ -13,30 +13,34 @@ per-record score bounds:
 
 One pair kernel (`_pair_terms`) and one likelihood term (`_ll_term`) serve
 both: the clean loss evaluates them at the scores G, the certified bound at
-the score endpoints.  Both expose exact gradients with respect to
-parameters and inputs (the certified one via the bound-engine adjoint).
-`_clean_engine` is the only code that computes the clean value:
-`combined_loss`, `sawar_loss_grads` and training read its fields, so they
-agree bit for bit.
+the score endpoints.  The kernel takes hazards, not scores: each caller
+exponentiates a score vector once and forms exp(G) * t once, and the
+likelihood value, its gradient and the kernel share them.  Both expose
+exact gradients with respect to parameters and inputs (the certified one
+via the bound-engine adjoint).  `_clean_engine` is the only code that
+computes the clean value: `combined_loss`, `sawar_loss_grads` and training
+read its fields, so they agree bit for bit.
 
 Only a record with an event and a later time in its batch can be the
 earlier member of a pair.  `Batch.pairs`, the one plan, lists those rows
-once per batch and is shared by its perturbed copies; the kernel computes
-the ranking terms on them alone, a compact (plan rows x batch) array.
-The ranking value, clean and certified, is that array's `eta.sum()`: the
-one sum order of the ranking term.
+once per batch and is shared by its perturbed copies, as are -t at those
+rows and -e as floats; the kernel computes the ranking terms on the plan's
+rows alone, a compact (plan rows x batch) array.  The ranking value, clean
+and certified, is that array's `eta.sum()`: the one sum order of the
+ranking term.
 
 One rule decides which bits the code keeps: those of its outputs (the
 checkpoints, `metrics.csv` and `train_report.csv`), and no others; no code
 exists only to fix a sum order or a NaN's sign that no output shows.
 
 The kernel makes six (rows x batch) passes for a value and ten with
-gradients, at sigma = 1 (one more otherwise): it builds -(t_i * lambda_j)
-in one outer product and keeps F's difference negated, so no pass negates
-a matrix.  It opens no `np.errstate`: exp overflow and inf * 0 are
-expected there, and `_clean_engine`, `_certified_terms`, `pgd_perturb` and
-`_fgsm_scores` each open one per call around the kernel and the gradient
-arithmetic (for `pgd_perturb`, around all its steps).
+gradients, at sigma = 1 (one more otherwise), and three per-record passes:
+it builds -(t_i * lambda_j) in one outer product from the batch's cached
+-t, and keeps F's difference negated, so no pass negates a matrix.  It
+opens no `np.errstate`: exp overflow and inf * 0 are expected there, and
+`_clean_engine`, `_certified_terms`, `pgd_perturb` and `_fgsm_scores` each
+open one per call around the kernel and the gradient arithmetic (for
+`pgd_perturb`, around all its steps).
 """
 
 from __future__ import annotations
@@ -85,50 +89,51 @@ def _resolve_w(w, batch: Batch) -> float:
     return 1.0 / len(batch) if w is None else float(w)
 
 
-def _ll_term(G, t, e):
-    # Per-record negative log likelihood contribution, as a function of G.
-    with np.errstate(over="ignore"):
-        return -(e * G) + np.exp(G) * t
+def _ll_term(G, t, e, lam_t=None):
+    """Per-record negative log likelihood -e * G + exp(G) * t; a caller that
+    holds the cumulative hazards lam_t = exp(G) * t passes them."""
+    if lam_t is None:
+        with np.errstate(over="ignore"):
+            lam_t = np.exp(G) * t
+    return -(e * G) + lam_t
 
 
-def _ll_term_grad(G, t, e):
-    return -np.asarray(e, dtype=float) + np.exp(G) * t
-
-
-def _pair_terms(G_own, G_cross, batch: Batch, sigma, need_grads=True):
-    """(eta, D_own, row_sums, cross_sums) at scores G_own for each pair's
-    earlier record and G_cross for its later one, over `batch.pairs`.
+def _pair_terms(lam_t_own, lam_cross, batch: Batch, sigma, need_grads=True):
+    """(eta, D_own, row_sums, cross_sums) over `batch.pairs`, for each
+    pair's earlier record i at cumulative hazard lam_t_own_i = lambda_i *
+    t_i and its later record j at hazard lam_cross_j = lambda_j, with
+    lambda = exp(G) at the scores of that member.
 
     eta[r, j] is the ranking term of pair (rows[r], j) where A[r, j], else
     0: the plan's rows of the (batch x batch) pair matrix, every other row
-    of which is 0.  With D[i, j] = dF(t_i|g)/dg at G_cross_j and D_own[i]
-    the same at G_own_i, row_sums[i] is the sum of row i of eta (0 off the
-    plan) and cross_sums[j] the sum of column j of eta * D over the plan's
-    rows (+0.0 on a batch with no plan rows).  The last three are None
-    without need_grads.
+    of which is 0.  With D[i, j] = dF(t_i|g)/dg at the later member's
+    score g and D_own[i] the same at the earlier member's, row_sums[i] is
+    the sum of row i of eta (0 off the plan) and cross_sums[j] the sum of
+    column j of eta * D over the plan's rows (+0.0 on a batch with no plan
+    rows).  The last three are None without need_grads.
 
     The (rows x batch) terms take six passes, four more with need_grads:
-    `ntl` = -(t_i * lambda_j), one outer product; `eta` = exp(ntl), which
-    is S; with need_grads, ntl *= S, so ntl = -D; eta = 1 - S, then
-    eta -= 1 - S_own, the negated F difference; eta /= sigma, skipped at
-    sigma = 1, since x / 1 is x; exp; the `np.where` that applies A; and
-    with need_grads the row sums of eta, ntl *= eta and the column sums
-    of ntl, which cross_sums subtracts from 0.0.  IEEE rounding is
-    symmetric in sign, so every entry is NaN exactly where the plain
+    `ntl` = -(t_i * lambda_j), one outer product of the batch's cached
+    `minus_pair_times`; `eta` = exp(ntl), which is S; with need_grads,
+    ntl *= S, so ntl = -D; eta = 1 - S, then eta -= 1 - S_own, the
+    negated F difference; eta /= sigma, skipped at sigma = 1, since x / 1
+    is x; exp; the `np.where` that applies A; and with need_grads the row
+    sums of eta, ntl *= eta and the column sums of ntl, which cross_sums
+    subtracts from 0.0.  The per-record side takes two passes for S_own =
+    exp(-lam_t_own) and one for D_own = lam_t_own * S_own.  IEEE rounding
+    is symmetric in sign, so every entry is NaN exactly where the plain
     formula gives NaN and has its bytes elsewhere; only a NaN's sign may
     differ.
 
     The caller opens the `np.errstate` that lets exp overflow and inf * 0
     make NaN without a warning.
     """
-    t, (rows, A) = batch.t, batch.pairs
-    lam_own = np.exp(G_own)
-    lam_cross = lam_own if G_cross is G_own else np.exp(G_cross)
-    ntl = np.multiply.outer(-t[rows], lam_cross)
-    S_own = np.exp(-lam_own * t)  # S(t_i | G_own_i)
-    eta = np.exp(ntl)             # S[r, j] = S(t_rows[r] | G_cross_j)
+    rows, A = batch.pairs
+    ntl = np.multiply.outer(batch.minus_pair_times, lam_cross)
+    S_own = np.exp(-lam_t_own)   # S(t_i | G_own_i)
+    eta = np.exp(ntl)            # S[r, j] = S(t_rows[r] | G_cross_j)
     if need_grads:
-        ntl *= eta                # -dF(t|g)/dg = -t * exp(g) * S(t|g)
+        ntl *= eta               # -dF(t|g)/dg = -t * exp(g) * S(t|g)
     np.subtract(1.0, eta, out=eta)
     eta -= (1.0 - S_own[rows])[:, None]
     if sigma != 1.0:
@@ -137,12 +142,12 @@ def _pair_terms(G_own, G_cross, batch: Batch, sigma, need_grads=True):
     eta = np.where(A, eta, 0.0)
     if not need_grads:
         return eta, None, None, None
-    row_sums = np.zeros(len(t))
+    row_sums = np.zeros(len(lam_cross))
     row_sums[rows] = eta.sum(axis=1)
     ntl *= eta
     # 0.0 - gives a column with no plan rows +0.0, an empty sum's value
     cross_sums = 0.0 - ntl.sum(axis=0)
-    return eta, t * lam_own * S_own, row_sums, cross_sums
+    return eta, lam_t_own * S_own, row_sums, cross_sums
 
 
 def combined_loss(net: Network, batch: Batch, w: float | None = None,
@@ -152,13 +157,20 @@ def combined_loss(net: Network, batch: Batch, w: float | None = None,
                          need_grads=False)[2]
 
 
-def _loss_grad(G: np.ndarray, batch: Batch, w_val: float, sigma: float):
-    """(eta, dG): `_pair_terms` at (G, G) and the gradient of neg_ll +
-    w_val * (sum of eta) with respect to G."""
-    eta, D_own, row_sums, cross_sums = _pair_terms(G, G, batch, sigma)
-    dG = _ll_term_grad(G, batch.t, batch.e) + (w_val / sigma) * (
-        cross_sums - D_own * row_sums)
-    return eta, dG
+def _loss_grad(G: np.ndarray, batch: Batch, w_s: float, sigma: float,
+               need_grads: bool = True):
+    """(lam_t, eta, dG): the cumulative hazards exp(G) * t, `_pair_terms`
+    at G for both members of a pair, and the gradient of neg_ll + w_val *
+    (sum of eta) with respect to G, w_s = w_val / sigma (None without
+    need_grads).  G is exponentiated once and exp(G) * t formed once."""
+    lam = np.exp(G)
+    lam_t = lam * batch.t
+    eta, D_own, row_sums, cross_sums = _pair_terms(lam_t, lam, batch, sigma,
+                                                   need_grads)
+    if not need_grads:
+        return lam_t, eta, None
+    dG = (batch.minus_events + lam_t) + w_s * (cross_sums - D_own * row_sums)
+    return lam_t, eta, dG
 
 
 def _clean_engine(net: Network, batch: Batch, w_val: float, sigma: float,
@@ -167,18 +179,24 @@ def _clean_engine(net: Network, batch: Batch, w_val: float, sigma: float,
     None without need_grads.  Every clean value is read from here."""
     G, caches = forward_batch(net, batch.X)
     with np.errstate(over="ignore", invalid="ignore"):
-        if need_grads:
-            eta, dG = _loss_grad(G, batch, w_val, sigma)
-        else:
-            eta = _pair_terms(G, G, batch, sigma, need_grads=False)[0]
-    neg_ll = float(_ll_term(G, batch.t, batch.e).sum())
+        lam_t, eta, dG = _loss_grad(G, batch, w_val / sigma, sigma,
+                                    need_grads)
+    neg_ll = float(_ll_term(G, batch.t, batch.e, lam_t).sum())
     rank = float(eta.sum())
     grads = backward_batch(net, caches, dG) if need_grads else (None, None)
     return neg_ll, rank, neg_ll + w_val * rank, *grads
 
 
+def _project(X: np.ndarray, lo, hi) -> np.ndarray:
+    """X clipped into [lo, hi] in place; np.clip's bytes, without its
+    Python wrappers."""
+    np.maximum(X, lo, out=X)
+    return np.minimum(X, hi, out=X)
+
+
 def _project_ball(X_new: np.ndarray, X0: np.ndarray, eps: float) -> np.ndarray:
-    return np.clip(X_new, X0 - eps, X0 + eps)
+    # written in place: every caller passes a fresh X_new
+    return _project(X_new, X0 - eps, X0 + eps)
 
 
 def pgd_perturb(net: Network, batch: Batch, eps: float, steps: int,
@@ -188,10 +206,13 @@ def pgd_perturb(net: Network, batch: Batch, eps: float, steps: int,
 
     Step size is eps/steps.  By default the raw input gradient is used as
     the ascent direction; sign_mode switches to its elementwise sign.
-    Times and event indicators are never touched.  Each step computes only
-    the input gradient, not the loss.  A row whose gradient is non-finite
-    at a step skips that step (logged) and keeps what earlier steps moved
-    it.
+    Times and event indicators are never touched, so what depends only on
+    them is built once per attack, not once per step: the ball's bounds,
+    the weight w / sigma, and the batch's pairs, -t at the plan's rows and
+    -e as floats (cached on the batch and shared by the result).  Each step
+    computes only the input gradient, not the loss, and exponentiates the
+    scores once.  A row whose gradient is non-finite at a step skips that
+    step (logged) and keeps what earlier steps moved it.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -201,27 +222,27 @@ def pgd_perturb(net: Network, batch: Batch, eps: float, steps: int,
     X = batch.X
     lo, hi = X - eps, X + eps
     alpha = eps / steps
-    # times and events never change, so neither do the pairs and the weight
-    w_val = _resolve_w(w, batch)
+    w_s = _resolve_w(w, batch) / sigma
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(steps):
             # the direction is a fresh array: the step is built in it, so
             # that batch.X is never written
-            step = _ascent_step(net, X, batch, w_val, sigma, sign_mode)[1]
+            step = _ascent_step(net, X, batch, w_s, sigma, sign_mode)[1]
             step *= alpha
             step += X
-            X = np.clip(step, lo, hi, out=step)
+            X = _project(step, lo, hi)
     return batch.with_X(X)
 
 
-def _ascent_step(net: Network, X, batch: Batch, w_val, sigma, sign_mode):
+def _ascent_step(net: Network, X, batch: Batch, w_s, sigma, sign_mode):
     """(G, ascent direction) at X; a row with a non-finite gradient gets 0.
-    The caller opens the errstate, once for all its steps."""
+    w_s is w / sigma.  The caller opens the errstate, once for all its
+    steps."""
     G, caches = forward_batch(net, X)
-    dG = _loss_grad(G, batch, w_val, sigma)[1]
+    dG = _loss_grad(G, batch, w_s, sigma)[2]
     igrads = input_grads_batch(net, caches, dG)
-    bad = ~np.isfinite(igrads).all(axis=1)
-    if bad.any():
+    if not np.isfinite(igrads).all():
+        bad = ~np.isfinite(igrads).all(axis=1)
         log.warning("skipping perturbation for %d record(s) with "
                     "non-finite input gradient", int(bad.sum()))
         igrads[bad] = 0.0
@@ -243,8 +264,8 @@ def _fgsm_scores(net: Network, batch: Batch, eps_grid, w, sigma, sign_mode):
     if not any(eps != 0.0 for eps in eps_grid):
         return [forward_batch(net, X0)[0]] * len(eps_grid)
     with np.errstate(over="ignore", invalid="ignore"):
-        G0, step = _ascent_step(net, X0, batch, _resolve_w(w, batch), sigma,
-                                sign_mode)
+        G0, step = _ascent_step(net, X0, batch, _resolve_w(w, batch) / sigma,
+                                sigma, sign_mode)
     return [forward_batch(net, _project_ball(X0 + eps * step, X0, eps))[0]
             if eps != 0.0 else G0 for eps in eps_grid]
 
@@ -269,20 +290,22 @@ def _certified_terms(lb, ub, batch: Batch, w_val: float, sigma: float,
     to each record's bounds (None without need_grads).
     """
     t, e = batch.t, batch.e
-    ll_lb = _ll_term(lb, t, e)
-    ll_ub = _ll_term(ub, t, e)
-    take_ub = ll_ub >= ll_lb  # ties go to the upper endpoint
-    value = float(np.where(take_ub, ll_ub, ll_lb).sum())
     paired = batch.pairs.rows.size > 0
     with np.errstate(over="ignore", invalid="ignore"):
+        lam_ub = np.exp(ub)
+        lam_t_lb, lam_t_ub = np.exp(lb) * t, lam_ub * t
+        ll_lb = _ll_term(lb, t, e, lam_t_lb)
+        ll_ub = _ll_term(ub, t, e, lam_t_ub)
+        take_ub = ll_ub >= ll_lb  # ties go to the upper endpoint
+        value = float(np.where(take_ub, ll_ub, ll_lb).sum())
         if paired:
-            eta, D_own, row_sums, cross_sums = _pair_terms(lb, ub, batch,
-                                                           sigma, need_grads)
+            eta, D_own, row_sums, cross_sums = _pair_terms(
+                lam_t_lb, lam_ub, batch, sigma, need_grads)
             value += w_val * float(eta.sum())
         if not need_grads:
             return value, None, None
-        dlb = np.where(take_ub, 0.0, _ll_term_grad(lb, t, e))
-        dub = np.where(take_ub, _ll_term_grad(ub, t, e), 0.0)
+        dlb = np.where(take_ub, 0.0, batch.minus_events + lam_t_lb)
+        dub = np.where(take_ub, batch.minus_events + lam_t_ub, 0.0)
         if paired:
             dlb = dlb + (w_val / sigma) * (-D_own) * row_sums
             dub = dub + (w_val / sigma) * cross_sums

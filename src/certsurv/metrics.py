@@ -216,7 +216,7 @@ def _metrics_from_scores(G, test: Batch, brier: _BrierPlan) -> tuple:
         ci, ci_flag = float("nan"), True
     ibs = brier.integrated(survival_matrix(hazards, brier.grid))
     ibs_flag = bool(not np.isfinite(ibs) or brier.excluded > 0 or nonfinite)
-    negll = float(_ll_term(G, test.t, test.e).sum())
+    negll = float(_ll_term(G, test.t, test.e, hazards * test.t).sum())
     negll_flag = bool(not np.isfinite(negll) or nonfinite)
     return ci, ibs, negll, ci_flag, ibs_flag, negll_flag
 

@@ -258,17 +258,19 @@ def _written_out_input_grads(net, batch, w, sigma):
     return backward_batch(net, caches, dG)[1]
 
 
-def _stepwise_pgd(net, batch, eps, steps, w, sigma, sign_mode):
+def _stepwise_pgd(net, batch, eps, steps, w, sigma, sign_mode,
+                  engine=_clean_engine):
     """Projected gradient ascent that takes every step's input gradient
-    from the clean engine (parameter gradients included)."""
+    from `engine`, by default the clean engine (parameter gradients
+    included), and projects with np.clip."""
     if eps == 0.0:
         return batch.X
     X0 = batch.X
     X = X0.copy()
     for _ in range(steps):
         moved = batch.with_X(X)
-        ig = _clean_engine(net, moved, _resolve_w(w, moved), sigma,
-                           need_grads=True)[4]
+        ig = engine(net, moved, _resolve_w(w, moved), sigma,
+                    need_grads=True)[4]
         ig[~np.all(np.isfinite(ig), axis=1)] = 0.0
         step = np.sign(ig) if sign_mode else ig
         X = np.clip(X + (eps / steps) * step, X0 - eps, X0 + eps)
@@ -304,7 +306,7 @@ class TestAttackPath:
         with np.errstate(all="ignore"):
             G, caches = forward_batch(net, batch.X)
             w_val = 1.0 / len(batch) if w is None else w
-            _, dG = _loss_grad(G, batch, w_val, sigma)
+            dG = _loss_grad(G, batch, w_val / sigma, sigma)[2]
             got = input_grads_batch(net, caches, dG)
             full = _clean_engine(net, batch, _resolve_w(w, batch), sigma,
                                  need_grads=True)[4]
@@ -326,6 +328,69 @@ class TestAttackPath:
             want_fgsm = _stepwise_pgd(net, batch, eps, 1, w, sigma, sign_mode)
         assert pgd.X.tobytes() == want_pgd.tobytes()
         assert fgsm.X.tobytes() == want_fgsm.tobytes()
+
+
+@st.composite
+def hoisted_attack_cases(draw):
+    """Two batches on the same rows with different times, at covariates
+    that hold +-0.0 and the ball's edges +-eps (where a bound of the ball
+    is +-0.0), and a net that is random or linear_net(800.0), whose input
+    gradients overflow to +-inf on some rows; all-censored or one-row
+    batches have no pair plan."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    eps = draw(st.sampled_from([0.05, 0.5]))
+    n = draw(st.integers(1, 40))
+    overflow = draw(st.booleans())
+    d = 1 if overflow else draw(st.integers(1, 3))
+    net = (linear_net(800.0) if overflow
+           else random_net(rng, [d, draw(st.integers(1, 6)), 1]))
+    edge = np.array([0.0, -0.0, eps, -eps, 0.9, 1.0])
+    X = np.where(rng.random((n, d)) < 0.5, rng.choice(edge, size=(n, d)),
+                 rng.normal(size=(n, d)))
+    e = (np.zeros(n, dtype=int) if draw(st.booleans())
+         else (rng.random(n) < 0.6).astype(int))
+    t_a, t_b = rng.uniform(0.2, 3.0, size=(2, n))
+    w = draw(st.sampled_from([None, 2.0]))
+    sigma = draw(st.sampled_from([1e-3, 1.0]))  # 1e-3: eta overflows
+    return net, X, t_a, t_b, e, eps, w, sigma
+
+
+def test_in_place_projection_equals_clip():
+    # every (x, lo, hi) over signed zeros, infinities, NaN, the smallest
+    # subnormals and +-0.5, +-1, inverted bounds included
+    vals = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+            0.5, -0.5, 1.0, -1.0]
+    x, lo, hi = (a.ravel() for a in np.meshgrid(vals, vals, vals))
+    want = np.clip(x, lo, hi)
+    got = losses._project(x.copy(), lo, hi)
+    assert got.tobytes() == want.tobytes()
+
+
+def _written_out_engine(net, batch, w_val, sigma, need_grads):
+    # the written-out engine builds -t and -e from t and e itself
+    return _written_out_clean_engine(net, batch, w_val, sigma)
+
+
+@settings(max_examples=150, deadline=None)
+@given(hoisted_attack_cases(), st.integers(1, 6), st.booleans())
+def test_pgd_hoisted_constants_equal_stepwise_reference(case, steps,
+                                                         sign_mode):
+    # pgd_perturb builds -t at the plan's rows, -e and w / sigma once and
+    # projects in place; the references build each step's gradient from a
+    # fresh copy and clip with np.clip.  Two batches on the same rows with
+    # different times, and a with_X copy, each get their own constants.
+    net, X, t_a, t_b, e, eps, w, sigma = case
+    batch_a, batch_b = Batch(X, t_a, e), Batch(X, t_b, e)
+    X_moved = X[::-1].copy()
+    runs = [(batch_a, Batch(X, t_a, e)), (batch_b, Batch(X, t_b, e)),
+            (batch_a.with_X(X_moved), Batch(X_moved, t_a, e))]
+    with np.errstate(all="ignore"):
+        for attacked, fresh in runs:
+            got = pgd_perturb(net, attacked, eps, steps, w, sigma, sign_mode)
+            for engine in (_clean_engine, _written_out_engine):
+                want = _stepwise_pgd(net, fresh, eps, steps, w, sigma,
+                                     sign_mode, engine)
+                assert got.X.tobytes() == want.tobytes()
 
 
 def _written_out_clean_engine(net, batch, w_val, sigma):
@@ -428,8 +493,9 @@ def test_pair_plan_holds_the_nonzero_rows_of_the_pair_matrix(case):
 
 
 def _out_of_place_pair_terms(G_own, G_cross, batch, sigma, need_grads):
-    """`_pair_terms` written with one fresh array per expression, in the
-    order of its plain formula; a column sum over no plan rows is +0.0."""
+    """`_pair_terms` at scores (not hazards) G_own and G_cross, written with
+    one fresh array per expression, in the order of its plain formula; a
+    column sum over no plan rows is +0.0."""
     t, (rows, A) = batch.t, batch.pairs
     lam_own = np.exp(G_own)
     lam_cross = np.exp(G_cross)
@@ -473,7 +539,8 @@ def pair_kernel_cases(draw):
 def test_pair_kernel_equals_out_of_place_formula(case, need_grads):
     G, G_cross, batch, sigma = case
     with np.errstate(over="ignore", invalid="ignore"):
-        got = _pair_terms(G, G_cross, batch, sigma, need_grads)
+        got = _pair_terms(np.exp(G) * batch.t, np.exp(G_cross), batch,
+                          sigma, need_grads)
         want = _out_of_place_pair_terms(G, G_cross, batch, sigma, need_grads)
     exact = not (np.isnan(G).any() or np.isnan(G_cross).any())
     for g, w in zip(got, want):
@@ -494,7 +561,7 @@ def test_a_later_censored_record_leaves_a_finite_gradient_finite():
     G = forward_batch(net, batch.X)[0]
     want = -1.0 + np.exp(709.0) * 0.5
     with np.errstate(over="ignore", invalid="ignore"):
-        dG = _loss_grad(G, batch, 1.0 / 3.0, 1.0)[1]
+        dG = _loss_grad(G, batch, 1.0 / 3.0, 1.0)[2]
         dub = _certified_terms(G - 0.1, G, batch, 1.0 / 3.0, 1.0)[2]
         pgrads = _clean_engine(net, batch, 1.0 / 3.0, 1.0, need_grads=True)[3]
     assert np.isfinite(dG).all() and dG[0] == want
@@ -503,18 +570,19 @@ def test_a_later_censored_record_leaves_a_finite_gradient_finite():
         adam_step(init_adam(net), net, pgrads)
 
 
-def _full_matrix_pair_terms(G_own, G_cross, batch, sigma, need_grads=True):
+def _full_matrix_pair_terms(lam_t_own, lam_cross, batch, sigma,
+                            need_grads=True):
     """The pair kernel with the earlier ranking sum order and stand-in: eta
     put back into the full (batch x batch) matrix, whose eta.sum() every
     caller takes, and cross_sums with 0 * (t.max() * lambda_j) added, NaN
     where that product overflows."""
-    eta, D_own, row_sums, cross_sums = _pair_terms(G_own, G_cross, batch,
-                                                   sigma, need_grads)
+    eta, D_own, row_sums, cross_sums = _pair_terms(lam_t_own, lam_cross,
+                                                   batch, sigma, need_grads)
     t = batch.t
     full = np.zeros((len(t), len(t)))
     full[batch.pairs.rows] = eta
     if need_grads:
-        cross_sums = 0.0 * (t.max() * np.exp(G_cross)) + cross_sums
+        cross_sums = 0.0 * (t.max() * lam_cross) + cross_sums
     return full, D_own, row_sums, cross_sums
 
 

@@ -3,6 +3,7 @@ import json
 import os
 
 import math
+import tempfile
 
 import numpy as np
 import pytest
@@ -917,7 +918,9 @@ class TestEmitReport:
         grid = np.array([p[0] for p in points], dtype=float)
         values = np.array([p[1] for p in points], dtype=float)
         recs = [MetricRecord("d", "m", "fgsm", 0.0, 0.7, 0.2, 5.0)]
-        paths = emit_report(recs, tmp_path / "out5",
+        # a fresh directory per example: a rename over an existing file
+        # costs far more than one to a new name while the disk is busy
+        paths = emit_report(recs, tempfile.mkdtemp(dir=tmp_path),
                             curves=(grid, {"c": values}))
         buf = io.StringIO()
         np.savetxt(buf, np.column_stack([grid, values]), delimiter=",",
