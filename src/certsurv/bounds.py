@@ -66,8 +66,9 @@ def _interval_forward(net: Network, X: np.ndarray, eps: float):
     slopes_u, abs_w): per-layer pre-activation bounds, the center and radius
     of the activation box feeding each layer, each hidden layer's box-edge
     slopes at l and at u (1 where the edge is >= 0, else the leaky slope),
-    and each layer's |W|.  An activation edge is the bound times its slope,
-    which is `leaky_relu` of the bound bit for bit."""
+    and each layer's |W|.  An activation edge is the bound times its slope:
+    the bound where it is >= 0, else the leaky slope times it, bit for
+    bit."""
     alpha = net.leaky_slope
     c = X
     r = np.full_like(X, eps)

@@ -128,10 +128,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     try:
         net, report = train(config, split)
     except TrainingDivergenceError as exc:
-        if exc.last_good is not None:
-            path = os.path.join(out_dir, "last_good.ckpt.json")
-            save_checkpoint(exc.last_good, split.codec, config, path,
-                            extra={"dataset": name, "diverged": True})
+        path = os.path.join(out_dir, "last_good.ckpt.json")
+        save_checkpoint(exc.last_good, split.codec, config, path,
+                        extra={"dataset": name, "diverged": True})
         print(f"error: training diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
     ckpt_path = os.path.join(out_dir, "checkpoint.ckpt.json")
@@ -165,9 +164,6 @@ def _parse_eps_grid(raw: str | None):
 def cmd_evaluate(args: argparse.Namespace) -> int:
     eps_grid = _parse_eps_grid(args.eps_grid)
     net, codec, config = load_checkpoint(args.model)
-    if codec is None:
-        raise CliError(f"data error: checkpoint {args.model} has no feature "
-                       "codec", EXIT_DATA)
     name = os.path.splitext(os.path.basename(args.dataset))[0]
     out_dir = args.out or os.path.join(
         _out_root(), f"eval_{name}_{config.method}_{args.attack}_s{config.seed}"

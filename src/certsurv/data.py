@@ -1,25 +1,28 @@
 """CSV ingestion, feature encoding, stratified splitting, and atomic writes.
 
-Input files are headered, comma-separated, UTF-8 (a leading byte-order mark
-is skipped), with unique column names, a positive `time` column, a 0/1
-`event` column, numeric features prefixed `num_`, and categorical features
-prefixed `fac_`; other columns are ignored with a warning.  `load_csv`
-converts each column once into a `RawDataset`: float arrays for `time` and
-each `num_*` column (NaN where missing), an int `event` array, and per
-`fac_*` column a string array whose missing-value spellings are already
-`__missing__`, so no other code knows them.  A `FeatureCodec`, fitted on a
-split's training rows and saved in the checkpoint, is the model's one
-encoding: one binary column per training level of a factor (an unseen level
-encodes as zeros) and numeric columns standardized with the training mean
-and std, a missing value taking the training median.  It ignores columns it
-does not name; a column it names that the data lacks is a `CodecError`, and
-`FeatureCodec.from_dict` refuses a codec that `fit_codec` could not make.
-Encoded rows are an immutable `Batch`; `Batch.pairs`, its comparable pairs
-built once by `comparable_pairs`, is the one plan of every ranking term and
-attack, and concordance counts over the same rule.  The loss's other
-time-and-event constants are cached beside it, so an attack builds them
-once, not at each step.  Output files are
-written through `atomic_open`, so a failed write never leaves a partial file.
+`read_csv` is the one reader of every CSV file the package reads, datasets
+and `metrics.csv` alike: UTF-8 (a leading byte-order mark is skipped), each
+record numbered by the physical line where it ends.  Input files are
+headered and comma-separated, with unique column names, a positive `time`
+column, a 0/1 `event` column, numeric features prefixed `num_`, and
+categorical features prefixed `fac_`; other columns are ignored with a
+warning.  `load_csv` converts each column once into a `RawDataset`: float
+arrays for `time` and each `num_*` column (NaN where missing), an int
+`event` array, and per `fac_*` column a string array whose missing-value
+spellings are already `__missing__`, so no other code knows them.  A
+`FeatureCodec`, fitted on a split's training rows and saved in the
+checkpoint, is the model's one encoding: one binary column per training
+level of a factor (an unseen level encodes as zeros) and numeric columns
+standardized with the training mean and std, a missing value taking the
+training median.  It ignores columns it does not name; a column it names
+that the data lacks is a `CodecError`, and `FeatureCodec.from_dict` refuses
+a codec that `fit_codec` could not make.  Encoded rows are an immutable
+`Batch`; `Batch.pairs`, its comparable pairs built once by
+`comparable_pairs`, is the one plan of every ranking term and attack, and
+concordance counts over the same rule.  The loss's other time-and-event
+constants are cached beside it, so an attack builds them once, not at each
+step.  Output files are written through `atomic_open`, so a failed write
+never leaves a partial file.
 """
 
 from __future__ import annotations
@@ -265,26 +268,37 @@ def _strip_missing(cells, fill):
     return cells, missing
 
 
-def load_csv(path, name: str | None = None) -> RawDataset:
+def read_csv(path):
+    """Each record of the CSV file at path as (line, cells), where line is
+    the 1-based physical line on which the record ends; blank lines are
+    records with no cells.  The file is read as UTF-8, a leading byte-order
+    mark skipped, and lazily, so a caller stops at its first bad record.  A
+    file that cannot be read or decoded, or that csv cannot parse, raises
+    FormatError naming path (and the line)."""
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            for rec in reader:
+                yield reader.line_num, rec
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 ({exc.reason})") from None
+    except OSError as exc:
+        raise FormatError(f"{path}: cannot read ({exc.strerror})") from None
+    except csv.Error as exc:
+        raise FormatError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
+def load_csv(path) -> RawDataset:
     """Parse a survival CSV; rows with time <= 0 are dropped and counted.
 
     A bad file raises FormatError; a ragged line or a bad cell raises
     RowError for the first such line in file order.
     """
-    name = name or str(path)
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
-            lines = list(reader)
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{name}: not UTF-8 ({exc.reason})") from None
-    except OSError as exc:
-        raise FormatError(f"{name}: cannot read ({exc.strerror})") from None
-    except csv.Error as exc:
-        raise FormatError(f"{name}: line {reader.line_num}: {exc}") from None
+    name = str(path)
+    lines = list(read_csv(path))
     if not lines:
         raise FormatError(f"{name}: empty file")
-    header = [h.strip() for h in lines[0]]
+    header = [h.strip() for h in lines[0][1]]
     if len(set(header)) != len(header):
         dups = sorted({h for h in header if header.count(h) > 1})
         raise FormatError(f"{name}: duplicate column name(s) {dups}")
@@ -296,7 +310,7 @@ def load_csv(path, name: str | None = None) -> RawDataset:
     # Each check records the first line it rejects.  The earliest line wins,
     # and on one line the check made first: fields, time, event, numerics.
     records, line_nos, errors = [], [], []
-    for line_no, rec in enumerate(lines[1:], start=2):
+    for line_no, rec in lines[1:]:
         if not rec:
             continue
         if len(rec) != len(header):

@@ -16,7 +16,6 @@ ranks, percent changes and Friedman tests from that table.
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 import os
@@ -26,7 +25,7 @@ import numpy as np
 
 from .bounds import worst_case_log_hazard_batch
 from .data import (Batch, FormatError, Pairs, atomic_open, comparable_pairs,
-                   write_csv, write_json)
+                   read_csv, write_csv, write_json)
 from .losses import _fgsm_scores, _ll_term
 from .network import Network
 from .survival import (StepCurve, evaluation_grid, hazard, km_estimator,
@@ -164,39 +163,31 @@ def write_metrics_csv(path, records) -> None:
 
 
 def read_metrics_csv(path) -> list[MetricRecord]:
-    """Inverse of write_metrics_csv.  A missing or repeated column, a short
-    or long row, a bad cell (an `eps` that is not finite included), a file
-    that is not UTF-8 or one that cannot be read raises FormatError naming
-    the file (and the line)."""
+    """Inverse of write_metrics_csv, read through `read_csv`.  A missing or
+    repeated column, a short or long row, a bad cell (an `eps` that is not
+    finite included), a file that is not UTF-8 or one that cannot be read
+    raises FormatError naming the file (and the line)."""
     fields, records = MetricRecord.CSV_FIELDS, []
     kinds = (str,) * 3 + (float,) * 4 + (lambda v: bool(int(v)),) * 3 + (int,)
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, [])
-            if (len(set(header)) != len(header)
-                    or not set(fields) <= set(header)):
-                raise FormatError(f"{path}: header must name each of "
-                                  f"{list(fields)} once")
-            at = [header.index(f) for f in fields]
-            for rec in filter(None, reader):
-                try:
-                    if len(rec) != len(header):
-                        raise ValueError(f"expected {len(header)} fields, "
-                                         f"got {len(rec)}")
-                    records.append(MetricRecord(
-                        *[kind(rec[i]) for kind, i in zip(kinds, at)]))
-                    if not math.isfinite(records[-1].eps):
-                        raise ValueError(f"eps {rec[at[3]]!r} is not finite")
-                except ValueError as exc:
-                    raise FormatError(f"{path}: line {reader.line_num}: "
-                                      f"{exc}") from None
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: not UTF-8 ({exc.reason})") from None
-    except OSError as exc:
-        raise FormatError(f"{path}: cannot read ({exc.strerror})") from None
-    except csv.Error as exc:
-        raise FormatError(f"{path}: line {reader.line_num}: {exc}") from None
+    lines = read_csv(path)
+    _, header = next(lines, (0, []))
+    if len(set(header)) != len(header) or not set(fields) <= set(header):
+        raise FormatError(f"{path}: header must name each of {list(fields)} "
+                          "once")
+    at = [header.index(f) for f in fields]
+    for line_no, rec in lines:
+        if not rec:
+            continue
+        try:
+            if len(rec) != len(header):
+                raise ValueError(f"expected {len(header)} fields, "
+                                 f"got {len(rec)}")
+            records.append(MetricRecord(
+                *[kind(rec[i]) for kind, i in zip(kinds, at)]))
+            if not math.isfinite(records[-1].eps):
+                raise ValueError(f"eps {rec[at[3]]!r} is not finite")
+        except ValueError as exc:
+            raise FormatError(f"{path}: line {line_no}: {exc}") from None
     return records
 
 

@@ -173,19 +173,6 @@ def init_network(layer_dims, leaky_slope: float = 0.01, seed: int = 0) -> Networ
     return Network(dims, weights, biases, float(leaky_slope))
 
 
-def leaky_relu(z: np.ndarray, slope: float) -> np.ndarray:
-    """The plain activation formula that the tests compare the fused passes
-    against."""
-    return np.where(z >= 0.0, z, slope * z)
-
-
-def leaky_relu_grad(z: np.ndarray, slope: float) -> np.ndarray:
-    """The plain activation slope formula that the tests compare the fused
-    passes against."""
-    # Subgradient at the kink is taken from the positive branch (slope 1).
-    return np.where(z >= 0.0, 1.0, slope)
-
-
 def _check_batch(net: Network, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != net.input_dim:
@@ -203,8 +190,9 @@ def forward_batch(net: Network, X: np.ndarray):
     Returns (outputs, caches) where outputs has shape (batch,) and caches
     is (layer_inputs, pre_acts, slopes): each layer's input (X first),
     each layer's pre-activation z, and each hidden layer's activation
-    slope `leaky_relu_grad(z)`, which the reverse passes read.  The
-    activation is z * slope, which is `leaky_relu(z)` bit for bit.
+    slope (1 where z >= 0, else leaky_slope), which the reverse passes
+    read.  The activation is z * slope: z where z >= 0, else
+    leaky_slope * z, bit for bit.
     """
     X = _check_batch(net, X)
     a = X

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+Q_LO, Q_HI = 0.05, 0.95  # the survival band's quantile levels
+
 
 class DomainError(ValueError):
     """Argument outside the mathematical domain of the function."""
@@ -25,22 +27,6 @@ def hazard(G):
     raising."""
     with np.errstate(over="ignore"):
         return np.exp(G)
-
-
-def log_survival(G: float, t: float) -> float:
-    """log S(t) = -exp(G) * t for t >= 0: the plain formula that the tests
-    compare the likelihood term against."""
-    if t < 0:
-        raise DomainError(f"survival requires t >= 0, got {t}")
-    return float(-hazard(G) * t)
-
-
-def log_pdf(G: float, t: float) -> float:
-    """log f(t) = G - exp(G) * t for t > 0 (never exponentiate-then-log):
-    the plain formula that the tests compare the likelihood term against."""
-    if t <= 0:
-        raise DomainError(f"event density requires t > 0, got {t}")
-    return float(G - hazard(G) * t)
 
 
 @dataclass
@@ -118,8 +104,9 @@ def population_curve(hazards, grid) -> np.ndarray:
     return survival_matrix(hazards, grid).mean(axis=0)
 
 
-def survival_quantiles(hazards, grid, q_lo: float = 0.05, q_hi: float = 0.95):
-    """Pointwise survival-band curves at the q_lo and q_hi levels.
+def survival_quantiles(hazards, grid):
+    """Pointwise survival-band curves at the Q_LO and Q_HI levels, the
+    `quantile_lo05` and `quantile_hi95` curves of `evaluate`.
 
     Survival is strictly decreasing in the hazard, so the q-quantile of the
     record survival values equals the curve at the (1-q) order-statistic
@@ -130,7 +117,7 @@ def survival_quantiles(hazards, grid, q_lo: float = 0.05, q_hi: float = 0.95):
     if hazards.size == 0:
         raise DomainError("quantile curves need at least one instance")
     lo, hi = survival_matrix(
-        np.quantile(hazards, [1.0 - q_lo, 1.0 - q_hi], method="higher"), grid)
+        np.quantile(hazards, [1.0 - Q_LO, 1.0 - Q_HI], method="higher"), grid)
     return lo, hi
 
 

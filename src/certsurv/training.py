@@ -67,7 +67,8 @@ _CONFIG_RULES = (
      "must be finite and nonnegative"),
     ("ramp_epochs max_epochs batch_size patience pgd_steps", lambda v: v >= 1,
      "must be >= 1"),
-    ("learning_rate sigma adam_eps", lambda v: v > 0, "must be positive"),
+    ("learning_rate sigma adam_eps", lambda v: 0 < v < math.inf,
+     "must be finite and positive"),
     ("adam_beta1 adam_beta2", lambda v: 0.0 <= v < 1.0, "must lie in [0, 1)"),
     ("w", lambda v: v is None or 0.0 <= v < math.inf,
      "must be None or a finite nonnegative weight"),
@@ -172,7 +173,7 @@ def _perturbed(net: Network, batch: Batch, config: TrainConfig, eps: float,
                noise_seed) -> Batch:
     """The batch a baseline, noise, fgsm or pgd model is scored on at eps;
     it shares `batch.pairs`, which no perturbation changes."""
-    if config.method == "baseline" or eps == 0.0:
+    if config.method == "baseline":
         return batch
     if config.method == "noise":
         return noise_perturb(batch, eps, noise_seed)
@@ -247,7 +248,6 @@ def train(config: TrainConfig, split: SplitDataset):
     best_epoch = -1
     stale = 0
     n = len(tr.X)
-    last_good = net
     for epoch in range(config.max_epochs):
         eps = eps_schedule(config, epoch)
         shuffle_rng = np.random.default_rng((config.seed, epoch))
@@ -270,15 +270,13 @@ def train(config: TrainConfig, split: SplitDataset):
                             epoch, n_batches)
             else:
                 epoch_finite = True
-                last_good = net
             sums += (breakdown.neg_ll, breakdown.rank,
                      breakdown.clean_combined, breakdown.certified_upper,
                      breakdown.total)
             n_batches += 1
         if not epoch_finite:
             raise TrainingDivergenceError(
-                f"no finite training loss in epoch {epoch}", last_good=last_good
-            )
+                f"no finite training loss in epoch {epoch}", last_good=net)
         val_loss = _validation_loss(net, split.validation, config, eps,
                                     epoch)
         avg = sums / n_batches
@@ -315,7 +313,7 @@ def save_checkpoint(net: Network, codec: FeatureCodec, config: TrainConfig,
         "leaky_slope": net.leaky_slope,
         "weights": [w.tolist() for w in net.weights],
         "biases": [b.tolist() for b in net.biases],
-        "codec": codec.to_dict() if codec is not None else None,
+        "codec": codec.to_dict(),
         "config": config.to_dict(),
     }
     if extra:
@@ -337,13 +335,13 @@ def load_checkpoint(path):
         raise CheckpointError(
             f"unsupported checkpoint schema {doc.get('schema_version')!r}"
         )
+    if doc.get("codec") is None:
+        raise CheckpointError(f"checkpoint {path} has no feature codec")
     try:
-        codec = (FeatureCodec.from_dict(doc["codec"])
-                 if doc.get("codec") is not None else None)
+        codec = FeatureCodec.from_dict(doc["codec"])
         config = TrainConfig.from_dict(doc["config"])
         # layer_dims and leaky_slope repeat the codec width and the config
-        dims = [codec.dim if codec is not None else doc["layer_dims"][0],
-                *config.hidden_dims, 1]
+        dims = [codec.dim, *config.hidden_dims, 1]
         if (doc["layer_dims"] != dims
                 or doc["leaky_slope"] != config.leaky_slope):
             raise ValueError(f"codec and config give layer_dims {dims} and "

@@ -8,6 +8,7 @@ import pytest
 import certsurv
 from certsurv.losses import Batch
 from certsurv.network import init_network
+from certsurv.survival import DomainError, hazard
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "..", "data")
 
@@ -68,6 +69,35 @@ BAD_CODEC_EDITS = {
     "int_level": _int_level,
     "reordered_names": lambda c: c["feature_names"].reverse(),
 }
+
+
+def leaky_relu(z: np.ndarray, slope: float) -> np.ndarray:
+    """The plain activation formula that the fused passes are compared
+    against."""
+    return np.where(z >= 0.0, z, slope * z)
+
+
+def leaky_relu_grad(z: np.ndarray, slope: float) -> np.ndarray:
+    """The plain activation slope formula that the fused passes are compared
+    against."""
+    # Subgradient at the kink is taken from the positive branch (slope 1).
+    return np.where(z >= 0.0, 1.0, slope)
+
+
+def log_survival(G: float, t: float) -> float:
+    """log S(t) = -exp(G) * t for t >= 0: the plain formula that the
+    likelihood term is compared against."""
+    if t < 0:
+        raise DomainError(f"survival requires t >= 0, got {t}")
+    return float(-hazard(G) * t)
+
+
+def log_pdf(G: float, t: float) -> float:
+    """log f(t) = G - exp(G) * t for t > 0 (never exponentiate-then-log):
+    the plain formula that the likelihood term is compared against."""
+    if t <= 0:
+        raise DomainError(f"event density requires t > 0, got {t}")
+    return float(G - hazard(G) * t)
 
 
 def random_net(rng, dims, slope=0.01, scale=1.0):

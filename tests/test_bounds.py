@@ -14,12 +14,12 @@ from certsurv.data import load_csv, stratified_split
 from certsurv.losses import (Batch, _certified_terms,
                              certified_upper_loss_grads, fgsm_perturb,
                              noise_perturb, pgd_perturb, sawar_loss_grads)
-from certsurv.network import (InputError, Network, ParamGrads, forward_batch,
-                              leaky_relu, leaky_relu_grad)
+from certsurv.network import InputError, Network, ParamGrads, forward_batch
 from certsurv.survival import hazard
 from certsurv.training import TrainConfig, train
 
-from conftest import DATA_DIR, equal_but_nan_sign, random_batch, random_net
+from conftest import (DATA_DIR, equal_but_nan_sign, leaky_relu,
+                      leaky_relu_grad, random_batch, random_net)
 
 
 def corner_grid_extrema(net, center, eps, n_grid=101):

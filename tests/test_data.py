@@ -162,6 +162,19 @@ class TestLoadCsv:
             load_csv(str(path))
         assert str(err.value).startswith(want)
 
+    def test_bad_line_is_the_physical_line(self, tmp_path):
+        # the third record's factor cell holds a newline, so the record
+        # spans lines 3 and 4 and the bad time of the seventh is on line 8
+        path = tmp_path / "multiline.csv"
+        rows = ["time,event,fac_a"] + [f"{i}.5,1,a" for i in range(1, 13)]
+        rows[2] = '2.5,1,"two\nlines"'
+        rows[6] = "x,1,a"
+        path.write_text("\n".join(rows) + "\n")
+        with pytest.raises(RowError) as err:
+            load_csv(str(path))
+        assert str(err.value) == "line 8: unparseable time 'x'"
+        assert err.value.line_no == 8
+
     def test_bundled_retinopathy_shape(self, data_dir):
         raw = load_csv(os.path.join(data_dir, "retinopathy.csv"))
         assert len(raw) == 394

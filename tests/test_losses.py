@@ -15,11 +15,10 @@ from certsurv.losses import (Batch, _certified_terms, _clean_engine,
                              sawar_loss_grads)
 from certsurv.network import (Network, ParamGrads, adam_step, backward_batch,
                               forward_batch, init_adam, input_grads_batch)
-from certsurv.survival import log_pdf, log_survival
 from certsurv.training import TrainConfig, train
 
-from conftest import (DATA_DIR, equal_but_nan_sign, random_batch,
-                      random_net)
+from conftest import (DATA_DIR, equal_but_nan_sign, log_pdf, log_survival,
+                      random_batch, random_net)
 
 
 def linear_net(weight, bias=0.0):

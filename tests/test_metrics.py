@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from certsurv import data as data_module
 from certsurv import losses as losses_module
-from certsurv.data import Batch
+from certsurv.data import Batch, FormatError
 from certsurv.losses import _ll_term, fgsm_perturb
 from certsurv.metrics import (AggregationError, DEFAULT_EPS_GRID,
                               METRIC_DIRECTIONS, MetricRecord,
@@ -583,6 +583,32 @@ class TestAttackSweep:
         write_metrics_csv(path, recs)
         back = read_metrics_csv(path)
         assert back == recs
+
+    def _two_records(self, path):
+        recs = [MetricRecord("two\nlines", "baseline", "fgsm", 0.0, 0.7, 0.2,
+                             5.0),
+                MetricRecord("toy", "baseline", "fgsm", 0.5, 0.6, 0.3, 6.0)]
+        write_metrics_csv(path, recs)
+        return recs
+
+    def test_metrics_csv_bad_line_is_the_physical_line(self, tmp_path):
+        # the first record's dataset name holds a newline, so the record
+        # spans lines 2 and 3 and the second record is on line 4
+        path = tmp_path / "metrics.csv"
+        recs = self._two_records(path)
+        assert read_metrics_csv(path) == recs
+        path.write_bytes(path.read_bytes().replace(b",0.5,", b",abc,", 1))
+        with pytest.raises(FormatError) as err:
+            read_metrics_csv(path)
+        assert str(err.value) == (f"{path}: line 4: could not convert string "
+                                  "to float: 'abc'")
+
+    def test_metrics_csv_byte_order_mark_is_skipped(self, tmp_path):
+        # spreadsheet programs start a UTF-8 CSV with a byte-order mark
+        path = tmp_path / "metrics.csv"
+        recs = self._two_records(path)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert read_metrics_csv(path) == recs
 
 
 class TestRanks:

@@ -7,10 +7,9 @@ from certsurv.network import (ConfigurationError, InputError, Network,
                               ParamGrads, ShapeError,
                               TrainingDivergenceError, adam_step,
                               backward_batch, forward_batch,
-                              init_adam, init_network, input_grads_batch,
-                              leaky_relu, leaky_relu_grad)
+                              init_adam, init_network, input_grads_batch)
 
-from conftest import random_net
+from conftest import leaky_relu, leaky_relu_grad, random_net
 
 
 class TestInit:

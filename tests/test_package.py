@@ -72,3 +72,21 @@ def test_every_export_has_a_caller_or_readme_entry():
                 if not inspect.ismodule(getattr(certsurv, name))]
     assert exported
     assert sorted(set(exported) - allowed) == []
+
+
+def test_every_definition_in_src_has_a_caller_or_readme_entry():
+    """`src/` holds only what the program runs: each function or class at
+    the top of a module has a caller in src or bench, a bench span or a
+    README entry, so no code in src is called by tests alone."""
+    allowed = set()
+    for path in (*PKG.glob("*.py"), *(ROOT / "bench").glob("*.py")):
+        allowed |= _uses(_parse(path))
+    allowed |= _span_names(_parse(ROOT / "bench" / "tracer.py"))
+    allowed |= set(re.findall(r"\w+", (ROOT / "README.md").read_text(
+        encoding="utf-8")))
+    uncalled = [f"{path.stem}.{node.name}" for path in PKG.glob("*.py")
+                for node in _parse(path).body
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef))
+                and node.name not in allowed]
+    assert sorted(uncalled) == []

@@ -6,8 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from certsurv.network import Network, forward_batch
 from certsurv.survival import (DomainError, StepCurve, hazard, km_estimator,
-                               log_pdf, log_survival, population_curve,
-                               survival_matrix, survival_quantiles)
+                               population_curve, survival_matrix,
+                               survival_quantiles)
+
+from conftest import log_pdf, log_survival
 
 
 def linear_net(weight, bias=0.0):
@@ -124,7 +126,7 @@ class TestSurvivalQuantiles:
         net = linear_net(1.0, 0.0)
         X = np.linspace(-2, 2, 100)[:, None]
         grid = np.array([1.0])
-        lo, hi = survival_quantiles(hazards_of(net, X), grid, 0.05, 0.95)
+        lo, hi = survival_quantiles(hazards_of(net, X), grid)
         G = forward_batch(net, X)[0]
         g_hi = np.quantile(G, 0.95, method="higher")
         assert lo[0] == pytest.approx(np.exp(-np.exp(g_hi) * 1.0), rel=1e-12)
@@ -133,7 +135,7 @@ class TestSurvivalQuantiles:
         net = linear_net(1.0, 0.2)
         X = np.array([[-1.0], [0.3], [0.9]])
         grid = np.linspace(0.1, 4.0, 6)
-        lo, hi = survival_quantiles(hazards_of(net, X), grid, 0.05, 0.95)
+        lo, hi = survival_quantiles(hazards_of(net, X), grid)
         surv = survival_matrix(hazards_of(net, X), grid)
         assert np.allclose(lo, np.quantile(surv, 0.05, axis=0, method="lower"))
         assert np.allclose(hi, np.quantile(surv, 0.95, axis=0, method="lower"))

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from certsurv.data import load_csv, stratified_split
+from certsurv.data import FeatureCodec, load_csv, stratified_split
 from certsurv.losses import Batch
 from certsurv.metrics import concordance_index
 from certsurv.network import forward_batch, init_network
@@ -75,8 +75,10 @@ class TestTrainConfig:
                                              ("learning_rate", 0.0),
                                              ("learning_rate", -1e-3),
                                              ("learning_rate", float("nan")),
+                                             ("learning_rate", float("inf")),
                                              ("pgd_steps", 0), ("sigma", 0.0),
                                              ("sigma", float("nan")),
+                                             ("sigma", float("inf")),
                                              ("hidden_dims", (0,)),
                                              ("hidden_dims", (8, -1)),
                                              ("leaky_slope", 0.0),
@@ -84,6 +86,7 @@ class TestTrainConfig:
                                              ("adam_beta1", 1.0),
                                              ("adam_beta2", -0.1),
                                              ("adam_eps", 0.0),
+                                             ("adam_eps", float("inf")),
                                              ("w", -0.5), ("w", float("inf")),
                                              ("w", float("nan")),
                                              ("eps_max", float("inf"))])
@@ -268,7 +271,10 @@ class TestCheckpoint:
 
     def _saved_doc(self, tmp_path):
         path = tmp_path / "m.ckpt.json"
-        save_checkpoint(init_network([3, 4, 1], seed=0), None,
+        cols = ("num_a", "num_b", "num_c")
+        codec = FeatureCodec({}, dict.fromkeys(cols, (0.0, 1.0)),
+                             dict.fromkeys(cols, 0.0))
+        save_checkpoint(init_network([3, 4, 1], seed=0), codec,
                         TrainConfig(hidden_dims=(4,)), path)
         return path, json.loads(path.read_text())
 
@@ -283,6 +289,16 @@ class TestCheckpoint:
         edit(doc)
         path.write_text(json.dumps(doc))
         with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda d: d.pop("codec"), lambda d: d.__setitem__("codec", None),
+    ], ids=["missing", "null"])
+    def test_checkpoint_without_codec_raises(self, tmp_path, edit):
+        path, doc = self._saved_doc(tmp_path)
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError, match="has no feature codec"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
