@@ -1,11 +1,13 @@
 """Command-line entry point: train, evaluate, report, selftest.
 
-Exit codes: 0 success, 2 configuration/usage error or any output that
-cannot be written, 3 data error, 4 training divergence.  `train` and
-`evaluate` write a manifest.json into their output directory before heavy
-work starts; `report` writes its manifest only after it has read and
-aggregated its inputs; `selftest` writes no file.  Each output is written
-atomically, but a failed command may leave the files it finished first.
+Exit codes: 0 success, 1 a failed `selftest`, 2 configuration/usage error
+or any output that cannot be written, 3 data error, 4 training divergence;
+`main` alone maps a failure to its code, but for a diverged `train`, which
+saves its last good weights first.  `train` and `evaluate` write a
+manifest.json into their output directory before heavy work starts;
+`report` writes its manifest only after it has read and aggregated its
+inputs; `selftest` writes no file.  Each output is written atomically, but
+a failed command may leave the files it finished first.
 
 Configuration precedence (lowest to highest): built-in defaults, the
 `[train]` section of an INI-style config file, command-line flags.
@@ -23,9 +25,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .data import (CodecError, FormatError, RowError, apply_codec,
-                   load_csv, split_indices, stratified_split, write_csv,
-                   write_json)
+from .data import (CodecError, FormatError, apply_codec, load_csv,
+                   split_indices, stratified_split, write_csv, write_json)
 from .metrics import (ATTACKS, DEFAULT_EPS_GRID, AggregationError,
                       attack_sweep, emit_report, read_metrics_csv,
                       report_tables)
@@ -44,9 +45,7 @@ OUT_ROOT_ENV = "CERTSURV_OUT_ROOT"
 
 
 class CliError(Exception):
-    def __init__(self, message: str, code: int):
-        super().__init__(message)
-        self.code = code
+    """A usage or configuration error (exit 2)."""
 
 
 def _out_root() -> str:
@@ -83,21 +82,19 @@ def _config_from_file(path: str) -> dict:
     try:
         read = parser.read(path, encoding="utf-8-sig")
     except (configparser.Error, UnicodeDecodeError) as exc:
-        raise CliError(f"cannot parse config file {path}: {exc}",
-                       EXIT_CONFIG) from exc
+        raise CliError(f"cannot parse config file {path}: {exc}") from exc
     if not read:
-        raise CliError(f"cannot read config file {path}", EXIT_CONFIG)
+        raise CliError(f"cannot read config file {path}")
     if not parser.has_section("train"):
-        raise CliError(f"config file {path} has no [train] section", EXIT_CONFIG)
+        raise CliError(f"config file {path} has no [train] section")
     out = {}
     for key, raw in parser.items("train"):
         if key not in _FIELD_PARSERS:
-            raise CliError(f"unknown config key {key!r} in {path}", EXIT_CONFIG)
+            raise CliError(f"unknown config key {key!r} in {path}")
         try:
             out[key] = _FIELD_PARSERS[key](raw)
         except ValueError as exc:
-            raise CliError(f"bad value for {key!r} in {path}: {exc}",
-                           EXIT_CONFIG) from exc
+            raise CliError(f"bad value for {key!r} in {path}: {exc}") from exc
     return out
 
 
@@ -109,11 +106,11 @@ def _resolve_train_config(args: argparse.Namespace) -> TrainConfig:
                       if (val := getattr(args, flag, None)) is not None})
     if "method" not in overrides:
         raise CliError("no training method: pass --method or set method in "
-                       "the [train] section of --config", EXIT_CONFIG)
+                       "the [train] section of --config")
     try:
         return TrainConfig(**overrides)
     except (TypeError, ValueError) as exc:
-        raise CliError(f"invalid configuration: {exc}", EXIT_CONFIG) from exc
+        raise CliError(f"invalid configuration: {exc}") from exc
 
 
 def cmd_train(args: argparse.Namespace) -> int:
@@ -150,14 +147,12 @@ def _parse_eps_grid(raw: str | None):
     try:
         grid = [float(v) for v in raw.split(",") if v.strip() != ""]
     except ValueError as exc:
-        raise CliError(f"bad --eps-grid: {exc}", EXIT_CONFIG) from exc
+        raise CliError(f"bad --eps-grid: {exc}") from exc
     if not grid or not all(np.isfinite(e) and e >= 0 for e in grid):
-        raise CliError("--eps-grid must list finite nonnegative radii",
-                       EXIT_CONFIG)
+        raise CliError("--eps-grid must list finite nonnegative radii")
     if len({f"{abs(e):g}" for e in grid}) < len(grid):  # -0.0 is 0.0
         raise CliError(f"--eps-grid radii must differ under %g (each names a "
-                       f"curve in curves.csv and a report cell): {raw}",
-                       EXIT_CONFIG)
+                       f"curve in curves.csv and a report cell): {raw}")
     return grid
 
 
@@ -215,19 +210,14 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     out_dir = args.out or os.path.join(_out_root(), "report")
     if not os.path.isdir(args.inputs):
-        raise CliError(f"data error: {args.inputs} is not a directory",
-                       EXIT_DATA)
+        raise FormatError(f"{args.inputs} is not a directory")
     records = []
     for root, _, files in sorted(os.walk(args.inputs)):
         if "metrics.csv" in files:
             records.extend(read_metrics_csv(os.path.join(root, "metrics.csv")))
     if not records:
-        raise CliError(f"data error: no metrics.csv found under {args.inputs}",
-                       EXIT_DATA)
-    try:
-        tables = report_tables(records)
-    except AggregationError as exc:
-        raise CliError(f"data error: {exc}", EXIT_DATA) from exc
+        raise FormatError(f"no metrics.csv found under {args.inputs}")
+    tables = report_tables(records)
     _write_manifest(out_dir, "report", args, None, [args.inputs])
     wrote = [os.path.join(out_dir, fname) for fname in tables]
     for path, (header, rows) in zip(wrote, tables.values()):
@@ -238,7 +228,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 def cmd_selftest(args: argparse.Namespace) -> int:
     if args.seed < 0 or args.trials < 1:
-        raise CliError("need --seed >= 0 and --trials >= 1", EXIT_CONFIG)
+        raise CliError("need --seed >= 0 and --trials >= 1")
     from .selftest import run_selftest
     ok = run_selftest(seed=args.seed, trials=args.trials)
     return EXIT_OK if ok else 1
@@ -296,8 +286,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except (FormatError, RowError, CodecError, CheckpointError) as exc:
+        return EXIT_CONFIG
+    except (AggregationError, CheckpointError, CodecError, FormatError) as exc:
         print(f"error: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except OSError as exc:

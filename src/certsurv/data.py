@@ -46,15 +46,7 @@ _NA_STRINGS = {"", "na", "nan", "none", "null"}
 
 
 class FormatError(ValueError):
-    """Structurally unusable input file."""
-
-
-class RowError(ValueError):
-    """A single row failed to parse; carries the 1-based line number."""
-
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
+    """Unusable input file or directory; the message names it."""
 
 
 class CodecError(ValueError):
@@ -291,8 +283,8 @@ def read_csv(path):
 def load_csv(path) -> RawDataset:
     """Parse a survival CSV; rows with time <= 0 are dropped and counted.
 
-    A bad file raises FormatError; a ragged line or a bad cell raises
-    RowError for the first such line in file order.
+    A bad file raises FormatError, and so does a ragged line or a bad cell:
+    `<path>: line <n>: <message>` for the first such line in file order.
     """
     name = str(path)
     lines = list(read_csv(path))
@@ -307,15 +299,16 @@ def load_csv(path) -> RawDataset:
     for h in header:
         if h not in ("time", "event") and not h.startswith(("fac_", "num_")):
             log.warning("%s: ignoring unrecognized column %r", name, h)
-    # Each check records the first line it rejects.  The earliest line wins,
-    # and on one line the check made first: fields, time, event, numerics.
+    # Each check records (line, message) of the first line it rejects.  The
+    # earliest line wins, and on one line the check made first: fields,
+    # time, event, numerics.
     records, line_nos, errors = [], [], []
     for line_no, rec in lines[1:]:
         if not rec:
             continue
         if len(rec) != len(header):
-            errors.append(RowError(line_no, f"expected {len(header)} "
-                                            f"fields, got {len(rec)}"))
+            errors.append((line_no, f"expected {len(header)} fields, got "
+                                    f"{len(rec)}"))
             break
         records.append(rec)
         line_nos.append(line_no)
@@ -325,7 +318,7 @@ def load_csv(path) -> RawDataset:
     def reject(mask, cells, prefix):
         if mask.any():
             i = mask.argmax()
-            errors.append(RowError(line_nos[i], prefix + repr(cells[i])))
+            errors.append((line_nos[i], prefix + repr(cells[i])))
 
     time, bad = _floats(cols["time"])
     reject(bad, cols["time"], "unparseable time ")
@@ -348,7 +341,8 @@ def load_csv(path) -> RawDataset:
         reject(kept & ~missing & ~bad & ~np.isfinite(num[c]), cells,
                f"non-finite numeric {c}=")
     if errors:
-        raise min(errors, key=lambda err: err.line_no)
+        line_no, message = min(errors, key=lambda err: err[0])
+        raise FormatError(f"{name}: line {line_no}: {message}")
     fac = {}
     for h in (h for h in header if h.startswith("fac_")):
         # a factor column repeats a few levels: each is tested once
@@ -374,7 +368,7 @@ def _onehot(col: np.ndarray, levels: list[str]) -> np.ndarray:
 def fit_codec(raw: RawDataset, normalize_onehot: bool = False) -> FeatureCodec:
     """Fit level maps and normalization statistics on training rows only."""
     if not len(raw):
-        raise CodecError("cannot fit a codec on zero rows")
+        raise CodecError(f"{raw.name}: cannot fit a codec on zero rows")
     fac_levels = {c: sorted(set(col.tolist())) for c, col in raw.fac.items()}
     num_stats, num_medians = {}, {}
     for c, vals in raw.num.items():
@@ -387,7 +381,8 @@ def fit_codec(raw: RawDataset, normalize_onehot: bool = False) -> FeatureCodec:
             filled = np.where(np.isnan(vals), med, vals)
             mean, std = float(filled.mean()), float(filled.std())
         if not np.isfinite([med, mean, std]).all():
-            raise CodecError(f"numeric column {c} overflows its statistics")
+            raise CodecError(f"{raw.name}: numeric column {c} overflows its "
+                             "statistics")
         if std <= 0.0:
             log.warning("numeric column %s is constant on train; dropped", c)
             continue
@@ -395,7 +390,8 @@ def fit_codec(raw: RawDataset, normalize_onehot: bool = False) -> FeatureCodec:
         num_medians[c] = med
     codec = FeatureCodec(fac_levels, num_stats, num_medians, normalize_onehot)
     if not codec.dim:
-        raise CodecError("no usable feature columns after fitting")
+        raise CodecError(f"{raw.name}: no usable feature columns after "
+                         "fitting")
     if normalize_onehot:
         for c, levels in fac_levels.items():
             block = _onehot(raw.fac[c], levels)
@@ -412,7 +408,7 @@ def apply_codec(codec: FeatureCodec, raw: RawDataset) -> Batch:
     ignored and a level it has not seen encodes as zeros in its factor's
     indicators; a codec column missing from raw raises CodecError."""
     if codec.dim == 0:
-        raise CodecError("codec has no features")
+        raise CodecError(f"{raw.name}: codec has no features")
     missing = [c for c in codec.fac_levels if c not in raw.fac]
     missing += [c for c in codec.num_stats if c not in raw.num]
     if missing:

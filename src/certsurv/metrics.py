@@ -391,21 +391,22 @@ def report_tables(records: list[MetricRecord]) -> dict:
             rank_rows.append([attack, repr(float(eps)), metric,
                               *[repr(float(cell[m])) for m in methods]])
         if "baseline" in methods:
-            # skip and count a zero or non-finite baseline or value
+            # skip and count a change that is not finite: a zero or
+            # non-finite baseline, a non-finite value, or an overflow
             base = values[..., [methods.index("baseline")]]
-            with np.errstate(all="ignore"):
+            with np.errstate(all="ignore"):  # a mean's sum may overflow
                 change = 100.0 * (values - base) / base
-            kept = (base != 0.0) & np.isfinite(base) & np.isfinite(values)
-            for m, method in enumerate(methods):
-                if method == "baseline":
-                    continue
-                for e, eps in enumerate(table.eps_values):
-                    for k, metric in enumerate(table.metrics):
-                        c = change[:, e, k, m][kept[:, e, k, m]]
-                        mean = float(np.mean(c)) if c.size else float("nan")
-                        pc_rows.append([attack, method, repr(float(eps)),
-                                        metric, repr(mean),
-                                        len(values) - c.size])
+                kept = np.isfinite(change)
+                for m, method in enumerate(methods):
+                    if method == "baseline":
+                        continue
+                    for e, eps in enumerate(table.eps_values):
+                        for k, metric in enumerate(table.metrics):
+                            c = change[:, e, k, m][kept[:, e, k, m]]
+                            mean = float(np.mean(c)) if c.size else math.nan
+                            pc_rows.append([attack, method, repr(float(eps)),
+                                            metric, repr(mean),
+                                            len(values) - c.size])
         oriented = _oriented(values, table.metrics)
         for k, metric in enumerate(table.metrics):
             # a block with an undefined (NaN) value is left out

@@ -260,16 +260,12 @@ def train(config: TrainConfig, split: SplitDataset):
             batch = Batch(tr.X[idx], tr.t[idx], tr.e[idx])
             breakdown, pgrads = _batch_loss_grads(net, batch, config, eps,
                                                   epoch, n_batches)
-            try:
-                if not np.isfinite(breakdown.total):
-                    raise TrainingDivergenceError("non-finite loss")
-                # adam_step refuses a non-finite gradient
+            if np.isfinite(breakdown.total) and pgrads.is_finite():
                 net, state = adam_step(state, net, pgrads)
-            except TrainingDivergenceError:
+                epoch_finite = True
+            else:
                 log.warning("epoch %d batch %d: non-finite loss, update skipped",
                             epoch, n_batches)
-            else:
-                epoch_finite = True
             sums += (breakdown.neg_ll, breakdown.rank,
                      breakdown.clean_combined, breakdown.certified_upper,
                      breakdown.total)
@@ -322,7 +318,11 @@ def save_checkpoint(net: Network, codec: FeatureCodec, config: TrainConfig,
 
 
 def load_checkpoint(path):
-    """Inverse of save_checkpoint: (Network, FeatureCodec, TrainConfig)."""
+    """Inverse of save_checkpoint: (Network, FeatureCodec, TrainConfig).  A
+    CheckpointError names path, and a field that is missing or malformed."""
+    def arrays(rows):
+        return [np.array(a, dtype=float) for a in rows]
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -332,27 +332,39 @@ def load_checkpoint(path):
     if not isinstance(doc, dict):
         raise CheckpointError(f"checkpoint {path} is not a JSON object")
     if doc.get("schema_version") != CHECKPOINT_SCHEMA:
-        raise CheckpointError(
-            f"unsupported checkpoint schema {doc.get('schema_version')!r}"
-        )
-    if doc.get("codec") is None:
-        raise CheckpointError(f"checkpoint {path} has no feature codec")
+        raise CheckpointError(f"checkpoint {path} has unsupported schema "
+                              f"{doc.get('schema_version')!r}")
+    got = {}  # each field, what it holds and its reader
+    for name, what, read in (
+            ("codec", "feature codec", FeatureCodec.from_dict),
+            ("config", "training config", TrainConfig.from_dict),
+            ("weights", "weight matrices", arrays),
+            ("biases", "bias vectors", arrays),
+            ("layer_dims", "layer widths", None),
+            ("leaky_slope", "activation slope", None)):
+        if (value := doc.get(name)) is None:
+            raise CheckpointError(f"checkpoint {path} has no {what} ({name})")
+        try:
+            got[name] = read(value) if read else value
+        except (AttributeError, LookupError, OverflowError, TypeError,
+                ValueError) as exc:  # a value of the wrong type, size or range
+            problem = "lacks" if isinstance(exc, KeyError) else "is malformed:"
+            raise CheckpointError(f"malformed checkpoint {path}: {name} "
+                                  f"{problem} {exc}") from exc
+    codec, config = got["codec"], got["config"]
+    dims = [codec.dim, *config.hidden_dims, 1]
+    # layer_dims and leaky_slope repeat the codec width and the config
+    for name, want in (("layer_dims", dims),
+                       ("leaky_slope", config.leaky_slope)):
+        if got[name] != want:
+            raise CheckpointError(f"malformed checkpoint {path}: codec and "
+                                  f"config give {name} {want!r}, but the "
+                                  f"checkpoint says {got[name]!r}")
     try:
-        codec = FeatureCodec.from_dict(doc["codec"])
-        config = TrainConfig.from_dict(doc["config"])
-        # layer_dims and leaky_slope repeat the codec width and the config
-        dims = [codec.dim, *config.hidden_dims, 1]
-        if (doc["layer_dims"] != dims
-                or doc["leaky_slope"] != config.leaky_slope):
-            raise ValueError(f"codec and config give layer_dims {dims} and "
-                             f"leaky_slope {config.leaky_slope}, which the "
-                             "checkpoint's own copies contradict")
-        net = Network(dims, [np.array(w, dtype=float) for w in doc["weights"]],
-                      [np.array(b, dtype=float) for b in doc["biases"]],
-                      config.leaky_slope)
-    except (AttributeError, LookupError, OverflowError, TypeError,
-            ValueError) as exc:  # a value of the wrong type, size or range
-        raise CheckpointError(f"malformed checkpoint {path}: {exc}") from exc
+        net = Network(dims, got["weights"], got["biases"], config.leaky_slope)
+    except ValueError as exc:  # a shape that layer_dims does not give
+        raise CheckpointError(f"malformed checkpoint {path}: weights or "
+                              f"biases: {exc}") from exc
     if not np.isfinite(net.flat).all():
         raise CheckpointError(f"checkpoint {path} has non-finite parameters")
     return net, codec, config

@@ -4,6 +4,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import certsurv
 from certsurv.losses import Batch
@@ -11,6 +12,11 @@ from certsurv.network import init_network
 from certsurv.survival import DomainError, hazard
 
 DATA_DIR = os.path.join(os.path.dirname(__file__), "..", "data")
+
+# A failing property test also prints its @reproduce_failure blob, so a
+# failure can be replayed from a CI log, where .hypothesis/ is not kept.
+settings.register_profile("replayable", print_blob=True)
+settings.load_profile("replayable")
 
 
 @pytest.fixture

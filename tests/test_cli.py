@@ -185,6 +185,24 @@ def test_full_disk_exits_2_naming_the_output(trained_dir, toy_csv, tmp_path):
     assert sorted(os.listdir(out)) == ["manifest.json"]
 
 
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_bad_dataset_line_names_file_and_line(trained_dir, toy_csv, tmp_path,
+                                              capsys, command):
+    with open(toy_csv) as fh:
+        lines = fh.read().splitlines()
+    lines[7] = lines[7].rsplit(",", 1)[0] + ",oops"
+    bad = tmp_path / "bad.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    args = {"train": ["--method", "baseline"],
+            "evaluate": ["--model",
+                         os.path.join(trained_dir, "checkpoint.ckpt.json"),
+                         "--attack", "fgsm"]}[command]
+    assert run_cli([command, "--dataset", bad, *args,
+                    "--out", tmp_path / "o"]) == 3
+    assert (f"error: data error: {bad}: line 8: unparseable numeric "
+            "num_b='oops'") in capsys.readouterr().err.splitlines()
+
+
 class TestTrainCommand:
     def test_missing_dataset_flag_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -293,6 +311,16 @@ class TestTrainCommand:
                         "--max-epochs", 1, "--out", tmp_path / "o"])
         assert code == 3
         assert "error: data error" in capsys.readouterr().err
+
+    def test_constant_columns_name_the_dataset(self, tmp_path, capsys):
+        rows = ["time,event,num_a,num_b"] + [f"{i}.5,{i % 2},3.0,-1"
+                                             for i in range(1, 30)]
+        path = tmp_path / "constant.csv"
+        path.write_text("\n".join(rows) + "\n")
+        assert run_cli(["train", "--dataset", path, "--method", "baseline",
+                        "--max-epochs", 1, "--out", tmp_path / "o"]) == 3
+        assert (f"error: data error: {path}: no usable feature columns after "
+                "fitting") in capsys.readouterr().err.splitlines()
 
     def test_non_utf8_csv_exits_3(self, tmp_path, capsys):
         rows = ["time,event,fac_city"] + [f"{i}.5,{i % 2},b"
@@ -544,6 +572,34 @@ class TestEvaluateCommand:
             doc["config"][key] = value
         assert self._evaluate_edited_checkpoint(trained_dir, toy_csv,
                                                 tmp_path, retype) == 3
+
+    @pytest.mark.parametrize("field,value,want", [
+        ("codec", [1], "malformed checkpoint {}: codec is malformed: "),
+        ("codec", 3, "malformed checkpoint {}: codec is malformed: "),
+        ("codec", {}, "malformed checkpoint {}: codec lacks 'fac_levels'"),
+        ("config", None, "checkpoint {} has no training config (config)"),
+        ("config", [], "malformed checkpoint {}: config is malformed: "),
+        ("weights", 3, "malformed checkpoint {}: weights is malformed: "),
+        ("schema_version", 2, "checkpoint {} has unsupported schema 2\n"),
+    ], ids=["codec-list", "codec-int", "codec-empty", "no-config",
+            "config-list", "weights-int", "schema-2"])
+    def test_bad_checkpoint_field_is_named(self, trained_dir, toy_csv,
+                                           tmp_path, capsys, field, value,
+                                           want):
+        # value None deletes the field; {} in want is the checkpoint's path
+        with open(os.path.join(trained_dir, "checkpoint.ckpt.json")) as fh:
+            doc = json.load(fh)
+        if value is None:
+            del doc[field]
+        else:
+            doc[field] = value
+        ck = tmp_path / "edited.ckpt.json"
+        ck.write_text(json.dumps(doc))
+        assert run_cli(["evaluate", "--model", ck, "--dataset", toy_csv,
+                        "--attack", "fgsm", "--out", tmp_path / "e"]) == 3
+        assert capsys.readouterr().err.startswith(
+            "error: data error: " + want.format(ck))
+        assert not os.path.exists(tmp_path / "e")
 
     def test_emits_curves(self, trained_dir, toy_csv, tmp_path):
         out = tmp_path / "e6"

@@ -4,6 +4,7 @@ import os
 
 import math
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -701,6 +702,20 @@ class TestPercentChange:
         assert out[(0.1, "ci")] == pytest.approx(50.0)
         assert flagged[(0.1, "ci")] == 1
         assert sum(flagged.values()) == 1
+
+    @pytest.mark.parametrize("datasets", [("a", "b"), ("a",)])
+    def test_overflowed_change_flagged(self, datasets):
+        # finite values whose change overflows: +-1e300 against 1e-300
+        base = [MetricRecord(ds, "baseline", "fgsm", 0.1, 0.5, 1e-300, 10.0)
+                for ds in datasets]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out, flagged = _percent_change(base, [
+                MetricRecord(ds, "m", "fgsm", 0.1, 0.5, sign * 1e300, 10.0)
+                for ds, sign in zip(datasets, (1.0, -1.0))])
+        assert flagged == {(0.1, "ci"): 0, (0.1, "ibs"): len(datasets),
+                           (0.1, "negll"): 0}
+        assert np.isnan(out[(0.1, "ibs")])
 
 
 class TestFriedman:
