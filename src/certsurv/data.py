@@ -374,7 +374,8 @@ def fit_codec(raw: RawDataset, normalize_onehot: bool = False) -> FeatureCodec:
     for c, vals in raw.num.items():
         present = vals[~np.isnan(vals)]
         if present.size == 0:
-            log.warning("numeric column %s has no observed values; dropped", c)
+            log.warning("%s: numeric column %s has no observed values; "
+                        "dropped", raw.name, c)
             continue
         with np.errstate(over="ignore", invalid="ignore"):
             med = float(np.median(present))
@@ -384,7 +385,8 @@ def fit_codec(raw: RawDataset, normalize_onehot: bool = False) -> FeatureCodec:
             raise CodecError(f"{raw.name}: numeric column {c} overflows its "
                              "statistics")
         if std <= 0.0:
-            log.warning("numeric column %s is constant on train; dropped", c)
+            log.warning("%s: numeric column %s is constant on train; dropped",
+                        raw.name, c)
             continue
         num_stats[c] = (mean, std)
         num_medians[c] = med

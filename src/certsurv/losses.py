@@ -40,7 +40,8 @@ it builds -(t_i * lambda_j) in one outer product from the batch's cached
 opens no `np.errstate`: exp overflow and inf * 0 are expected there, and
 `_clean_engine`, `_certified_terms`, `pgd_perturb` and `_fgsm_scores` each
 open one per call around the kernel and the gradient arithmetic (for
-`pgd_perturb`, around all its steps).
+`_clean_engine`, also the forward and backward passes; for `pgd_perturb`,
+around all its steps).
 """
 
 from __future__ import annotations
@@ -177,13 +178,15 @@ def _clean_engine(net: Network, batch: Batch, w_val: float, sigma: float,
                   need_grads: bool):
     """The clean loss: (neg_ll, rank, value, pgrads, igrads), the last two
     None without need_grads.  Every clean value is read from here."""
-    G, caches = forward_batch(net, batch.X)
+    # an overflowing network gives non-finite results, not warnings:
+    # train() skips such an update, and a run of them has diverged
     with np.errstate(over="ignore", invalid="ignore"):
+        G, caches = forward_batch(net, batch.X)
         lam_t, eta, dG = _loss_grad(G, batch, w_val / sigma, sigma,
                                     need_grads)
-    neg_ll = float(_ll_term(G, batch.t, batch.e, lam_t).sum())
-    rank = float(eta.sum())
-    grads = backward_batch(net, caches, dG) if need_grads else (None, None)
+        neg_ll = float(_ll_term(G, batch.t, batch.e, lam_t).sum())
+        rank = float(eta.sum())
+        grads = backward_batch(net, caches, dG) if need_grads else (None, None)
     return neg_ll, rank, neg_ll + w_val * rank, *grads
 
 

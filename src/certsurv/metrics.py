@@ -392,7 +392,8 @@ def report_tables(records: list[MetricRecord]) -> dict:
                               *[repr(float(cell[m])) for m in methods]])
         if "baseline" in methods:
             # skip and count a change that is not finite: a zero or
-            # non-finite baseline, a non-finite value, or an overflow
+            # non-finite baseline, a non-finite value, or an overflow; a
+            # mean that is not finite counts every cell
             base = values[..., [methods.index("baseline")]]
             with np.errstate(all="ignore"):  # a mean's sum may overflow
                 change = 100.0 * (values - base) / base
@@ -404,9 +405,10 @@ def report_tables(records: list[MetricRecord]) -> dict:
                         for k, metric in enumerate(table.metrics):
                             c = change[:, e, k, m][kept[:, e, k, m]]
                             mean = float(np.mean(c)) if c.size else math.nan
+                            used = c.size if math.isfinite(mean) else 0
                             pc_rows.append([attack, method, repr(float(eps)),
                                             metric, repr(mean),
-                                            len(values) - c.size])
+                                            len(values) - used])
         oriented = _oriented(values, table.metrics)
         for k, metric in enumerate(table.metrics):
             # a block with an undefined (NaN) value is left out

@@ -2,9 +2,11 @@
 
 All methods share the loop: shuffle, batch, compute the method's loss and
 gradients, apply one Adam update.  The perturbation radius ramps linearly
-from 0 to eps_max over ramp_epochs after a warmup, and the early-stopping
-monitor only starts once the ramp has finished, so the selected checkpoint
-always comes from a full-radius epoch.
+from 0 to eps_max over ramp_epochs after a warmup.  One rule picks the
+returned weights: an epoch is eligible if it trained at eps_max, or if it is
+the last epoch of a run that ends before the ramp does, and the eligible
+epoch with the lowest finite validation loss wins.  A run with no such epoch
+has diverged (TrainingDivergenceError), as has an epoch with no finite batch.
 """
 
 from __future__ import annotations
@@ -162,13 +164,6 @@ def eps_schedule(config: TrainConfig, epoch: int) -> float:
     return config.eps_max * ramped / config.ramp_epochs
 
 
-def _guard_epoch(config: TrainConfig) -> int:
-    """First epoch whose radius equals eps_max (checkpoint eligibility)."""
-    if config.eps_max == 0.0:
-        return 0
-    return config.warmup_epochs + config.ramp_epochs
-
-
 def _perturbed(net: Network, batch: Batch, config: TrainConfig, eps: float,
                noise_seed) -> Batch:
     """The batch a baseline, noise, fgsm or pgd model is scored on at eps;
@@ -230,9 +225,9 @@ def _validation_loss(net: Network, batch: Batch, config: TrainConfig,
 def train(config: TrainConfig, split: SplitDataset):
     """Run the configured method; returns (best Network, TrainReport).
 
-    The returned network is the checkpoint with the best validation loss
-    among guard-eligible epochs; training stops once that loss has not
-    improved for `patience` eligible epochs, or at max_epochs.
+    The returned network is the eligible epoch's (see the module docstring)
+    with the lowest finite validation loss; training stops once that loss
+    has not improved for `patience` eligible epochs, or at max_epochs.
     """
     import time
     start = time.perf_counter()
@@ -241,11 +236,9 @@ def train(config: TrainConfig, split: SplitDataset):
     net = init_network(dims, config.leaky_slope, seed=config.seed)
     state = init_adam(net, config.learning_rate, config.adam_beta1,
                       config.adam_beta2, config.adam_eps)
-    guard = _guard_epoch(config)
     report = TrainReport()
     best_net = None
     best_val = np.inf
-    best_epoch = -1
     stale = 0
     n = len(tr.X)
     for epoch in range(config.max_epochs):
@@ -277,11 +270,10 @@ def train(config: TrainConfig, split: SplitDataset):
                                     epoch)
         avg = sums / n_batches
         report.rows.append(EpochRow(epoch, eps, *avg, val_loss))
-        if epoch >= guard:
-            if val_loss < best_val:
-                best_val = val_loss
-                best_net = net
-                best_epoch = epoch
+        # the last epoch is at eps_max unless the run ends before the ramp
+        if eps == config.eps_max or epoch == config.max_epochs - 1:
+            if np.isfinite(val_loss) and val_loss < best_val:
+                best_val, best_net, report.best_epoch = val_loss, net, epoch
                 stale = 0
             else:
                 stale += 1
@@ -289,13 +281,11 @@ def train(config: TrainConfig, split: SplitDataset):
                     break
     report.stopped_epoch = report.rows[-1].epoch
     if best_net is None:
-        # max_epochs ended before the ramp finished; fall back to the last
-        # weights rather than returning an ineligible checkpoint.
+        raise TrainingDivergenceError(
+            "no finite validation loss in an eligible epoch", last_good=net)
+    if report.rows[report.best_epoch].eps < config.eps_max:
         log.warning("training ended before the radius ramp completed; "
                     "returning final weights")
-        best_net = net
-        best_epoch = report.stopped_epoch
-    report.best_epoch = best_epoch
     report.wall_time_s = time.perf_counter() - start
     return best_net, report
 

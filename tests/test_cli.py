@@ -257,6 +257,21 @@ class TestTrainCommand:
         assert code == 4
         assert os.path.exists(out / "last_good.ckpt.json")
 
+    def test_no_finite_validation_loss_exits_4(self, toy_csv, tmp_path):
+        # one finite update to weights near 1e300; the validation loss of
+        # the only (eligible) epoch is not finite
+        cfg = tmp_path / "huge_lr.ini"
+        cfg.write_text("[train]\nlearning_rate = 1e300\n")
+        out = tmp_path / "div"
+        proc = run_child(["train", "--dataset", toy_csv, "--method",
+                          "baseline", "--max-epochs", 1, "--batch-size", 16,
+                          "--config", cfg, "--out", out], cwd=tmp_path)
+        assert proc.returncode == 4, proc.stderr
+        assert "error: training diverged: " in proc.stderr
+        with open(out / "last_good.ckpt.json", encoding="utf-8") as fh:
+            assert json.load(fh)["extra"]["diverged"] is True
+        assert not os.path.exists(out / "checkpoint.ckpt.json")
+
     def test_invalid_config_value_exits_2(self, toy_csv, tmp_path, capsys):
         cfg = tmp_path / "bad.ini"
         cfg.write_text("[train]\nkappa = 1.7\n")

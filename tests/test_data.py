@@ -300,6 +300,19 @@ class TestCodec:
         assert "num_c" not in codec.num_stats
         assert codec.dim == 1
 
+    def test_dropped_columns_warn_with_dataset_path(self, tmp_path, caplog):
+        path = tmp_path / "drop.csv"
+        rows = ["time,event,num_a,num_c,num_m"]
+        for i in range(10):
+            rows.append(f"{i + 1}.0,{i % 2},{i / 5},7.0,NA")
+        path.write_text("\n".join(rows) + "\n")
+        raw = load_csv(str(path))
+        with caplog.at_level("WARNING", logger="certsurv.data"):
+            fit_codec(raw)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{path}: numeric column num_c is constant on train; dropped",
+            f"{path}: numeric column num_m has no observed values; dropped"]
+
     def test_all_constant_rejected(self, tmp_path):
         path = tmp_path / "allconst.csv"
         rows = ["time,event,num_c"] + [f"{i + 1}.0,{i % 2},7.0" for i in range(10)]

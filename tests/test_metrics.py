@@ -717,6 +717,18 @@ class TestPercentChange:
                            (0.1, "negll"): 0}
         assert np.isnan(out[(0.1, "ibs")])
 
+    def test_overflowed_mean_flagged(self):
+        # each change (1e308) is finite, their sum is not
+        base = [MetricRecord(ds, "baseline", "fgsm", 0.1, 0.5, 1.0, 10.0)
+                for ds in ("a", "b")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out, flagged = _percent_change(base, [
+                MetricRecord(ds, "m", "fgsm", 0.1, 0.5, 1e306, 10.0)
+                for ds in ("a", "b")])
+        assert out[(0.1, "ibs")] == math.inf
+        assert flagged == {(0.1, "ci"): 0, (0.1, "ibs"): 2, (0.1, "negll"): 0}
+
 
 class TestFriedman:
     def test_identical_treatments(self):

@@ -7,7 +7,8 @@ import pytest
 from certsurv.data import FeatureCodec, load_csv, stratified_split
 from certsurv.losses import Batch
 from certsurv.metrics import concordance_index
-from certsurv.network import forward_batch, init_network
+from certsurv.network import (TrainingDivergenceError, forward_batch,
+                              init_network)
 from certsurv.training import (CheckpointError, TrainConfig,
                                _batch_loss_grads, _validation_loss,
                                eps_schedule, load_checkpoint, save_checkpoint,
@@ -215,6 +216,33 @@ class TestTrain:
         net, report = train(cfg, planted_split)
         assert report.best_epoch >= 10
 
+    def test_run_ending_before_the_ramp_returns_its_last_epoch(
+            self, planted_split, caplog):
+        cfg = fast_config(method="sawar", warmup_epochs=4, ramp_epochs=6,
+                          max_epochs=8)
+        with caplog.at_level("WARNING", logger="certsurv.training"):
+            _, report = train(cfg, planted_split)
+        assert report.best_epoch == report.stopped_epoch == cfg.max_epochs - 1
+        ramp = [r for r in caplog.records
+                if "before the radius ramp" in r.getMessage()]
+        assert len(ramp) == 1
+
+    @pytest.mark.parametrize("eps_max", [0.5, 0.0])
+    def test_no_finite_eligible_val_loss_diverges(self, planted_split,
+                                                  caplog, eps_max):
+        # the first update is finite (weights near 1e300) and every later
+        # loss, validation included, is not; eps_max 0 makes epoch 0 a
+        # full-radius epoch, 0.5 ends the run before the ramp
+        cfg = TrainConfig(method="baseline", learning_rate=1e300,
+                          max_epochs=1, batch_size=16, eps_max=eps_max)
+        with caplog.at_level("WARNING", logger="certsurv.training"):
+            with pytest.raises(TrainingDivergenceError,
+                               match="no finite validation loss") as err:
+                train(cfg, planted_split)
+        assert all(np.isfinite(w).all() for w in err.value.last_good.weights)
+        assert not [r for r in caplog.records
+                    if "before the radius ramp" in r.getMessage()]
+
     def test_report_radius_column_matches_schedule(self, planted_split):
         cfg = fast_config(method="noise")
         _, report = train(cfg, planted_split)
@@ -229,7 +257,6 @@ class TestTrain:
         assert len(report.rows) >= 10
 
     def test_divergence_carries_last_good_weights(self, planted_split):
-        from certsurv.network import TrainingDivergenceError
         cfg = fast_config(method="baseline", learning_rate=1e5, max_epochs=10)
         with pytest.raises(TrainingDivergenceError) as err:
             train(cfg, planted_split)
