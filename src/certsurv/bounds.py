@@ -33,7 +33,11 @@ chain step's line choice, slope, intercept and scaled coefficients from
 recomputes nothing the tape holds, and takes sign(W) from the parameters.
 
 Each of these functions builds its elementwise results in arrays it made
-itself (`out=`, `+=`), with the arithmetic of the plain expression.  One
+itself (`out=`, `+=`), with the arithmetic of the plain expression.  On a
+per-neuron matrix, a select of 1 or the leaky slope is `network._slope`
+and a select of a value or 0 is `network._keep`, each with `np.where`'s
+bytes and no branch per entry; a select between two arrays (`width`,
+`chord`, `up_slope`, `lam`) or along the rows stays `np.where`.  One
 rule decides which bits the code keeps: those of its outputs (the
 checkpoints, `metrics.csv` and `train_report.csv`), and no others.  Every
 entry of the tape and of the gradients holds the plain expression's value,
@@ -52,7 +56,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .network import Network, ParamGrads, _check_batch
+from .network import Network, ParamGrads, _check_batch, _keep, _slope
 
 
 def _check_radius(eps) -> None:
@@ -84,8 +88,8 @@ def _interval_forward(net: Network, X: np.ndarray, eps: float):
         lows.append(l)
         ups.append(u)
         if k < net.n_layers - 1:
-            dl = np.where(l >= 0.0, 1.0, alpha)
-            du = np.where(u >= 0.0, 1.0, alpha)
+            dl = _slope(l >= 0.0, alpha)
+            du = _slope(u >= 0.0, alpha)
             slopes_l.append(dl)
             slopes_u.append(du)
             al = l * dl
@@ -124,11 +128,13 @@ def _relaxation(net: Network, lows, ups, bases):
         up_slope = np.where(cross, chord, base)
         np.subtract(alpha, chord, out=work)
         work *= l
-        up_icpt = np.where(cross, work, 0.0)
+        up_icpt = _keep(cross, work)
         # A crossing neuron's lower line has slope 1 when |u| >= |l|, that
-        # is u >= -l; on an exact neuron u >= -l holds exactly when base = 1.
+        # is u >= -l.  On an exact neuron u >= -l holds exactly when base
+        # = 1, that is l >= 0: u = m + s >= l there, and u is not NaN,
+        # since s >= 0 makes m - s and m + s NaN or -inf together.
         np.negative(l, out=work)
-        low_slope = np.where(u >= work, 1.0, base)
+        low_slope = _slope(u >= work, alpha)
         layer = (up_slope, up_icpt, low_slope, cross, width, chord)
         for piece, value in zip(pieces, layer):
             piece.append(value)
@@ -196,7 +202,7 @@ def _backward_pass(net: Network, X, eps, up_slope, up_icpt, low_slope):
         W, b = net.weights[k], net.biases[k]
         pos = A >= 0.0
         lam = np.where(pos, up_slope[k], low_slope[k])
-        mu = np.where(pos, up_icpt[k], 0.0)
+        mu = _keep(pos, up_icpt[k])
         B = A * mu
         d += B.sum(axis=2)
         np.multiply(A, lam, out=B)
@@ -296,8 +302,8 @@ def crown_ibp_batch_vjp(net: Network, tape: BoundTape, dlb, dub):
         grads.weights[k] += gW[0] + gW[1]
         grads.biases[k] += gb[0, :, 0] + gb[1, :, 0]
         sel = st.pos & tape.crossing[k]
-        us = np.where(sel, np.multiply(B_bar, st.A, out=work), 0.0)
-        ui = np.where(sel, np.multiply(g, st.A, out=work), 0.0)
+        us = _keep(sel, np.multiply(B_bar, st.A, out=work))
+        ui = _keep(sel, np.multiply(g, st.A, out=work))
         us_bar[k], ui_bar[k] = us[0] + us[1], ui[0] + ui[1]
         B_bar *= st.lam
         A_bar = np.add(B_bar, np.multiply(g, st.mu, out=work), out=work)
@@ -351,12 +357,10 @@ def crown_ibp_batch_vjp(net: Network, tape: BoundTape, dlb, dub):
             dicpt_du *= dchord_du
             np.multiply(us_bar[j], dchord_du, out=dchord_du)
             np.multiply(ui_bar[j], dicpt_du, out=dicpt_du)
-            ubar += np.where(cross, np.add(dchord_du, dicpt_du, out=dicpt_du),
-                             0.0)
+            ubar += _keep(cross, np.add(dchord_du, dicpt_du, out=dicpt_du))
             np.multiply(us_bar[j], dchord_dl, out=dchord_dl)
             np.multiply(ui_bar[j], dicpt_dl, out=dicpt_dl)
-            lbar += np.where(cross, np.add(dchord_dl, dicpt_dl, out=dicpt_dl),
-                             0.0)
+            lbar += _keep(cross, np.add(dchord_dl, dicpt_dl, out=dicpt_dl))
     return grads, dX
 
 

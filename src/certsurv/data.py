@@ -384,7 +384,8 @@ def fit_codec(raw: RawDataset, normalize_onehot: bool = False) -> FeatureCodec:
         if not np.isfinite([med, mean, std]).all():
             raise CodecError(f"{raw.name}: numeric column {c} overflows its "
                              "statistics")
-        if std <= 0.0:
+        # all-equal values can leave a float std of a few ulp
+        if std <= 0.0 or filled.min() == filled.max():
             log.warning("%s: numeric column %s is constant on train; dropped",
                         raw.name, c)
             continue

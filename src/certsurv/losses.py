@@ -54,8 +54,8 @@ import numpy as np
 from .bounds import (_check_radius, crown_ibp_batch_tape,
                      crown_ibp_batch_vjp)
 from .data import Batch
-from .network import (Network, backward_batch, forward_batch,
-                      input_grads_batch)
+from .network import (Network, _check_batch, _forward, _keep,
+                      backward_batch, forward_batch, input_grads_batch)
 
 log = logging.getLogger(__name__)
 
@@ -118,7 +118,7 @@ def _pair_terms(lam_t_own, lam_cross, batch: Batch, sigma, need_grads=True):
     `minus_pair_times`; `eta` = exp(ntl), which is S; with need_grads,
     ntl *= S, so ntl = -D; eta = 1 - S, then eta -= 1 - S_own, the
     negated F difference; eta /= sigma, skipped at sigma = 1, since x / 1
-    is x; exp; the `np.where` that applies A; and with need_grads the row
+    is x; exp; `_keep`, which applies A; and with need_grads the row
     sums of eta, ntl *= eta and the column sums of ntl, which cross_sums
     subtracts from 0.0.  The per-record side takes two passes for S_own =
     exp(-lam_t_own) and one for D_own = lam_t_own * S_own.  IEEE rounding
@@ -140,7 +140,7 @@ def _pair_terms(lam_t_own, lam_cross, batch: Batch, sigma, need_grads=True):
     if sigma != 1.0:
         eta /= sigma
     np.exp(eta, out=eta)
-    eta = np.where(A, eta, 0.0)
+    eta = _keep(A, eta)
     if not need_grads:
         return eta, None, None, None
     row_sums = np.zeros(len(lam_cross))
@@ -212,17 +212,20 @@ def pgd_perturb(net: Network, batch: Batch, eps: float, steps: int,
     Times and event indicators are never touched, so what depends only on
     them is built once per attack, not once per step: the ball's bounds,
     the weight w / sigma, and the batch's pairs, -t at the plan's rows and
-    -e as floats (cached on the batch and shared by the result).  Each step
-    computes only the input gradient, not the loss, and exponentiates the
-    scores once.  A row whose gradient is non-finite at a step skips that
-    step (logged) and keeps what earlier steps moved it.
+    -e as floats (cached on the batch and shared by the result).  The
+    input is checked once, and every step runs the unchecked forward core:
+    each step after the first starts from a point clipped into the ball,
+    which is finite wherever X - eps and X + eps are.  Each step computes
+    only the input gradient, not the loss, and exponentiates the scores
+    once.  A row whose gradient is non-finite at a step skips that step
+    (logged) and keeps what earlier steps moved it.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     _check_radius(eps)
     if eps == 0.0:
         return batch
-    X = batch.X
+    X = _check_batch(net, batch.X)
     lo, hi = X - eps, X + eps
     alpha = eps / steps
     w_s = _resolve_w(w, batch) / sigma
@@ -238,10 +241,10 @@ def pgd_perturb(net: Network, batch: Batch, eps: float, steps: int,
 
 
 def _ascent_step(net: Network, X, batch: Batch, w_s, sigma, sign_mode):
-    """(G, ascent direction) at X; a row with a non-finite gradient gets 0.
-    w_s is w / sigma.  The caller opens the errstate, once for all its
-    steps."""
-    G, caches = forward_batch(net, X)
+    """(G, ascent direction) at X, which `_check_batch` has accepted; a row
+    with a non-finite gradient gets 0.  w_s is w / sigma.  The caller opens
+    the errstate, once for all its steps."""
+    G, caches = _forward(net, X)
     dG = _loss_grad(G, batch, w_s, sigma)[2]
     igrads = input_grads_batch(net, caches, dG)
     if not np.isfinite(igrads).all():
@@ -263,9 +266,9 @@ def _fgsm_scores(net: Network, batch: Batch, eps_grid, w, sigma, sign_mode):
     """Each radius's fgsm_perturb scores G, bit for bit, from one direction."""
     for eps in eps_grid:
         _check_radius(eps)
-    X0 = batch.X
+    X0 = _check_batch(net, batch.X)
     if not any(eps != 0.0 for eps in eps_grid):
-        return [forward_batch(net, X0)[0]] * len(eps_grid)
+        return [_forward(net, X0)[0]] * len(eps_grid)
     with np.errstate(over="ignore", invalid="ignore"):
         G0, step = _ascent_step(net, X0, batch, _resolve_w(w, batch) / sigma,
                                 sigma, sign_mode)

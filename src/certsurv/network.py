@@ -18,6 +18,16 @@ instead of one per layer; a write into a view is a write into `flat`.
 `adam_step` and `ParamGrads.zeros_like` build theirs on a buffer they have
 just made, laid out as an already checked network's, without copying or
 checking it again.
+
+Two exact, branch-free helpers stand for the two `np.where` forms the
+training hot path takes on a per-neuron or per-pair matrix:
+`_slope(mask, alpha)` for `np.where(mask, 1.0, alpha)` and `_keep(mask, x)`
+for `np.where(mask, x, 0.0)`, each with `np.where`'s bytes.  `np.where`
+branches once per entry, and on an activation or pair mask, which the CPU
+cannot predict, it costs 3.2-4.5 ns per element against about 0.6 ns for a
+multiply (2 vCPUs, numpy 2.4.6, one BLAS thread).  A select between two
+arrays and a per-record select stay `np.where`: their masks branch
+predictably, and an exact integer blend of two arrays was slower there.
 """
 
 from __future__ import annotations
@@ -173,6 +183,19 @@ def init_network(layer_dims, leaky_slope: float = 0.01, seed: int = 0) -> Networ
     return Network(dims, weights, biases, float(leaky_slope))
 
 
+def _slope(mask: np.ndarray, alpha: float) -> np.ndarray:
+    """np.where(mask, 1.0, alpha) for a float alpha in (0, 1), bit for bit:
+    True is 1.0 and False 0.0, and alpha lies between them."""
+    return np.maximum(mask, alpha)
+
+
+def _keep(mask: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """np.where(mask, x, 0.0) for float64 x, bit for bit (NaN payloads,
+    infinities and -0.0 included): each entry is x's bit pattern times 1
+    or 0, and the zero pattern is +0.0.  mask and x broadcast."""
+    return np.multiply(x.view(np.int64), mask).view(np.float64)
+
+
 def _check_batch(net: Network, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != net.input_dim:
@@ -194,7 +217,11 @@ def forward_batch(net: Network, X: np.ndarray):
     read.  The activation is z * slope: z where z >= 0, else
     leaky_slope * z, bit for bit.
     """
-    X = _check_batch(net, X)
+    return _forward(net, _check_batch(net, X))
+
+
+def _forward(net: Network, X: np.ndarray):
+    """forward_batch on inputs `_check_batch` has already accepted."""
     a = X
     layer_inputs, pre_acts, slopes = [a], [], []
     for k, (W, b) in enumerate(zip(net.weights, net.biases)):
@@ -202,7 +229,7 @@ def forward_batch(net: Network, X: np.ndarray):
         z += b
         pre_acts.append(z)
         if k < net.n_layers - 1:
-            d = np.where(z >= 0.0, 1.0, net.leaky_slope)
+            d = _slope(z >= 0.0, net.leaky_slope)
             slopes.append(d)
             a = z * d
             layer_inputs.append(a)

@@ -246,8 +246,7 @@ def train(config: TrainConfig, split: SplitDataset):
         shuffle_rng = np.random.default_rng((config.seed, epoch))
         order = shuffle_rng.permutation(n)
         sums = np.zeros(5)
-        n_batches = 0
-        epoch_finite = False
+        n_batches = n_stepped = 0
         for b0 in range(0, n, config.batch_size):
             idx = order[b0:b0 + config.batch_size]
             batch = Batch(tr.X[idx], tr.t[idx], tr.e[idx])
@@ -255,20 +254,21 @@ def train(config: TrainConfig, split: SplitDataset):
                                                   epoch, n_batches)
             if np.isfinite(breakdown.total) and pgrads.is_finite():
                 net, state = adam_step(state, net, pgrads)
-                epoch_finite = True
+                # the epoch's means are over the batches that stepped
+                sums += (breakdown.neg_ll, breakdown.rank,
+                         breakdown.clean_combined, breakdown.certified_upper,
+                         breakdown.total)
+                n_stepped += 1
             else:
                 log.warning("epoch %d batch %d: non-finite loss, update skipped",
                             epoch, n_batches)
-            sums += (breakdown.neg_ll, breakdown.rank,
-                     breakdown.clean_combined, breakdown.certified_upper,
-                     breakdown.total)
             n_batches += 1
-        if not epoch_finite:
+        if not n_stepped:
             raise TrainingDivergenceError(
                 f"no finite training loss in epoch {epoch}", last_good=net)
         val_loss = _validation_loss(net, split.validation, config, eps,
                                     epoch)
-        avg = sums / n_batches
+        avg = sums / n_stepped
         report.rows.append(EpochRow(epoch, eps, *avg, val_loss))
         # the last epoch is at eps_max unless the run ends before the ramp
         if eps == config.eps_max or epoch == config.max_epochs - 1:

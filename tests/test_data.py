@@ -300,6 +300,19 @@ class TestCodec:
         assert "num_c" not in codec.num_stats
         assert codec.dim == 1
 
+    def test_all_equal_column_with_rounding_std_dropped(self, tmp_path):
+        # seven copies of 1.1016 have a float std of 2.2e-16, not 0
+        assert np.full(7, 1.1016).std() > 0.0
+        path = tmp_path / "ulp.csv"
+        rows = ["time,event,num_a,num_c"]
+        for i in range(10):
+            cell = 0.0 if i >= 7 else "" if i % 3 else 1.1016
+            rows.append(f"{i + 1}.0,{i % 2},{i / 5},{cell}")
+        path.write_text("\n".join(rows) + "\n")
+        # fitted on the first seven rows: blanks take the median, 1.1016
+        codec = fit_codec(load_csv(str(path)).take(np.arange(7)))
+        assert list(codec.num_stats) == ["num_a"]
+
     def test_dropped_columns_warn_with_dataset_path(self, tmp_path, caplog):
         path = tmp_path / "drop.csv"
         rows = ["time,event,num_a,num_c,num_m"]

@@ -91,6 +91,26 @@ def test_generated_csv_exits_0_or_3(data):
     assert code in (0, 3)
 
 
+# Found by test_generated_csv_exits_0_or_3: on the training rows num_b is
+# 1.1016 once and blank otherwise, so the median fill gives seven copies of
+# one value, whose float std is 2.2e-16.  Kept as a constant column, it
+# scaled the validation rows' 0.0 to -4.96e15 and training diverged (exit 4).
+ALL_EQUAL_ON_TRAIN = (
+    "time,event,num_a,num_b\n"
+    "1.000,1,0.5000,1.1016\n1.000,0,-1.2000,\n1.000,1,2.0000,0.0000\n"
+    "1.000,1,0.1000,\n1.000,0,-0.7000,0.0000\n1.000,1,1.3000,0.0000\n"
+    "1.000,1,0.0000,\n1.000,1,-2.1000,0.0000\n1.000,1,0.9000,\n"
+    "1.000,0,1.7000,\n1.000,1,-0.3000,\n1.000,0,0.4000,0.0000\n"
+    "1.000,1,-1.5000,0.0000\n")
+
+
+def test_all_equal_training_column_exits_0(tmp_path):
+    path = tmp_path / "equal.csv"
+    path.write_text(ALL_EQUAL_ON_TRAIN)
+    assert main(["train", "--dataset", str(path), "--out",
+                 str(tmp_path / "out"), *FAST]) == 0
+
+
 # One legal value per [train] key; together they train in well under a second
 LEGAL = {"kappa": "0.3", "eps_max": "0.2", "warmup_epochs": "1",
          "ramp_epochs": "2", "batch_size": "8", "patience": "3",

@@ -5,8 +5,8 @@ from hypothesis import example, given, settings, strategies as st
 from certsurv import network
 from certsurv.network import (ConfigurationError, InputError, Network,
                               ParamGrads, ShapeError,
-                              TrainingDivergenceError, adam_step,
-                              backward_batch, forward_batch,
+                              TrainingDivergenceError, _keep, _slope,
+                              adam_step, backward_batch, forward_batch,
                               init_adam, init_network, input_grads_batch)
 
 from conftest import leaky_relu, leaky_relu_grad, random_net
@@ -397,3 +397,70 @@ class TestFlatLayout:
         assert zeros.flat.tobytes() == np.zeros(net.flat.size).tobytes()
         zeros.biases[1][2] = 7.0  # a view writes into the buffer
         assert zeros.flat[net.flat.size - 3] == 7.0
+
+
+# float64 bit patterns a select must carry through unchanged: NaN of both
+# signs with several payloads (quiet and signalling), +-inf, +-0.0,
+# subnormals and +-1e308
+SPECIAL_BITS = [0x7FF8000000000000, 0xFFF8000000000000, 0x7FF8000000000123,
+                0xFFF800000000ABCD, 0x7FF0000000000001, 0xFFF4000000000000,
+                0x7FF0000000000000, 0xFFF0000000000000, 0x0000000000000000,
+                0x8000000000000000, 0x0000000000000001, 0x800FFFFFFFFFFFFF,
+                *np.array([1e308, -1e308]).view(np.uint64).tolist()]
+FLOAT_BITS = st.one_of(
+    st.sampled_from(SPECIAL_BITS),
+    st.floats(allow_nan=True, allow_infinity=True).map(
+        lambda v: int(np.float64(v).view(np.uint64))))
+# (mask shape, operand shape) of every call site: a per-neuron or per-pair
+# matrix (rows, n), and the stacked chains' (2, rows, n) mask over a
+# per-neuron operand or over a stacked one
+SITE_SHAPES = [((), ()), ((2,), ()), ((2,), (2,))]
+
+
+def _floats(bits, shape):
+    return np.array(bits, dtype=np.uint64).view(np.float64).reshape(shape)
+
+
+class TestBranchFreeSelects:
+    """`_keep` and `_slope` return `np.where`'s bytes."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_keep_is_where_bit_for_bit(self, data):
+        mask_lead, x_lead = data.draw(st.sampled_from(SITE_SHAPES))
+        rows, n = data.draw(st.integers(1, 7)), data.draw(st.integers(1, 7))
+        mask_shape, x_shape = (*mask_lead, rows, n), (*x_lead, rows, n)
+        mask = np.array(data.draw(st.lists(
+            st.booleans(), min_size=int(np.prod(mask_shape)),
+            max_size=int(np.prod(mask_shape))))).reshape(mask_shape)
+        size = int(np.prod(x_shape))
+        x = _floats(data.draw(st.lists(FLOAT_BITS, min_size=size,
+                                       max_size=size)), x_shape)
+        got, want = _keep(mask, x), np.where(mask, x, 0.0)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from([(), (2,)]), st.integers(1, 7), st.integers(1, 7),
+           st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           st.data())
+    def test_slope_is_where_bit_for_bit(self, lead, rows, n, alpha, data):
+        shape = (*lead, rows, n)
+        mask = np.array(data.draw(st.lists(
+            st.booleans(), min_size=int(np.prod(shape)),
+            max_size=int(np.prod(shape))))).reshape(shape)
+        got, want = _slope(mask, alpha), np.where(mask, 1.0, alpha)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("mask_lead,x_lead", SITE_SHAPES)
+    def test_keep_carries_every_special_value(self, mask_lead, x_lead):
+        # each special value under a True and a False mask entry: a plain
+        # x * mask gives -0.0 for -0.0 and NaN for inf where the mask is 0
+        x = np.broadcast_to(_floats(SPECIAL_BITS, -1),
+                            (*x_lead, 2, len(SPECIAL_BITS))).copy()
+        mask = np.zeros((*mask_lead, 2, len(SPECIAL_BITS)), dtype=bool)
+        mask[..., 0, :] = True
+        if mask_lead and x_lead:
+            mask[1] = ~mask[1]
+        assert _keep(mask, x).tobytes() == np.where(mask, x, 0.0).tobytes()

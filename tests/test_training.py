@@ -1,11 +1,13 @@
 import json
 import os
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
+from certsurv import training
 from certsurv.data import FeatureCodec, load_csv, stratified_split
-from certsurv.losses import Batch
+from certsurv.losses import Batch, LossBreakdown
 from certsurv.metrics import concordance_index
 from certsurv.network import (TrainingDivergenceError, forward_batch,
                               init_network)
@@ -242,6 +244,27 @@ class TestTrain:
         assert all(np.isfinite(w).all() for w in err.value.last_good.weights)
         assert not [r for r in caplog.records
                     if "before the radius ramp" in r.getMessage()]
+
+    def test_skipped_batch_leaves_the_epoch_means(self, planted_split,
+                                                  monkeypatch):
+        # 24 training rows in batches of 16 and 8: batch 0 of every epoch
+        # is made non-finite and skipped, so each row is batch 1's losses
+        real = training._batch_loss_grads
+        stepped = {}
+
+        def first_batch_overflows(net, batch, config, eps, epoch, batch_idx):
+            breakdown, pgrads = real(net, batch, config, eps, epoch,
+                                     batch_idx)
+            if batch_idx == 0:
+                return LossBreakdown(*[np.inf] * 5), pgrads
+            stepped[epoch] = astuple(breakdown)
+            return breakdown, pgrads
+
+        monkeypatch.setattr(training, "_batch_loss_grads",
+                            first_batch_overflows)
+        _, report = train(fast_config(max_epochs=5), planted_split)
+        assert [astuple(r)[2:7] for r in report.rows] == [
+            stepped[r.epoch] for r in report.rows]
 
     def test_report_radius_column_matches_schedule(self, planted_split):
         cfg = fast_config(method="noise")
